@@ -33,7 +33,7 @@
 //! For any `f` without side effects across items,
 //! `par_map_indexed(n, f)` returns exactly `(0..n).map(f).collect()` —
 //! for every thread count, including 1. This is the guarantee the CI
-//! determinism gate enforces (see `crates/core/tests/determinism.rs`).
+//! determinism gate enforces (see `tests/determinism.rs`).
 //!
 //! # Examples
 //!

@@ -10,25 +10,17 @@
 //! client's event stream is byte-identical to the batch pipeline and
 //! the chunk ledger balances across shards.
 //!
-//! This is the CLI twin of the `cluster_gate` CI test, sized for a
-//! human: it prints per-client, per-shard, and router tables instead
-//! of asserting.
+//! It runs the [`crate::diff::cluster`] runner the `cluster_gate` CI
+//! test drives, sized for a human: it prints per-client, per-shard,
+//! and router tables.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use eddie_chaos::FaultPlan;
-use eddie_cluster::{Cluster, ClusterConfig, RingConfig};
-use eddie_core::MonitorOutcome;
-use eddie_serve::{ClientConfig, ModelRegistry, ResilientClient, ResilientOutcome, ServerConfig};
-use eddie_sim::SimResult;
 
-use crate::harness::{injection_targets, make_hook, sim_pipeline, train_benchmark, InjectPlan};
-use crate::servecli::{events_match_batch, MODEL_ID};
-use crate::{format_table, Scale};
-
-use eddie_workloads::Benchmark;
+use crate::diff::{self, Fixture, Run};
+use crate::format_table;
+use crate::servecli::{flag_value, parse_scale, usize_flag};
 
 /// Default device count replayed through the router.
 pub const DEFAULT_CLIENTS: usize = 4;
@@ -37,46 +29,15 @@ pub const DEFAULT_SHARDS: usize = 3;
 /// Default chunk size (samples); off the STFT hop grid on purpose.
 pub const DEFAULT_CHUNK: usize = 913;
 
-fn parse_scale(args: &[String]) -> Result<Scale, String> {
-    match args
-        .iter()
-        .position(|a| a == "--scale")
-        .map(|i| args.get(i + 1).map(String::as_str))
-    {
-        None => Ok(Scale::Quick),
-        Some(Some("quick")) => Ok(Scale::Quick),
-        Some(Some("full")) => Ok(Scale::Full),
-        Some(other) => Err(format!("unknown scale {other:?}")),
-    }
-}
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn usize_flag(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
-    match flag_value(args, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad {flag} {v:?}")),
-    }
-}
-
 /// `eddie-experiments cluster [--shards N] [--clients N] [--chunk N]
 /// [--plan GRAMMAR] [--scale quick|full]`
 ///
 /// Runs the sharded deployment end to end: admission redirects off the
 /// consistent-hash ring, a mid-replay reseed + rebalance that migrates
 /// live sessions between shards, and a final audit of event
-/// equivalence and chunk-ledger conservation. With `--plan`, every
-/// shard sits behind its own chaos proxy and all proxies share one
-/// fault schedule.
+/// equivalence, chunk-ledger conservation and migration evidence (the
+/// [`diff::cluster`] runner). With `--plan`, every shard sits behind
+/// its own chaos proxy and all proxies share one fault schedule.
 pub fn cluster(args: &[String]) -> Result<String, String> {
     eddie_obs::install();
     let scale = parse_scale(args)?;
@@ -88,106 +49,36 @@ pub fn cluster(args: &[String]) -> Result<String, String> {
         Some(text) => Some(FaultPlan::parse(text).map_err(|e| e.to_string())?),
     };
 
-    let pipeline = sim_pipeline();
-    let (w, model) = train_benchmark(
-        &pipeline,
-        Benchmark::Bitcount,
-        scale.workload_scale(),
-        scale.train_runs_sim(),
-    );
-    let model = Arc::new(model);
-    let targets = injection_targets(&w, &model);
-    let results: Vec<SimResult> = (0..clients)
-        .map(|k| {
-            let seed = 1000 + k as u64;
-            let hook = make_hook(&InjectPlan::Alternating, &w, &targets, k, seed);
-            pipeline.simulate(w.program(), |m| w.prepare(m, seed), hook)
-        })
-        .collect();
-    let batches: Vec<MonitorOutcome> = results
+    let fx = Fixture::cli(scale, clients);
+    let runs: Vec<&Run> = fx.runs.iter().collect();
+    let run = diff::cluster(
+        "cluster",
+        &fx.model,
+        &runs,
+        shards,
+        fault_plan.as_ref(),
+        chunk,
+    )
+    .map_err(|e| e.to_string())?;
+    let rows: Vec<Vec<String>> = fx
+        .runs
         .iter()
-        .map(|r| pipeline.monitor_result(&model, r, 0))
-        .collect();
-
-    let mut registry = ModelRegistry::new();
-    registry.insert(MODEL_ID, model);
-    let server = ServerConfig::builder()
-        .with_drain_idle(Duration::from_millis(1))
-        .with_idle_timeout(Duration::from_millis(800))
-        .with_resume_linger(Duration::from_secs(30))
-        .with_resume_tail(4096)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let mut builder = ClusterConfig::builder()
-        .with_shards(shards)
-        .with_ring(RingConfig::default())
-        .with_server(server);
-    if let Some(plan) = &fault_plan {
-        builder = builder.with_fault_plan(plan.clone());
-    }
-    let config = builder.build().map_err(|e| e.to_string())?;
-    let mut cluster = Cluster::start(config, registry).map_err(|e| format!("cluster: {e}"))?;
-    let router_addr = cluster.router_addr();
-
-    let replays: Vec<_> = results
-        .iter()
-        .enumerate()
-        .map(|(k, r)| {
-            let signal = r.power.samples.clone();
-            let rate = r.power.sample_rate_hz();
-            let client_config = ClientConfig::builder()
-                .with_read_timeout(Duration::from_millis(150))
-                .with_backoff(Duration::from_millis(2), 2.0, Duration::from_millis(50))
-                .with_jitter(0.1, 1000 + k as u64)
-                .with_max_reconnects(12)
-                .with_max_redirects(8)
-                .build()
-                .expect("client config");
-            std::thread::spawn(move || -> Result<ResilientOutcome, String> {
-                let client = ResilientClient::new(router_addr, client_config);
-                client
-                    .replay(MODEL_ID, rate, &signal, chunk)
-                    .map_err(|e| format!("client {k}: {e}"))
-            })
+        .zip(&run.outcomes)
+        .map(|(r, outcome)| {
+            vec![
+                r.k.to_string(),
+                r.label().to_string(),
+                outcome.events.len().to_string(),
+                outcome.redirects.to_string(),
+                outcome.reconnects.to_string(),
+                outcome.resumes.to_string(),
+                outcome.busy_replies.to_string(),
+                "yes".to_string(),
+            ]
         })
         .collect();
 
-    // Once every session is admitted somewhere, reshuffle the ring:
-    // live sessions must follow their new placement mid-replay.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while cluster.owned_sessions().len() < clients && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let rebalance = cluster
-        .rebalance_with_seed(RingConfig::default().seed ^ 0xC0FF_EE00)
-        .map_err(|e| format!("rebalance: {e}"))?;
-
-    let outcomes: Vec<ResilientOutcome> = replays
-        .into_iter()
-        .map(|t| t.join().expect("client thread"))
-        .collect::<Result<_, _>>()?;
-
-    let mut rows = Vec::new();
-    let mut all_match = true;
-    for (k, (outcome, batch)) in outcomes.iter().zip(&batches).enumerate() {
-        let events_match = events_match_batch(&outcome.events, batch);
-        all_match &= events_match;
-        rows.push(vec![
-            k.to_string(),
-            if k % 2 == 0 { "clean" } else { "injected" }.to_string(),
-            outcome.events.len().to_string(),
-            outcome.redirects.to_string(),
-            outcome.reconnects.to_string(),
-            outcome.resumes.to_string(),
-            outcome.busy_replies.to_string(),
-            if events_match { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-
-    let router_redirects = cluster.router().redirects();
-    let generation = cluster.router().ring_generation();
-    let report = cluster.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-
+    let report = &run.report;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -195,9 +86,10 @@ pub fn cluster(args: &[String]) -> Result<String, String> {
     );
     let _ = writeln!(
         out,
-        "# ring reseeded mid-replay: {} live sessions migrated, {} skipped (ring generation {generation})",
-        rebalance.migrated.len(),
-        rebalance.skipped
+        "# ring reseeded mid-replay: {} live sessions migrated, {} skipped (ring generation {})",
+        run.rebalance.migrated.len(),
+        run.rebalance.skipped,
+        run.generation
     );
     if let Some(plan) = &fault_plan {
         let _ = writeln!(out, "# plan: {plan}");
@@ -249,24 +141,9 @@ pub fn cluster(args: &[String]) -> Result<String, String> {
     ));
     let _ = writeln!(
         out,
-        "\n# router: {} connections, {router_redirects} redirects",
-        report.router.connections
+        "\n# router: {} connections, {} redirects",
+        report.router.connections, report.router.redirects
     );
-
-    for (i, s) in report.shards.iter().enumerate() {
-        if s.chunks_received != s.chunks_accepted + s.chunks_busy + s.duplicate_acks {
-            return Err(format!(
-                "shard {i} chunk ledger does not balance: {} received != {} accepted + {} busy + {} duplicate",
-                s.chunks_received, s.chunks_accepted, s.chunks_busy, s.duplicate_acks
-            ));
-        }
-    }
-    if rebalance.migrated.is_empty() {
-        return Err("the reseeded ring migrated no live sessions".to_string());
-    }
-    if !all_match {
-        return Err("received events diverged from the batch pipeline".to_string());
-    }
     Ok(out)
 }
 
@@ -276,7 +153,7 @@ mod tests {
     fn bad_flags_are_reported() {
         assert!(super::cluster(&["--clients".into(), "zero".into()]).is_err());
         assert!(super::cluster(&["--plan".into(), "gibberish=".into()]).is_err());
-        assert!(super::parse_scale(&["--scale".into(), "huge".into()]).is_err());
+        assert!(super::cluster(&["--scale".into(), "huge".into()]).is_err());
     }
 
     #[test]

@@ -2,40 +2,20 @@
 //!
 //! Not a paper artifact — a deployment-mode check for the `eddie-stream`
 //! runtime. Each monitored run's signal is replayed through a
-//! [`eddie_stream::Fleet`] of per-device [`MonitorSession`]s in
-//! pseudo-random chunk sizes, and every emitted event is compared
-//! against the batch `Pipeline::monitor_result` path on the same
-//! signal. The table reports, per run, the window count, the anomaly
+//! [`eddie_stream::Fleet`] of per-device sessions in pseudo-random
+//! chunk sizes by the [`diff::fleet`] runner, and every emitted event
+//! is compared against the batch `Pipeline::monitor_result` path on the
+//! same signal. The table reports, per run, the window count, the anomaly
 //! counts of both paths, the first-anomaly window of both paths, and
 //! whether the event streams matched exactly.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use eddie_core::MonitorEvent;
-use eddie_stream::{Fleet, FleetConfig, MonitorSession, PushResult, StreamEvent};
-use eddie_workloads::Benchmark;
+use eddie_stream::{FleetConfig, StreamEvent};
 
-use crate::harness::{injection_targets, make_hook, sim_pipeline, train_benchmark, InjectPlan};
+use crate::diff::{self, chunked, Fixture};
 use crate::{format_table, Scale};
-
-/// Splits a signal into deterministic pseudo-random chunks of
-/// `1..=max_chunk` samples (plain LCG; no RNG dependency).
-fn chunks(signal: &[f32], seed: u64, max_chunk: usize) -> Vec<Vec<f32>> {
-    let mut state = seed;
-    let mut out = Vec::new();
-    let mut pos = 0;
-    while pos < signal.len() {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let len = 1 + (state >> 33) as usize % max_chunk;
-        let end = (pos + len).min(signal.len());
-        out.push(signal[pos..end].to_vec());
-        pos = end;
-    }
-    out
-}
 
 fn first_anomaly(events: &[StreamEvent]) -> Option<usize> {
     events
@@ -50,93 +30,41 @@ fn fmt_opt(x: Option<usize>) -> String {
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> String {
-    let pipeline = sim_pipeline();
     let runs = scale.monitor_runs_sim();
-    let (w, model) = train_benchmark(
-        &pipeline,
-        Benchmark::Bitcount,
-        scale.workload_scale(),
-        scale.train_runs_sim(),
-    );
-    let model = Arc::new(model);
-    let targets = injection_targets(&w, &model);
-
-    // Simulate every monitored run once; both paths consume the same
-    // signals. Alternating plan: even runs clean, odd runs attacked.
-    let results: Vec<_> = (0..runs)
-        .map(|k| {
-            let seed = 1000 + k as u64;
-            let hook = make_hook(&InjectPlan::Alternating, &w, &targets, k, seed);
-            pipeline.simulate(w.program(), |m| w.prepare(m, seed), hook)
-        })
-        .collect();
-
-    // Batch path.
-    let batches: Vec<_> = results
-        .iter()
-        .map(|r| pipeline.monitor_result(&model, r, 0))
-        .collect();
+    let fx = Fixture::cli(scale, runs);
 
     // Streaming path: one fleet device per run, chunked ingest with
     // drain-on-Full backpressure.
-    let mut fleet = Fleet::new(
-        FleetConfig::builder()
-            .with_max_pending_chunks(16)
-            .with_max_pending_samples(1 << 16)
-            .build()
-            .expect("valid fleet bounds"),
-    );
-    let devices: Vec<_> = results
+    let config = FleetConfig::builder()
+        .with_max_pending_chunks(16)
+        .with_max_pending_samples(1 << 16)
+        .build()
+        .expect("valid fleet bounds");
+    let devices: Vec<_> = fx
+        .runs
         .iter()
-        .map(|r| {
-            fleet.add_session(MonitorSession::new(model.clone(), r.power.sample_rate_hz()).unwrap())
-        })
+        .map(|r| (r.rate, chunked(&r.signal, 42 + r.k as u64, 997)))
         .collect();
-    let mut streamed: Vec<Vec<StreamEvent>> = vec![Vec::new(); runs];
-    for (k, result) in results.iter().enumerate() {
-        for chunk in chunks(&result.power.samples, 42 + k as u64, 997) {
-            loop {
-                match fleet.push_chunk(devices[k], chunk.clone()) {
-                    PushResult::Accepted => break,
-                    PushResult::Full => {
-                        for (dev, evs) in fleet.drain().into_iter().enumerate() {
-                            streamed[dev].extend(evs);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for (dev, evs) in fleet.drain().into_iter().enumerate() {
-        streamed[dev].extend(evs);
-    }
+    let streamed = diff::fleet(&fx.model, config, &devices);
 
     let mut rows = Vec::new();
-    let mut all_match = true;
-    for k in 0..runs {
-        let batch = &batches[k];
-        let stream = &streamed[k];
-        let events_match = stream.len() == batch.events.len()
-            && stream.iter().enumerate().all(|(wdx, ev)| {
-                ev.window == wdx
-                    && ev.event == batch.events[wdx]
-                    && ev.alarm == batch.alarms[wdx]
-                    && ev.tracked == batch.tracked[wdx]
-            });
-        all_match &= events_match;
+    for (run, stream) in fx.runs.iter().zip(&streamed) {
+        if let Err(d) = run.check("stream", stream) {
+            panic!("streaming events diverged from the batch pipeline: {d}");
+        }
         let stream_anoms = stream
             .iter()
             .filter(|e| e.event == MonitorEvent::Anomaly)
             .count();
         rows.push(vec![
-            k.to_string(),
-            if k % 2 == 0 { "clean" } else { "injected" }.to_string(),
+            run.k.to_string(),
+            run.label().to_string(),
             stream.len().to_string(),
-            batch.anomaly_count().to_string(),
+            run.batch.anomaly_count().to_string(),
             stream_anoms.to_string(),
-            fmt_opt(batch.first_anomaly()),
+            fmt_opt(run.batch.first_anomaly()),
             fmt_opt(first_anomaly(stream)),
-            if events_match { "yes" } else { "NO" }.to_string(),
+            "yes".to_string(),
         ]);
     }
 
@@ -162,10 +90,6 @@ pub fn run(scale: Scale) -> String {
         ],
         &rows,
     ));
-    assert!(
-        all_match,
-        "streaming events diverged from the batch pipeline"
-    );
     out
 }
 

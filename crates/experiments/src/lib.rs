@@ -19,6 +19,7 @@
 
 pub mod benchjson;
 pub mod clustercli;
+pub mod diff;
 pub mod exps;
 pub mod harness;
 pub mod servecli;

@@ -18,32 +18,25 @@
 //! * `chaos` is `replay-client` behind an [`eddie_chaos::ChaosProxy`]:
 //!   it injects the faults described by a `--plan` grammar string and
 //!   drives the self-healing [`eddie_serve::ResilientClient`] through
-//!   them, still requiring byte-identical events. The same machinery
-//!   backs the chaos CI gate.
+//!   them, still requiring byte-identical events.
+//!
+//! `replay-client` and `chaos` run on the [`crate::diff`] runners the
+//! loopback and chaos gates drive, so each scenario has one
+//! implementation.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
-use std::time::Duration;
 
-use eddie_chaos::{ChaosProxy, FaultPlan};
-use eddie_core::{MonitorEvent, MonitorOutcome, TrainedModel};
-use eddie_serve::{
-    ClientConfig, ModelRegistry, ReplayClient, ResilientClient, Server, ServerConfig, ServerReport,
-};
-use eddie_sim::SimResult;
-use eddie_stream::StreamEvent;
-use eddie_workloads::{Benchmark, Workload};
+use eddie_chaos::FaultPlan;
+use eddie_core::MonitorEvent;
+use eddie_serve::{ModelRegistry, Server, ServerConfig, ServerReport};
 
-use crate::harness::{injection_targets, make_hook, sim_pipeline, train_benchmark, InjectPlan};
+use crate::diff::{self, Fixture, LocalServer};
 use crate::{format_table, Scale};
-
-/// The model id the `serve`/`replay-client` pair agrees on.
-pub const MODEL_ID: &str = "bitcount-power";
 
 /// Default chunk size (samples) for the replay client.
 pub const DEFAULT_CHUNK: usize = 913;
 
-fn parse_scale(args: &[String]) -> Result<Scale, String> {
+pub(crate) fn parse_scale(args: &[String]) -> Result<Scale, String> {
     match args
         .iter()
         .position(|a| a == "--scale")
@@ -56,28 +49,22 @@ fn parse_scale(args: &[String]) -> Result<Scale, String> {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
 }
 
-fn trained(scale: Scale) -> (eddie_core::Pipeline, Workload, Arc<TrainedModel>) {
-    let pipeline = sim_pipeline();
-    let (w, model) = train_benchmark(
-        &pipeline,
-        Benchmark::Bitcount,
-        scale.workload_scale(),
-        scale.train_runs_sim(),
-    );
-    (pipeline, w, Arc::new(model))
-}
-
-fn start_server(model: Arc<TrainedModel>, addr: &str) -> Result<Server, String> {
-    let mut registry = ModelRegistry::new();
-    registry.insert(MODEL_ID, model);
-    Server::bind(addr, registry, ServerConfig::default()).map_err(|e| format!("bind {addr}: {e}"))
+pub(crate) fn usize_flag(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
+    match flag_value(args, flag) {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("bad {flag} {v:?}")),
+    }
 }
 
 /// `eddie-experiments serve [--addr HOST:PORT] [--scale quick|full]`
@@ -88,22 +75,23 @@ pub fn serve(args: &[String]) -> Result<String, String> {
     eddie_obs::install();
     let scale = parse_scale(args)?;
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:0");
-    let (_pipeline, _w, model) = trained(scale);
-    let server = start_server(model, addr)?;
+    let mut registry = ModelRegistry::new();
+    registry.insert(diff::MODEL_ID, Fixture::cli(scale, 0).model);
+    let server = Server::bind(addr, registry, ServerConfig::default())
+        .map_err(|e| format!("bind {addr}: {e}"))?;
     let handle = server.handle();
     println!("# eddie-serve listening on {}", handle.addr());
-    println!("# hosted model: {MODEL_ID}");
+    println!("# hosted model: {}", diff::MODEL_ID);
     println!("# press ctrl-d (close stdin) to shut down");
 
     // Shutdown on stdin EOF: lets scripts drive the lifecycle without
     // signals.
-    let stdin_handle = handle.clone();
     std::thread::spawn(move || {
         let mut sink = String::new();
         while std::io::stdin().read_line(&mut sink).is_ok_and(|n| n > 0) {
             sink.clear();
         }
-        stdin_handle.shutdown();
+        handle.shutdown();
     });
 
     let report = server.run().map_err(|e| format!("server failed: {e}"))?;
@@ -119,93 +107,51 @@ pub fn serve(args: &[String]) -> Result<String, String> {
 pub fn replay_client(args: &[String]) -> Result<String, String> {
     eddie_obs::install();
     let scale = parse_scale(args)?;
-    let chunk: usize = match flag_value(args, "--chunk") {
-        None => DEFAULT_CHUNK,
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad --chunk {v:?}"))?,
-    };
-
-    let (pipeline, w, model) = trained(scale);
-    let targets = injection_targets(&w, &model);
+    let chunk = usize_flag(args, "--chunk", DEFAULT_CHUNK)?;
     let runs = scale.monitor_runs_sim();
-    let results: Vec<SimResult> = (0..runs)
-        .map(|k| {
-            let seed = 1000 + k as u64;
-            let hook = make_hook(&InjectPlan::Alternating, &w, &targets, k, seed);
-            pipeline.simulate(w.program(), |m| w.prepare(m, seed), hook)
-        })
-        .collect();
-    let batches: Vec<MonitorOutcome> = results
-        .iter()
-        .map(|r| pipeline.monitor_result(&model, r, 0))
-        .collect();
+    let fx = Fixture::cli(scale, runs);
 
     // Local server unless pointed at a remote one.
-    let local = match flag_value(args, "--addr") {
+    let remote = flag_value(args, "--addr");
+    let local = match remote {
         Some(_) => None,
-        None => {
-            let server = start_server(model.clone(), "127.0.0.1:0")?;
-            let handle = server.handle();
-            let join = std::thread::spawn(move || server.run());
-            Some((handle, join))
-        }
+        None => Some(
+            LocalServer::start(fx.model.clone(), ServerConfig::default())
+                .map_err(|e| e.to_string())?,
+        ),
     };
-    let addr: String = match (&local, flag_value(args, "--addr")) {
-        (Some((handle, _)), _) => handle.addr().to_string(),
-        (None, Some(a)) => a.to_string(),
-        (None, None) => unreachable!(),
-    };
+    let addr = remote.map_or_else(
+        || local.as_ref().expect("local server").addr().to_string(),
+        str::to_string,
+    );
 
-    // All devices replay concurrently — the fleet multiplexes them.
-    let replays: Vec<_> = results
+    // All devices replay concurrently — the fleet multiplexes them. The
+    // runner refuses any stream that diverges from the batch pipeline.
+    let outcomes = diff::loopback(&addr, &fx.runs, chunk, || {}).map_err(|e| e.to_string())?;
+    let rows: Vec<Vec<String>> = fx
+        .runs
         .iter()
-        .map(|r| {
-            let signal = r.power.samples.clone();
-            let rate = r.power.sample_rate_hz();
-            let addr = addr.clone();
-            std::thread::spawn(move || -> Result<eddie_serve::ReplayOutcome, String> {
-                let mut client =
-                    ReplayClient::connect(addr.as_str()).map_err(|e| format!("connect: {e}"))?;
-                client
-                    .hello(MODEL_ID, rate)
-                    .map_err(|e| format!("hello: {e}"))?;
-                client
-                    .replay(&signal, chunk)
-                    .map_err(|e| format!("replay: {e}"))
-            })
+        .zip(&outcomes)
+        .map(|(run, outcome)| {
+            vec![
+                run.k.to_string(),
+                run.label().to_string(),
+                outcome.events.len().to_string(),
+                outcome.acked_chunks.to_string(),
+                outcome.busy_replies.to_string(),
+                outcome
+                    .events
+                    .iter()
+                    .filter(|e| e.event == MonitorEvent::Anomaly)
+                    .count()
+                    .to_string(),
+                run.batch
+                    .first_anomaly()
+                    .map_or_else(|| "-".to_string(), |w| w.to_string()),
+                "yes".to_string(),
+            ]
         })
         .collect();
-    let outcomes: Vec<eddie_serve::ReplayOutcome> = replays
-        .into_iter()
-        .map(|t| t.join().expect("client thread"))
-        .collect::<Result<_, _>>()?;
-
-    let mut rows = Vec::new();
-    let mut all_match = true;
-    for (k, (outcome, batch)) in outcomes.iter().zip(&batches).enumerate() {
-        let events_match = events_match_batch(&outcome.events, batch);
-        all_match &= events_match;
-        rows.push(vec![
-            k.to_string(),
-            if k % 2 == 0 { "clean" } else { "injected" }.to_string(),
-            outcome.events.len().to_string(),
-            outcome.acked_chunks.to_string(),
-            outcome.busy_replies.to_string(),
-            outcome
-                .events
-                .iter()
-                .filter(|e| e.event == MonitorEvent::Anomaly)
-                .count()
-                .to_string(),
-            batch
-                .first_anomaly()
-                .map_or_else(|| "-".to_string(), |w| w.to_string()),
-            if events_match { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
 
     let mut out = String::new();
     let _ = writeln!(
@@ -230,21 +176,14 @@ pub fn replay_client(args: &[String]) -> Result<String, String> {
         &rows,
     ));
 
-    if let Some((handle, join)) = local {
-        handle.shutdown();
-        let report = join
-            .join()
-            .expect("server thread")
-            .map_err(|e| format!("server failed: {e}"))?;
+    if let Some(server) = local {
+        let report = server.stop().map_err(|e| e.to_string())?;
         out.push('\n');
         out.push_str(&report_table(&report));
         if report.final_stats.active_sessions != 0 {
             return Err("server leaked sessions after client close".to_string());
         }
-    }
-
-    if !all_match {
-        return Err("received events diverged from the batch pipeline".to_string());
+        diff::audit_ledger("replay-client", &report).map_err(|e| e.to_string())?;
     }
     Ok(out)
 }
@@ -258,9 +197,11 @@ pub const DEFAULT_PLAN: &str = "seed=7,drop=0.05,dup=0.03,corrupt=0.03,reorder=0
 ///
 /// Replays the same simulated runs as `replay-client`, but through a
 /// fault-injecting proxy, with the self-healing client doing the
-/// recovering. The command fails unless every received event stream is
-/// byte-identical to the batch pipeline *and* the server's chunk
-/// ledger balances (`received == accepted + busy + duplicate_acks`).
+/// recovering — the [`diff::chaos`] runner the chaos gate drives. The
+/// command fails unless every received event stream is byte-identical
+/// to the batch pipeline, the server's chunk ledger balances
+/// (`received == accepted + busy + duplicate_acks`), and every fault
+/// class the plan configures actually fired.
 ///
 /// See the fault-plan grammar in `EXPERIMENTS.md` (or
 /// [`FaultPlan::parse`]): e.g. `--plan
@@ -268,86 +209,31 @@ pub const DEFAULT_PLAN: &str = "seed=7,drop=0.05,dup=0.03,corrupt=0.03,reorder=0
 pub fn chaos(args: &[String]) -> Result<String, String> {
     eddie_obs::install();
     let scale = parse_scale(args)?;
-    let chunk: usize = match flag_value(args, "--chunk") {
-        None => DEFAULT_CHUNK,
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad --chunk {v:?}"))?,
-    };
+    let chunk = usize_flag(args, "--chunk", DEFAULT_CHUNK)?;
     let plan_text = flag_value(args, "--plan").unwrap_or(DEFAULT_PLAN);
     let plan = FaultPlan::parse(plan_text).map_err(|e| e.to_string())?;
 
-    let (pipeline, w, model) = trained(scale);
-    let targets = injection_targets(&w, &model);
     let runs = scale.monitor_runs_sim();
-    let results: Vec<SimResult> = (0..runs)
-        .map(|k| {
-            let seed = 1000 + k as u64;
-            let hook = make_hook(&InjectPlan::Alternating, &w, &targets, k, seed);
-            pipeline.simulate(w.program(), |m| w.prepare(m, seed), hook)
+    let fx = Fixture::cli(scale, runs);
+    let run = diff::chaos("chaos", &fx.model, &fx.runs, &plan, chunk).map_err(|e| e.to_string())?;
+    let rows: Vec<Vec<String>> = fx
+        .runs
+        .iter()
+        .zip(&run.outcomes)
+        .map(|(r, outcome)| {
+            vec![
+                r.k.to_string(),
+                r.label().to_string(),
+                outcome.events.len().to_string(),
+                outcome.reconnects.to_string(),
+                outcome.resumes.to_string(),
+                outcome.replayed_events.to_string(),
+                outcome.busy_replies.to_string(),
+                outcome.duplicate_acks.to_string(),
+                "yes".to_string(),
+            ]
         })
         .collect();
-    let batches: Vec<MonitorOutcome> = results
-        .iter()
-        .map(|r| pipeline.monitor_result(&model, r, 0))
-        .collect();
-
-    let config = ServerConfig::builder()
-        .with_drain_idle(Duration::from_millis(1))
-        .with_idle_timeout(Duration::from_millis(800))
-        .with_resume_tail(4096)
-        .with_faults(plan.server_faults())
-        .build()
-        .map_err(|e| e.to_string())?;
-    let mut registry = ModelRegistry::new();
-    registry.insert(MODEL_ID, model);
-    let server = Server::bind("127.0.0.1:0", registry, config).map_err(|e| format!("bind: {e}"))?;
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run());
-    let mut proxy =
-        ChaosProxy::start(handle.addr(), plan.clone()).map_err(|e| format!("proxy: {e}"))?;
-
-    let client_config = ClientConfig::builder()
-        .with_read_timeout(Duration::from_millis(150))
-        .with_backoff(Duration::from_millis(2), 2.0, Duration::from_millis(50))
-        .with_jitter(0.1, plan.seed)
-        .with_max_reconnects(10)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let client = ResilientClient::new(proxy.addr(), client_config);
-
-    // Sequential replays keep the proxy's global fault schedule — and
-    // therefore the output — reproducible for a given plan and scale.
-    let mut rows = Vec::new();
-    let mut all_match = true;
-    for (k, (r, batch)) in results.iter().zip(&batches).enumerate() {
-        let outcome = client
-            .replay(MODEL_ID, r.power.sample_rate_hz(), &r.power.samples, chunk)
-            .map_err(|e| format!("run {k} replay: {e}"))?;
-        let events_match = events_match_batch(&outcome.events, batch);
-        all_match &= events_match;
-        rows.push(vec![
-            k.to_string(),
-            if k % 2 == 0 { "clean" } else { "injected" }.to_string(),
-            outcome.events.len().to_string(),
-            outcome.reconnects.to_string(),
-            outcome.resumes.to_string(),
-            outcome.replayed_events.to_string(),
-            outcome.busy_replies.to_string(),
-            outcome.duplicate_acks.to_string(),
-            if events_match { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-
-    let stats = proxy.stats();
-    proxy.shutdown();
-    handle.shutdown();
-    let report = join
-        .join()
-        .expect("server thread")
-        .map_err(|e| format!("server failed: {e}"))?;
 
     let mut out = String::new();
     let _ = writeln!(out, "# chaos: {runs} sequential replays (chunk {chunk})");
@@ -366,6 +252,7 @@ pub fn chaos(args: &[String]) -> Result<String, String> {
         ],
         &rows,
     ));
+    let stats = &run.proxy;
     out.push_str("\n# proxy faults injected\n");
     out.push_str(&format_table(
         &[
@@ -386,21 +273,7 @@ pub fn chaos(args: &[String]) -> Result<String, String> {
         ]],
     ));
     out.push('\n');
-    out.push_str(&report_table(&report));
-
-    if report.chunks_received != report.chunks_accepted + report.chunks_busy + report.duplicate_acks
-    {
-        return Err(format!(
-            "chunk ledger does not balance: {} received != {} accepted + {} busy + {} duplicate",
-            report.chunks_received,
-            report.chunks_accepted,
-            report.chunks_busy,
-            report.duplicate_acks
-        ));
-    }
-    if !all_match {
-        return Err("recovered events diverged from the batch pipeline".to_string());
-    }
+    out.push_str(&report_table(&run.report));
     Ok(out)
 }
 
@@ -447,16 +320,6 @@ fn stats_table(addr: &str, text: &str) -> String {
     out
 }
 
-pub(crate) fn events_match_batch(streamed: &[StreamEvent], batch: &MonitorOutcome) -> bool {
-    streamed.len() == batch.events.len()
-        && streamed.iter().enumerate().all(|(w, ev)| {
-            ev.window == w
-                && ev.event == batch.events[w]
-                && ev.alarm == batch.alarms[w]
-                && ev.tracked == batch.tracked[w]
-        })
-}
-
 fn report_table(report: &ServerReport) -> String {
     let mut out = String::from("# server report\n");
     out.push_str(&format_table(
@@ -467,6 +330,7 @@ fn report_table(report: &ServerReport) -> String {
             "events_sent",
             "bad_frames",
             "snapshots",
+            "snapshots_failed",
             "shed_chunks",
             "parked",
             "resumed",
@@ -478,6 +342,7 @@ fn report_table(report: &ServerReport) -> String {
             report.events_sent.to_string(),
             report.bad_frames.to_string(),
             report.snapshots_written.to_string(),
+            report.snapshots_failed.to_string(),
             report.final_stats.shed_chunks.to_string(),
             report.sessions_parked.to_string(),
             report.sessions_resumed.to_string(),
@@ -493,6 +358,29 @@ mod tests {
     fn replay_client_loopback_matches_batch() {
         let out = super::replay_client(&[]).expect("loopback replay succeeds");
         assert!(!out.contains("NO"));
+    }
+
+    #[test]
+    fn chaos_reports_failed_snapshot_writes() {
+        // The whole plan reaches the server: its snapshot failpoint
+        // needs a snapshot path, and the run must show it fired.
+        let plan = "seed=67,snapfail=1;2,snaptrunc";
+        let out = super::chaos(&["--plan".into(), plan.into()]).expect("chaos succeeds");
+        let lines: Vec<&str> = out.lines().collect();
+        let header = lines
+            .iter()
+            .position(|l| l.contains("snapshots_failed"))
+            .expect("server report has a snapshots_failed column");
+        let col = lines[header]
+            .split_whitespace()
+            .position(|c| c == "snapshots_failed")
+            .unwrap();
+        let failed: u64 = lines[header + 2]
+            .split_whitespace()
+            .nth(col)
+            .and_then(|v| v.parse().ok())
+            .expect("snapshots_failed value");
+        assert!(failed > 0, "no failed snapshot write reported:\n{out}");
     }
 
     #[test]

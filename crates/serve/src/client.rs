@@ -31,6 +31,10 @@ use crate::wire::{read_frame, write_frame, ErrCode, Frame, ReadError, WireError}
 /// large enough to hide round-trip latency.
 pub const PIPELINE_WINDOW: usize = 8;
 
+/// How long a client pauses after a `Busy` reply before resending,
+/// giving the server's drain loop a moment to make queue room.
+const BUSY_PAUSE: Duration = Duration::from_micros(200);
+
 /// Errors a replay can hit.
 #[derive(Debug)]
 pub enum ClientError {
@@ -234,9 +238,7 @@ impl ReplayClient {
                     if seq < next_to_send {
                         next_to_send = seq;
                     }
-                    // Give the server's drain loop a moment to make
-                    // queue room before hammering it with the resend.
-                    std::thread::sleep(Duration::from_micros(200));
+                    std::thread::sleep(BUSY_PAUSE);
                 }
                 Some(f @ Frame::Event { .. }) => {
                     events.push(f.to_stream_event().expect("event frame converts"));
@@ -314,8 +316,6 @@ pub fn fetch_stats(addr: impl ToSocketAddrs) -> Result<String, ClientError> {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ClientConfig {
-    /// Unacknowledged chunks kept in flight (see [`PIPELINE_WINDOW`]).
-    pub pipeline_window: usize,
     /// Socket read timeout. **Required for fault tolerance**: a
     /// dropped frame means a reply that never comes, and only a read
     /// timeout turns that silence into a reconnect. `None` (the
@@ -336,8 +336,6 @@ pub struct ClientConfig {
     /// Consecutive failed reconnect attempts tolerated before the
     /// replay gives up with the underlying error.
     pub max_reconnects: u32,
-    /// Pause after a `Busy` reply, giving the drain loop room.
-    pub busy_pause: Duration,
     /// Consecutive [`Frame::Moved`] redirects the client will follow
     /// without an intervening successful handshake, before refusing
     /// with [`ClientError::TooManyRedirects`]. A successful `Session`
@@ -348,7 +346,6 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> ClientConfig {
         ClientConfig {
-            pipeline_window: PIPELINE_WINDOW,
             read_timeout: None,
             backoff_base: Duration::from_millis(10),
             backoff_factor: 2.0,
@@ -356,7 +353,6 @@ impl Default for ClientConfig {
             jitter: 0.1,
             backoff_seed: 0,
             max_reconnects: 8,
-            busy_pause: Duration::from_micros(200),
             max_redirects: 4,
         }
     }
@@ -379,12 +375,6 @@ pub struct ClientConfigBuilder {
 }
 
 impl ClientConfigBuilder {
-    /// Unacknowledged chunks kept in flight.
-    pub fn with_pipeline_window(mut self, window: usize) -> ClientConfigBuilder {
-        self.config.pipeline_window = window;
-        self
-    }
-
     /// Socket read timeout (turns dropped replies into reconnects).
     pub fn with_read_timeout(mut self, timeout: Duration) -> ClientConfigBuilder {
         self.config.read_timeout = Some(timeout);
@@ -417,12 +407,6 @@ impl ClientConfigBuilder {
         self
     }
 
-    /// Pause after a `Busy` reply.
-    pub fn with_busy_pause(mut self, pause: Duration) -> ClientConfigBuilder {
-        self.config.busy_pause = pause;
-        self
-    }
-
     /// Consecutive `Moved` redirects followed before refusing.
     pub fn with_max_redirects(mut self, max: u32) -> ClientConfigBuilder {
         self.config.max_redirects = max;
@@ -434,15 +418,12 @@ impl ClientConfigBuilder {
     /// # Errors
     ///
     /// Returns an error of kind [`ErrorKind::InvalidConfig`] when the
-    /// pipeline window is zero, the backoff would not grow
-    /// (factor < 1, zero base), or the jitter fraction leaves `[0, 1]`.
+    /// backoff would not grow (factor < 1, zero base) or the jitter
+    /// fraction leaves `[0, 1]`.
     pub fn build(self) -> Result<ClientConfig, CoreError> {
         let c = &self.config;
         let invalid =
             |msg: &str| CoreError::new(ErrorKind::InvalidConfig, "eddie-serve", msg.to_string());
-        if c.pipeline_window == 0 {
-            return Err(invalid("pipeline_window must be at least 1"));
-        }
         if c.backoff_base.is_zero() {
             return Err(invalid("backoff_base must be positive"));
         }
@@ -771,7 +752,7 @@ impl ResilientClient {
         let mut next_to_send = acked0;
         let mut in_flight = 0u64;
         while acked < total {
-            while next_to_send < total && in_flight < self.config.pipeline_window as u64 {
+            while next_to_send < total && in_flight < PIPELINE_WINDOW as u64 {
                 write_frame(
                     &mut writer,
                     &Frame::Chunk {
@@ -801,7 +782,7 @@ impl ResilientClient {
                     if seq < next_to_send {
                         next_to_send = seq.max(acked);
                     }
-                    std::thread::sleep(self.config.busy_pause);
+                    std::thread::sleep(BUSY_PAUSE);
                 }
                 Some(f @ Frame::Event { .. }) => replay.accept_event(f)?,
                 Some(Frame::Moved { shard_addr, token }) => {
@@ -859,7 +840,6 @@ mod tests {
     #[test]
     fn client_config_builder_validates() {
         let c = ClientConfig::builder()
-            .with_pipeline_window(4)
             .with_read_timeout(Duration::from_millis(150))
             .with_backoff(Duration::from_millis(5), 3.0, Duration::from_millis(500))
             .with_jitter(0.2, 42)
@@ -867,12 +847,10 @@ mod tests {
             .with_max_redirects(7)
             .build()
             .expect("valid config");
-        assert_eq!(c.pipeline_window, 4);
         assert_eq!(c.backoff_seed, 42);
         assert_eq!(c.max_redirects, 7);
 
         for (broken, what) in [
-            (ClientConfig::builder().with_pipeline_window(0), "window"),
             (
                 ClientConfig::builder().with_backoff(Duration::ZERO, 2.0, Duration::from_secs(1)),
                 "base",

@@ -41,7 +41,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use eddie_net::{BufferedConn, Event, FrameDefect, Interest, Reactor, Slab, Token, Waker};
 use eddie_obs::JournalEvent;
@@ -60,6 +60,12 @@ const LISTENER_DATA: u64 = u64::MAX - 1;
 /// a read burst. `fill` stops there, so a flooding peer costs bounded
 /// memory and TCP pushes back.
 const MAX_READ_BUFFER: usize = MAX_FRAME_LEN + 64 * 1024;
+
+/// Reactor poll timeout: the longest a reactor sleeps between ticks
+/// (idle-timeout checks, backpressure and flush rechecks). It is also
+/// the quiet period a closing connection waits for the peer to hang up
+/// before the server closes it.
+const POLL_INTERVAL: Duration = Duration::from_millis(2);
 
 /// How many reactor threads `run_reactors` spawns: `EDDIE_REACTORS`,
 /// default 1, clamped to `1..=64`.
@@ -268,7 +274,7 @@ fn reactor_loop(
             break;
         }
 
-        if let Err(e) = reactor.poll(&mut events, Some(config.poll_interval)) {
+        if let Err(e) = reactor.poll(&mut events, Some(POLL_INTERVAL)) {
             // A broken poller strands every connection this thread
             // owns: take the whole server down and park what we can.
             shared.shutdown.store(true, Ordering::SeqCst);
@@ -312,7 +318,7 @@ fn reactor_loop(
                 Some(rc) => drive_event(rc, *ev, shared, config, &mut scratch),
                 None => continue, // stale: closed earlier this tick
             };
-            finish_pass(&mut slab, &reactor, token, keep, shared, config);
+            finish_pass(&mut slab, &reactor, token, keep, shared);
         }
         events = batch;
 
@@ -337,7 +343,7 @@ fn reactor_loop(
                 }
                 None => continue,
             };
-            finish_pass(&mut slab, &reactor, token, keep, shared, config);
+            finish_pass(&mut slab, &reactor, token, keep, shared);
         }
     }
 
@@ -448,12 +454,11 @@ fn finish_pass(
     token: Token,
     keep: bool,
     shared: &Shared,
-    config: &ServerConfig,
 ) {
     let keep = keep
         && match slab.get_mut(token) {
             Some(rc) => {
-                arm_close_deadline(rc, config);
+                arm_close_deadline(rc);
                 !closing_complete(rc)
             }
             None => return,
@@ -500,7 +505,7 @@ fn drive_event(
 ) -> bool {
     if ev.readable || ev.error {
         if rc.mode == ConnMode::Closing {
-            drain_courtesy(rc, config);
+            drain_courtesy(rc);
         } else {
             match rc.conn.fill(MAX_READ_BUFFER) {
                 Ok(pass) => {
@@ -675,7 +680,7 @@ fn pump_outbox(rc: &mut RConn, scratch: &mut Scratch) {
 /// Closing-mode courtesy drain: read and discard inbound bytes so the
 /// close is a FIN, not a RST that could destroy the final reply.
 /// Bounded by one maximum frame; arrival re-arms the quiet deadline.
-fn drain_courtesy(rc: &mut RConn, config: &ServerConfig) {
+fn drain_courtesy(rc: &mut RConn) {
     let mut buf = [0u8; 4096];
     while rc.drained < MAX_FRAME_LEN {
         let mut stream = rc.conn.stream();
@@ -687,7 +692,7 @@ fn drain_courtesy(rc: &mut RConn, config: &ServerConfig) {
             Ok(n) => {
                 rc.drained += n;
                 if rc.close_deadline.is_some() {
-                    rc.close_deadline = Some(Instant::now() + config.poll_interval);
+                    rc.close_deadline = Some(Instant::now() + POLL_INTERVAL);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -702,13 +707,13 @@ fn drain_courtesy(rc: &mut RConn, config: &ServerConfig) {
 
 /// Arms the closing quiet deadline once everything owed has reached
 /// the socket.
-fn arm_close_deadline(rc: &mut RConn, config: &ServerConfig) {
+fn arm_close_deadline(rc: &mut RConn) {
     if rc.mode == ConnMode::Closing
         && rc.close_deadline.is_none()
         && !rc.conn.wants_write()
         && rc.outbox.frames.lock().expect("conn outbox").is_empty()
     {
-        rc.close_deadline = Some(Instant::now() + config.poll_interval);
+        rc.close_deadline = Some(Instant::now() + POLL_INTERVAL);
     }
 }
 
@@ -780,7 +785,7 @@ fn tick(
             }
             None => continue,
         };
-        finish_pass(slab, reactor, token, keep, shared, config);
+        finish_pass(slab, reactor, token, keep, shared);
     }
 }
 

@@ -114,11 +114,6 @@ pub struct ServerConfig {
     pub snapshot_every: Duration,
     /// How long the drain loop sleeps when no chunks are queued.
     pub drain_idle: Duration,
-    /// Reactor poll timeout: the longest a reactor sleeps between ticks
-    /// (idle-timeout checks, backpressure and flush rechecks). It is
-    /// also the quiet period a closing connection waits for the peer
-    /// to hang up before the server closes it.
-    pub poll_interval: Duration,
     /// Disconnect a connection that sends nothing for this long;
     /// `None` keeps connections open indefinitely. A resumable session
     /// is *parked*, not evicted, by an idle disconnect.
@@ -153,7 +148,6 @@ impl Default for ServerConfig {
             snapshot_path: None,
             snapshot_every: Duration::from_secs(5),
             drain_idle: Duration::from_micros(500),
-            poll_interval: Duration::from_millis(2),
             idle_timeout: None,
             resume_linger: Duration::from_secs(30),
             resume_tail: 1024,
@@ -202,12 +196,6 @@ impl ServerConfigBuilder {
     /// How long the drain loop sleeps when no chunks are queued.
     pub fn with_drain_idle(mut self, idle: Duration) -> ServerConfigBuilder {
         self.config.drain_idle = idle;
-        self
-    }
-
-    /// Reactor poll timeout and closing quiet period.
-    pub fn with_poll_interval(mut self, interval: Duration) -> ServerConfigBuilder {
-        self.config.poll_interval = interval;
         self
     }
 
@@ -260,9 +248,6 @@ impl ServerConfigBuilder {
         let c = &self.config;
         let invalid =
             |msg: &str| CoreError::new(ErrorKind::InvalidConfig, "eddie-serve", msg.to_string());
-        if c.poll_interval.is_zero() {
-            return Err(invalid("poll_interval must be positive"));
-        }
         if c.drain_idle.is_zero() {
             return Err(invalid("drain_idle must be positive"));
         }
@@ -1734,7 +1719,6 @@ mod tests {
     fn config_defaults_are_sane() {
         let c = ServerConfig::default();
         assert!(c.snapshot_path.is_none());
-        assert!(c.poll_interval > Duration::ZERO);
         assert!(c.drain_idle > Duration::ZERO);
         assert!(c.idle_timeout.is_none());
         assert!(c.resume_tail > 0);
@@ -1767,10 +1751,6 @@ mod tests {
         );
 
         for (broken, what) in [
-            (
-                ServerConfig::builder().with_poll_interval(Duration::ZERO),
-                "poll",
-            ),
             (
                 ServerConfig::builder().with_drain_idle(Duration::ZERO),
                 "drain",

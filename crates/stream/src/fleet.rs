@@ -26,30 +26,8 @@ impl DeviceId {
     }
 }
 
-/// What [`Fleet::push_chunk`] does when a device's ingress queue is at
-/// capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum ShedPolicy {
-    /// Refuse the incoming chunk ([`PushResult::Full`]); queued work is
-    /// never discarded. This is the default: combined with a resending
-    /// transport (the serve layer's `Busy` + go-back-N) it loses
-    /// nothing, so the drained event stream stays byte-identical to the
-    /// batch pipeline.
-    #[default]
-    RejectNewest,
-    /// Evict queued chunks from the *front* until the incoming chunk
-    /// fits, then accept it. Freshest signal wins — the right trade for
-    /// fire-and-forget senders that will never retry — but the evicted
-    /// samples are gone, so the event stream is no longer guaranteed to
-    /// match a lossless batch replay. Every evicted chunk is counted in
-    /// the shed statistics.
-    DropOldest,
-}
-
 /// Ingress bounds of a [`Fleet`]: how much signal a device may queue
-/// between drains before [`Fleet::push_chunk`] starts shedding, and
-/// which end of the queue pays for overload.
+/// between drains before [`Fleet::push_chunk`] starts refusing chunks.
 ///
 /// Construct via [`FleetConfig::builder`] (or take
 /// [`FleetConfig::default`]); the struct is `#[non_exhaustive]`, so
@@ -61,20 +39,16 @@ pub struct FleetConfig {
     pub max_pending_chunks: usize,
     /// Maximum queued (undrained) samples per device, across chunks.
     pub max_pending_samples: usize,
-    /// What to do when a device is at either bound.
-    pub shed_policy: ShedPolicy,
 }
 
 impl Default for FleetConfig {
     /// 64 chunks / 1 MiSample per device — roomy enough for bursty
     /// ingest, small enough that a stalled drain loop surfaces as
-    /// backpressure instead of unbounded memory — rejecting the newest
-    /// chunk on overload.
+    /// backpressure instead of unbounded memory.
     fn default() -> FleetConfig {
         FleetConfig {
             max_pending_chunks: 64,
             max_pending_samples: 1 << 20,
-            shed_policy: ShedPolicy::RejectNewest,
         }
     }
 }
@@ -105,12 +79,6 @@ impl FleetConfigBuilder {
     /// Sets the per-device sample bound (must be positive).
     pub fn with_max_pending_samples(mut self, max_pending_samples: usize) -> FleetConfigBuilder {
         self.config.max_pending_samples = max_pending_samples;
-        self
-    }
-
-    /// Sets the overload policy.
-    pub fn with_shed_policy(mut self, shed_policy: ShedPolicy) -> FleetConfigBuilder {
-        self.config.shed_policy = shed_policy;
         self
     }
 
@@ -622,20 +590,14 @@ impl Fleet {
 
     /// Offers a signal chunk to `device`'s ingress queue.
     ///
-    /// What happens at capacity depends on the configured
-    /// [`ShedPolicy`]:
-    ///
-    /// * [`RejectNewest`](ShedPolicy::RejectNewest) (default): returns
-    ///   [`PushResult::Full`] without queueing — the caller decides
-    ///   whether to retry after a drain or shed the chunk;
-    /// * [`DropOldest`](ShedPolicy::DropOldest): evicts queued chunks
-    ///   from the front until the new chunk fits, then accepts it;
-    ///   `Full` is returned only for a chunk that could never fit (its
-    ///   own length exceeds the sample bound).
-    ///
-    /// Either way, every refused or evicted chunk is counted in the
-    /// device's and the fleet's shed statistics. Empty chunks are
-    /// accepted and ignored.
+    /// At capacity it returns [`PushResult::Full`] without queueing:
+    /// queued work is never discarded, so combined with a resending
+    /// transport (the serve layer's `Busy` + go-back-N) nothing is lost
+    /// and the drained event stream stays byte-identical to the batch
+    /// pipeline. The caller decides whether to retry after a drain or
+    /// shed the chunk. Every refused chunk is counted in the device's
+    /// and the fleet's shed statistics. Empty chunks are accepted and
+    /// ignored.
     ///
     /// A cold-parked device is thawed before its chunk is queued; a
     /// thaw failure (unreadable spill record) is reported as
@@ -661,53 +623,20 @@ impl Fleet {
         let d = self.devices[device.0]
             .as_mut()
             .expect("device has been evicted from the fleet");
-        let over = |d: &Device| {
-            d.queue.len() >= bounds.max_pending_chunks
-                || d.queued_samples + chunk.len() > bounds.max_pending_samples
-        };
-        if over(d) {
-            match bounds.shed_policy {
-                ShedPolicy::DropOldest if chunk.len() <= bounds.max_pending_samples => {
-                    while over(d) {
-                        let old = d
-                            .queue
-                            .pop_front()
-                            .expect("a non-empty queue: the bounds are positive");
-                        d.queued_samples -= old.len();
-                        d.shed_chunks += 1;
-                        d.shed_samples += old.len() as u64;
-                        self.shed_chunks.inc();
-                        self.shed_samples.add(old.len() as u64);
-                        if let Some(obs) = &self.obs {
-                            obs.queued_chunks.sub(1);
-                            obs.queued_samples.sub(old.len() as i64);
-                        }
-                        if let Some(dobs) = &d.obs {
-                            dobs.queued_chunks.sub(1);
-                            dobs.queued_samples.sub(old.len() as i64);
-                        }
-                        if let Some(o) = eddie_obs::global() {
-                            o.journal().record(JournalEvent::ChunkShed {
-                                device: device.0 as u64,
-                                samples: old.len() as u64,
-                            });
-                        }
-                    }
-                }
-                _ => {
-                    d.shed_chunks += 1;
-                    d.shed_samples += chunk.len() as u64;
-                    self.shed_chunks.inc();
-                    self.shed_samples.add(chunk.len() as u64);
-                    if let Some(o) = eddie_obs::global() {
-                        o.journal().record(JournalEvent::ChunkShed {
-                            device: device.0 as u64,
-                            samples: chunk.len() as u64,
-                        });
-                    }
-                    return PushResult::Full;
-                }
+        if d.queue.len() >= bounds.max_pending_chunks
+            || d.queued_samples + chunk.len() > bounds.max_pending_samples
+        {
+            d.shed_chunks += 1;
+            d.shed_samples += chunk.len() as u64;
+            self.shed_chunks.inc();
+            self.shed_samples.add(chunk.len() as u64);
+            if let Some(o) = eddie_obs::global() {
+                o.journal().record(JournalEvent::ChunkShed {
+                    device: device.0 as u64,
+                    samples: chunk.len() as u64,
+                });
             }
+            return PushResult::Full;
         }
         d.queued_samples += chunk.len();
         self.tick += 1;
@@ -1398,7 +1327,6 @@ mod tests {
     fn builder_validates_and_defaults_match() {
         let built = FleetConfig::builder().build().unwrap();
         assert_eq!(built, FleetConfig::default());
-        assert_eq!(built.shed_policy, ShedPolicy::RejectNewest);
 
         let custom = bounds(3, 77);
         assert_eq!(custom.max_pending_chunks, 3);
@@ -1413,76 +1341,6 @@ mod tests {
                 Some(eddie_core::ErrorKind::InvalidConfig)
             );
         }
-    }
-
-    #[test]
-    fn drop_oldest_evicts_from_front_and_accepts() {
-        let model = tiny_model();
-        let mut fleet = Fleet::new(
-            FleetConfig::builder()
-                .with_max_pending_chunks(2)
-                .with_max_pending_samples(1000)
-                .with_shed_policy(ShedPolicy::DropOldest)
-                .build()
-                .unwrap(),
-        );
-        let dev = fleet.add_session(session(&model));
-        assert_eq!(fleet.push_chunk(dev, vec![1.0; 10]), PushResult::Accepted);
-        assert_eq!(fleet.push_chunk(dev, vec![2.0; 20]), PushResult::Accepted);
-        // At the chunk bound: the OLDEST chunk (10 samples) is evicted,
-        // the new one (30 samples) accepted.
-        assert_eq!(fleet.push_chunk(dev, vec![3.0; 30]), PushResult::Accepted);
-        assert_eq!(fleet.pending_chunks(dev), 2);
-        assert_eq!(fleet.pending_samples(dev), 50, "20 + 30 remain queued");
-
-        let stats = fleet.stats();
-        assert_eq!(stats.shed_chunks, 1, "the evicted chunk is shed");
-        assert_eq!(stats.shed_samples, 10);
-        assert_eq!(stats.accepted_chunks, 3, "all three pushes accepted");
-    }
-
-    #[test]
-    fn drop_oldest_evicts_several_when_samples_bound_requires_it() {
-        let model = tiny_model();
-        let mut fleet = Fleet::new(
-            FleetConfig::builder()
-                .with_max_pending_chunks(100)
-                .with_max_pending_samples(50)
-                .with_shed_policy(ShedPolicy::DropOldest)
-                .build()
-                .unwrap(),
-        );
-        let dev = fleet.add_session(session(&model));
-        for _ in 0..5 {
-            assert_eq!(fleet.push_chunk(dev, vec![0.0; 10]), PushResult::Accepted);
-        }
-        // 35 new samples: four of the five queued 10-sample chunks must
-        // go to bring queued_samples + 35 within the 50-sample bound.
-        assert_eq!(fleet.push_chunk(dev, vec![9.0; 35]), PushResult::Accepted);
-        assert_eq!(fleet.pending_chunks(dev), 2);
-        assert_eq!(fleet.pending_samples(dev), 45, "10 + 35 queued");
-        assert_eq!(fleet.stats().shed_chunks, 4);
-        assert_eq!(fleet.stats().shed_samples, 40);
-    }
-
-    #[test]
-    fn drop_oldest_still_refuses_chunks_that_can_never_fit() {
-        let model = tiny_model();
-        let mut fleet = Fleet::new(
-            FleetConfig::builder()
-                .with_max_pending_samples(25)
-                .with_shed_policy(ShedPolicy::DropOldest)
-                .build()
-                .unwrap(),
-        );
-        let dev = fleet.add_session(session(&model));
-        assert_eq!(fleet.push_chunk(dev, vec![0.0; 10]), PushResult::Accepted);
-        // 26 samples can never fit in a 25-sample queue: Full, and the
-        // queued chunk is NOT evicted for a lost cause.
-        assert_eq!(fleet.push_chunk(dev, vec![0.0; 26]), PushResult::Full);
-        assert_eq!(fleet.pending_chunks(dev), 1);
-        assert_eq!(fleet.stats().shed_chunks, 1, "the refused chunk is shed");
-        assert_eq!(fleet.stats().shed_samples, 26);
     }
 
     fn store_in(dir: &std::path::Path, budget: usize) -> eddie_store::SessionStore {

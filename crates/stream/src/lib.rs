@@ -36,9 +36,9 @@
 //! `Pipeline::monitor_result` path computes for the whole signal, at
 //! every `EDDIE_THREADS` value. Chunk boundaries, queue depths, and
 //! worker scheduling are not observable in the output. The
-//! `tests/equivalence.rs` suite (run twice by CI, at 1 and 4 threads)
-//! and the `eddie-experiments stream` subcommand both assert this
-//! event-for-event.
+//! workspace's `tests/equivalence.rs` suite (run twice by CI, at 1 and
+//! 4 threads) and the `eddie-experiments stream` subcommand both assert
+//! this event-for-event.
 //!
 //! # Examples
 //!
@@ -47,14 +47,13 @@
 //!
 //! ```no_run
 //! use std::sync::Arc;
-//! use eddie_stream::{Fleet, FleetConfig, MonitorSession, PushResult, ShedPolicy};
+//! use eddie_stream::{Fleet, FleetConfig, MonitorSession, PushResult};
 //!
 //! # fn model() -> eddie_core::TrainedModel { unimplemented!() }
 //! # fn main() -> Result<(), eddie_core::Error> {
 //! let model = Arc::new(model());
 //! let config = FleetConfig::builder()
 //!     .with_max_pending_chunks(32)
-//!     .with_shed_policy(ShedPolicy::RejectNewest)
 //!     .build()?;
 //! let mut fleet = Fleet::new(config);
 //! let dev = fleet.add_session(MonitorSession::new(model, 1.0e6)?);
@@ -90,6 +89,5 @@ mod session;
 
 pub use fleet::{
     DeviceId, DeviceStats, Fleet, FleetConfig, FleetConfigBuilder, FleetStats, PushResult,
-    ShedPolicy,
 };
 pub use session::{DenoiseSnapshot, MonitorSession, SessionSnapshot, StreamEvent};

@@ -28,6 +28,9 @@
 //!   [`FaultPlan`](chaos::FaultPlan)s, a frame-aware
 //!   [`ChaosProxy`](chaos::ChaosProxy), and server-side failpoints,
 //!   used by the chaos CI gate to prove the serve layer self-heals.
+//! * [`rand`] — the seeded SplitMix64 generator behind every stochastic
+//!   input, plus seeded property tests.
+//! * [`codec`] — the byte form of trained models and monitor state.
 //!
 //! The most common names are gathered in [`prelude`]:
 //!
@@ -43,6 +46,7 @@
 pub use eddie_cfg as cfg;
 pub use eddie_chaos as chaos;
 pub use eddie_cluster as cluster;
+pub use eddie_codec as codec;
 pub use eddie_core as core;
 pub use eddie_dsp as dsp;
 pub use eddie_em as em;
@@ -51,6 +55,7 @@ pub use eddie_inject as inject;
 pub use eddie_isa as isa;
 pub use eddie_net as net;
 pub use eddie_obs as obs;
+pub use eddie_rand as rand;
 pub use eddie_serve as serve;
 pub use eddie_sim as sim;
 pub use eddie_stats as stats;
@@ -80,7 +85,6 @@ pub mod prelude {
         ResilientOutcome, Server, ServerConfig, ServerConfigBuilder, ServerHandle,
     };
     pub use eddie_stream::{
-        DeviceId, Fleet, FleetConfig, FleetConfigBuilder, MonitorSession, PushResult, ShedPolicy,
-        StreamEvent,
+        DeviceId, Fleet, FleetConfig, FleetConfigBuilder, MonitorSession, PushResult, StreamEvent,
     };
 }

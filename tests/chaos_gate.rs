@@ -20,240 +20,22 @@
 //! depend on worker-pool scheduling.
 
 use std::net::TcpStream;
-use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
-use eddie_chaos::{ChaosProxy, FaultPlan};
-use eddie_core::{EddieConfig, MonitorOutcome, Pipeline, TrainedModel};
-use eddie_inject::{LoopInjector, OpPattern};
-use eddie_serve::{
-    load_snapshot, read_frame, write_frame, ClientConfig, ErrCode, Frame, ModelRegistry,
-    ResilientClient, Server, ServerConfig, ServerHandle, ServerReport,
-};
-use eddie_sim::{InjectionHook, SimConfig, SimResult};
-use eddie_stream::StreamEvent;
-use eddie_workloads::{Benchmark, Workload, WorkloadParams};
+use eddie::chaos::FaultPlan;
+use eddie::serve::{read_frame, write_frame, ErrCode, Frame, ServerConfig};
+use eddie::stream::StreamEvent;
+use eddie_experiments::diff::{self, Fixture, LocalServer, MODEL_ID};
 
-const SEEDS: [u64; 4] = [1, 2, 3, 4];
-const MODEL_ID: &str = "bitcount-power";
 const CHUNK: usize = 499; // deliberately off the STFT hop grid
-
-fn power_pipeline() -> Pipeline {
-    let mut sim = SimConfig::iot_inorder();
-    sim.sample_interval = 8;
-    Pipeline::builder()
-        .sim(sim)
-        .eddie(EddieConfig::quick())
-        .power()
-        .build()
-        .expect("valid pipeline")
-}
-
-fn workload() -> Workload {
-    Benchmark::Bitcount.workload(&WorkloadParams { scale: 1 })
-}
-
-fn injected_hook(w: &Workload) -> Option<Box<dyn InjectionHook>> {
-    let region = w.program().declared_regions().next()?;
-    let pc = w.loop_branch_pc(region)?;
-    Some(Box::new(LoopInjector::new(
-        pc,
-        1.0,
-        OpPattern::loop_payload(8),
-        1001,
-    )))
-}
-
-/// The injected run: anomalies, transitions, and tracked/untracked
-/// windows all appear in the stream, so equivalence checks more than
-/// the happy path.
-fn injected_run(
-    pipeline: &Pipeline,
-    w: &Workload,
-    model: &TrainedModel,
-) -> (SimResult, MonitorOutcome) {
-    let r = pipeline.simulate(w.program(), |m| w.prepare(m, 1001), injected_hook(w));
-    let batch = pipeline.monitor_result(model, &r, 0);
-    (r, batch)
-}
-
-fn assert_stream_matches_batch(name: &str, streamed: &[StreamEvent], batch: &MonitorOutcome) {
-    assert_eq!(
-        streamed.len(),
-        batch.events.len(),
-        "[{name}] window count differs"
-    );
-    for (w, ev) in streamed.iter().enumerate() {
-        assert_eq!(ev.window, w, "[{name}] window indices must be dense");
-        assert_eq!(ev.event, batch.events[w], "[{name}] event differs at {w}");
-        assert_eq!(ev.alarm, batch.alarms[w], "[{name}] alarm differs at {w}");
-        assert_eq!(
-            ev.tracked, batch.tracked[w],
-            "[{name}] tracking differs at {w}"
-        );
-    }
-}
-
-fn start_server(
-    model: Arc<TrainedModel>,
-    config: ServerConfig,
-) -> (ServerHandle, std::thread::JoinHandle<ServerReport>) {
-    let mut registry = ModelRegistry::new();
-    registry.insert(MODEL_ID, model);
-    let server = Server::bind("127.0.0.1:0", registry, config).expect("bind loopback");
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("server run"));
-    (handle, join)
-}
-
-fn snap_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "eddie-chaos-gate-{}-{name}-snapshot.json",
-        std::process::id()
-    ))
-}
-
-/// Runs one seed of the matrix end to end and audits it.
-fn run_seed(
-    name: &str,
-    plan_text: &str,
-    model: &Arc<TrainedModel>,
-    signal: &[f32],
-    rate: f64,
-    batch: &MonitorOutcome,
-) {
-    let plan = FaultPlan::parse(plan_text).unwrap_or_else(|e| panic!("[{name}] plan: {e}"));
-    let snapshotting = !plan.snapshot_fail_nth.is_empty();
-    let snap = snapshotting.then(|| snap_path(name));
-    if let Some(p) = &snap {
-        let _ = std::fs::remove_file(p);
-    }
-
-    let mut builder = ServerConfig::builder()
-        .with_drain_idle(Duration::from_millis(1))
-        // Parked by idleness rather than evicted: a client mid-backoff
-        // must be able to come back.
-        .with_idle_timeout(Duration::from_millis(800))
-        .with_resume_linger(Duration::from_secs(30))
-        .with_resume_tail(4096)
-        .with_faults(plan.server_faults());
-    if let Some(p) = &snap {
-        builder = builder
-            .with_snapshot_path(p.clone())
-            .with_snapshot_every(Duration::from_millis(20));
-    }
-    let config = builder.build().expect("server config");
-    let (handle, join) = start_server(model.clone(), config);
-
-    let mut proxy = ChaosProxy::start(handle.addr(), plan.clone())
-        .unwrap_or_else(|e| panic!("[{name}] proxy: {e}"));
-
-    let client_config = ClientConfig::builder()
-        // A dropped frame produces silence, never an error: the read
-        // timeout is what converts it into a reconnect.
-        .with_read_timeout(Duration::from_millis(150))
-        .with_backoff(Duration::from_millis(2), 2.0, Duration::from_millis(50))
-        .with_jitter(0.1, plan.seed)
-        .with_max_reconnects(10)
-        .build()
-        .expect("client config");
-    let client = ResilientClient::new(proxy.addr(), client_config);
-    let outcome = client
-        .replay(MODEL_ID, rate, signal, CHUNK)
-        .unwrap_or_else(|e| panic!("[{name}] replay failed: {e}"));
-
-    // The headline: the recovered stream is byte-identical to batch.
-    assert_stream_matches_batch(name, &outcome.events, batch);
-    assert_eq!(
-        outcome.windows as usize,
-        batch.events.len(),
-        "[{name}] server window total"
-    );
-
-    let stats = proxy.stats();
-    proxy.shutdown();
-    handle.shutdown();
-    let report = join.join().unwrap();
-
-    // The ledger balances even with faults injected on both sides.
-    assert_eq!(
-        report.chunks_received,
-        report.chunks_accepted + report.chunks_busy + report.duplicate_acks,
-        "[{name}] chunk conservation"
-    );
-    assert_eq!(
-        report.final_stats.accepted_chunks, report.chunks_accepted,
-        "[{name}] serve and stream layers agree on accepted chunks"
-    );
-
-    // Fault evidence: each configured fault class actually fired.
-    assert!(stats.frames_seen > 0, "[{name}] proxy saw traffic");
-    if plan.drop > 0.0 {
-        assert!(stats.frames_dropped > 0, "[{name}] drops fired");
-        assert!(outcome.reconnects > 0, "[{name}] drops forced reconnects");
-    }
-    if plan.duplicate > 0.0 {
-        assert!(stats.frames_duplicated > 0, "[{name}] dups fired");
-    }
-    if plan.reorder > 0.0 {
-        assert!(stats.frames_reordered > 0, "[{name}] reorders fired");
-    }
-    if plan.corrupt > 0.0 {
-        assert!(stats.frames_corrupted > 0, "[{name}] corruptions fired");
-        assert!(
-            report.bad_frames > 0,
-            "[{name}] server detected the corrupted frames"
-        );
-    }
-    if !plan.sever_at.is_empty() {
-        assert!(stats.connections_severed > 0, "[{name}] severs fired");
-        assert!(outcome.reconnects > 0, "[{name}] severs forced reconnects");
-    }
-    if plan.busy_len > 0 {
-        assert!(
-            outcome.busy_replies > 0 && report.chunks_busy > 0,
-            "[{name}] busy storm refused in-order chunks"
-        );
-    }
-    if snapshotting {
-        assert!(
-            report.snapshots_failed > 0,
-            "[{name}] snapshot failpoint fired"
-        );
-        assert!(
-            report.snapshots_written > 0,
-            "[{name}] later snapshot generations still landed"
-        );
-        let p = snap.as_ref().unwrap();
-        let file = load_snapshot(p).expect("surviving snapshot generation is readable");
-        assert!(
-            file.sessions.len() <= 1,
-            "[{name}] snapshot holds at most the one replay session"
-        );
-        let _ = std::fs::remove_file(p);
-        let _ = std::fs::remove_file(p.with_extension("tmp"));
-    }
-    if outcome.resumes > 0 {
-        assert_eq!(
-            report.sessions_resumed, outcome.resumes,
-            "[{name}] both sides count the same resumes"
-        );
-    }
-}
 
 #[test]
 fn chaos_matrix_recovers_byte_identical_streams() {
-    let pipeline = power_pipeline();
-    let w = workload();
-    let model = Arc::new(
-        pipeline
-            .train(w.program(), |m, s| w.prepare(m, s), &SEEDS)
-            .expect("train"),
-    );
-    let (r, batch) = injected_run(&pipeline, &w, &model);
-    let signal = &r.power.samples;
-    let rate = r.power.sample_rate_hz();
+    // The injected run: anomalies, transitions, and tracked/untracked
+    // windows all appear in the stream, so equivalence checks more than
+    // the happy path.
+    let fx = Fixture::gate();
+    let injected = &fx.runs[1..];
 
     // One fault class per seed, then everything at once. Probabilities
     // are low enough that go-back-N and resume converge, high enough
@@ -271,7 +53,18 @@ fn chaos_matrix_recovers_byte_identical_streams() {
         ),
     ];
     for (name, plan_text) in matrix {
-        run_seed(name, plan_text, &model, signal, rate, &batch);
+        // The runner checks the recovered stream against batch, the
+        // server's window total, the chunk ledger and the evidence that
+        // each configured fault class fired.
+        let plan = FaultPlan::parse(plan_text).unwrap_or_else(|e| panic!("[{name}] plan: {e}"));
+        let run = diff::chaos(&format!("chaos/{name}"), &fx.model, injected, &plan, CHUNK).unwrap();
+        let outcome = &run.outcomes[0];
+        if outcome.resumes > 0 {
+            assert_eq!(
+                run.report.sessions_resumed, outcome.resumes,
+                "[{name}] both sides count the same resumes"
+            );
+        }
     }
 }
 
@@ -376,15 +169,9 @@ fn resume_once_parked(
 
 #[test]
 fn idle_park_then_resume_completes_the_stream() {
-    let pipeline = power_pipeline();
-    let w = workload();
-    let model = Arc::new(
-        pipeline
-            .train(w.program(), |m, s| w.prepare(m, s), &SEEDS)
-            .expect("train"),
-    );
-    let (r, batch) = injected_run(&pipeline, &w, &model);
-    let signal = &r.power.samples;
+    let fx = Fixture::gate();
+    let r = &fx.runs[1];
+    let signal = &r.signal;
 
     let config = ServerConfig::builder()
         .with_drain_idle(Duration::from_millis(1))
@@ -392,7 +179,8 @@ fn idle_park_then_resume_completes_the_stream() {
         .with_resume_tail(4096)
         .build()
         .expect("server config");
-    let (handle, join) = start_server(model.clone(), config);
+    let server = LocalServer::start(fx.model.clone(), config).unwrap();
+    let handle = server.handle();
 
     let chunks: Vec<&[f32]> = signal.chunks(CHUNK).collect();
     assert!(chunks.len() >= 4, "signal long enough to split the replay");
@@ -400,7 +188,7 @@ fn idle_park_then_resume_completes_the_stream() {
 
     // First connection: half the chunks, then go silent past the idle
     // timeout — the server must park the session, not evict it.
-    let (mut s, token) = open_resumable(handle.addr(), r.power.sample_rate_hz());
+    let (mut s, token) = open_resumable(handle.addr(), r.rate);
     let half = chunks.len() / 2;
     for (seq, c) in chunks[..half].iter().enumerate() {
         send_chunk_wait(&mut s, seq as u64, c, &mut events);
@@ -439,10 +227,9 @@ fn idle_park_then_resume_completes_the_stream() {
     while read_frame(&mut s).expect("read").is_some() {}
 
     assert_eq!(events.len() as u64, windows, "stream complete at finish");
-    assert_stream_matches_batch("idle_park", &events, &batch);
+    r.check("idle_park", &events).unwrap();
 
-    handle.shutdown();
-    let report = join.join().unwrap();
+    let report = server.stop().unwrap();
     assert!(report.idle_disconnects >= 1, "idle timeout fired");
     assert!(report.sessions_parked >= 1, "session was parked");
     assert_eq!(report.sessions_resumed, 1, "session was resumed once");
@@ -450,14 +237,8 @@ fn idle_park_then_resume_completes_the_stream() {
 
 #[test]
 fn resume_past_the_tail_is_refused_with_a_gap() {
-    let pipeline = power_pipeline();
-    let w = workload();
-    let model = Arc::new(
-        pipeline
-            .train(w.program(), |m, s| w.prepare(m, s), &SEEDS)
-            .expect("train"),
-    );
-    let (r, _) = injected_run(&pipeline, &w, &model);
+    let fx = Fixture::gate();
+    let r = &fx.runs[1];
 
     // A replay tail of one event: any client that missed more than the
     // single retained event has an unfillable hole.
@@ -466,11 +247,12 @@ fn resume_past_the_tail_is_refused_with_a_gap() {
         .with_resume_tail(1)
         .build()
         .expect("server config");
-    let (handle, join) = start_server(model.clone(), config);
+    let server = LocalServer::start(fx.model.clone(), config).unwrap();
+    let handle = server.handle();
 
     let mut events = Vec::new();
-    let (mut s, token) = open_resumable(handle.addr(), r.power.sample_rate_hz());
-    for (seq, c) in r.power.samples.chunks(CHUNK).enumerate() {
+    let (mut s, token) = open_resumable(handle.addr(), r.rate);
+    for (seq, c) in r.signal.chunks(CHUNK).enumerate() {
         send_chunk_wait(&mut s, seq as u64, c, &mut events);
     }
     let windows = finish_wait(&mut s, &mut events);
@@ -492,23 +274,17 @@ fn resume_past_the_tail_is_refused_with_a_gap() {
         "resume past the tail must be refused"
     );
 
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop().unwrap();
 }
 
 #[test]
 fn unknown_and_stolen_tokens_are_refused() {
-    let pipeline = power_pipeline();
-    let w = workload();
-    let model = Arc::new(
-        pipeline
-            .train(w.program(), |m, s| w.prepare(m, s), &SEEDS)
-            .expect("train"),
-    );
-    let (r, _) = injected_run(&pipeline, &w, &model);
+    let fx = Fixture::gate();
+    let r = &fx.runs[1];
 
     let config = ServerConfig::builder().build().expect("server config");
-    let (handle, join) = start_server(model.clone(), config);
+    let server = LocalServer::start(fx.model.clone(), config).unwrap();
+    let handle = server.handle();
 
     // A token the server never issued.
     let mut s = TcpStream::connect(handle.addr()).expect("connect");
@@ -532,7 +308,7 @@ fn unknown_and_stolen_tokens_are_refused() {
 
     // A live token whose session is still attached: a second
     // connection cannot steal it out from under the first.
-    let (live, token) = open_resumable(handle.addr(), r.power.sample_rate_hz());
+    let (live, token) = open_resumable(handle.addr(), r.rate);
     let mut thief = TcpStream::connect(handle.addr()).expect("connect");
     thief
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -555,6 +331,5 @@ fn unknown_and_stolen_tokens_are_refused() {
     drop(thief);
     drop(live);
 
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop().unwrap();
 }

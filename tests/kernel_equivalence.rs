@@ -12,17 +12,15 @@
 //! `EDDIE_THREADS=1` and `EDDIE_THREADS=4`, so the worker-pool width
 //! is crossed with the kernel dimension too.
 
-use eddie_cfg::RegionGraph;
-use eddie_core::{
+use eddie::cfg::RegionGraph;
+use eddie::core::{
     train_from_labeled, with_kernel_mode, EddieConfig, KernelMode, LabeledRun, Monitor,
-    MonitorEvent, MonitorOutcome, Pipeline, Sts, TrainedModel,
+    MonitorEvent, MonitorOutcome, Sts, TrainedModel,
 };
-use eddie_dsp::Peak;
-use eddie_exec::with_threads;
-use eddie_inject::{LoopInjector, OpPattern};
-use eddie_isa::{ProgramBuilder, Reg, RegionId};
-use eddie_sim::{InjectionHook, SimConfig};
-use eddie_workloads::{Benchmark, Workload, WorkloadParams};
+use eddie::dsp::Peak;
+use eddie::exec::with_threads;
+use eddie::isa::{ProgramBuilder, Reg, RegionId};
+use eddie_experiments::diff::Fixture;
 
 fn sts(index: usize, freq: f64) -> Sts {
     Sts {
@@ -183,9 +181,9 @@ fn state_round_trip_is_kernel_agnostic() {
             for (i, &f) in stream[..split].iter().enumerate() {
                 mon.observe(sts(i, f));
             }
-            eddie_codec::to_bytes(mon.state())
+            eddie::codec::to_bytes(mon.state())
         });
-        let restored = eddie_codec::from_bytes(&state).unwrap();
+        let restored = eddie::codec::from_bytes(&state).unwrap();
         events.extend(with_kernel_mode(KernelMode::Reference, || {
             let mut mon = Monitor::from_state(&model, restored);
             stream[split..]
@@ -198,53 +196,14 @@ fn state_round_trip_is_kernel_agnostic() {
     }
 }
 
-fn quick_sim() -> SimConfig {
-    let mut sim = SimConfig::iot_inorder();
-    sim.sample_interval = 8;
-    sim
-}
-
-fn hook_for(w: &Workload, k: usize) -> Option<Box<dyn InjectionHook>> {
-    if k.is_multiple_of(2) {
-        return None;
-    }
-    let region = w.program().declared_regions().next()?;
-    let pc = w.loop_branch_pc(region)?;
-    Some(Box::new(LoopInjector::new(
-        pc,
-        1.0,
-        OpPattern::loop_payload(8),
-        1000 + k as u64,
-    )))
-}
-
 #[test]
 fn full_pipeline_outcomes_identical_across_kernels_and_threads() {
     // End to end: simulate, STFT, peaks, monitor — clean and injected
     // runs — under every (kernel, worker-pool width) combination.
-    let pipeline = Pipeline::builder()
-        .sim(quick_sim())
-        .eddie(EddieConfig::quick())
-        .power()
-        .build()
-        .expect("valid pipeline");
-    let w = Benchmark::Bitcount.workload(&WorkloadParams { scale: 1 });
-    let model = with_threads(1, || {
-        pipeline
-            .train(w.program(), |m, s| w.prepare(m, s), &[1, 2, 3, 4])
-            .expect("training succeeds")
-    });
+    let fx = Fixture::gate();
     let batch = |mode: KernelMode, threads: usize| -> Vec<MonitorOutcome> {
         with_kernel_mode(mode, || {
-            with_threads(threads, || {
-                pipeline.monitor_batch(
-                    &model,
-                    w.program(),
-                    4,
-                    |m, k| w.prepare(m, 1000 + k as u64),
-                    |k| hook_for(&w, k),
-                )
-            })
+            with_threads(threads, || fx.monitor_batch(&fx.model, 4))
         })
     };
     let baseline = batch(KernelMode::Reference, 1);

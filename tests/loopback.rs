@@ -11,156 +11,40 @@
 
 use std::io::Write as _;
 use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use eddie_core::{EddieConfig, MonitorOutcome, Pipeline, TrainedModel};
-use eddie_inject::{LoopInjector, OpPattern};
-use eddie_serve::{
-    load_sessions, read_frame, write_frame, ErrCode, Frame, ModelRegistry, ReplayClient, Server,
-    ServerConfig, ServerHandle, ServerReport,
-};
-use eddie_sim::{InjectionHook, SimConfig, SimResult};
-use eddie_stream::{FleetConfig, MonitorSession, StreamEvent};
-use eddie_workloads::{Benchmark, Workload, WorkloadParams};
-
-const SEEDS: [u64; 4] = [1, 2, 3, 4];
-const MODEL_ID: &str = "bitcount-power";
-
-fn quick_sim() -> SimConfig {
-    let mut sim = SimConfig::iot_inorder();
-    sim.sample_interval = 8;
-    sim
-}
-
-fn power_pipeline() -> Pipeline {
-    Pipeline::builder()
-        .sim(quick_sim())
-        .eddie(EddieConfig::quick())
-        .power()
-        .build()
-        .expect("valid pipeline")
-}
-
-fn workload() -> Workload {
-    Benchmark::Bitcount.workload(&WorkloadParams { scale: 1 })
-}
-
-fn train(pipeline: &Pipeline, w: &Workload) -> TrainedModel {
-    pipeline
-        .train(w.program(), |m, s| w.prepare(m, s), &SEEDS)
-        .expect("training succeeds")
-}
-
-fn injected_hook(w: &Workload, k: usize) -> Option<Box<dyn InjectionHook>> {
-    let region = w.program().declared_regions().next()?;
-    let pc = w.loop_branch_pc(region)?;
-    Some(Box::new(LoopInjector::new(
-        pc,
-        1.0,
-        OpPattern::loop_payload(8),
-        1000 + k as u64,
-    )))
-}
-
-/// A clean run and an injected run, with their batch-path outcomes.
-fn runs_and_batches(
-    pipeline: &Pipeline,
-    w: &Workload,
-    model: &Arc<TrainedModel>,
-) -> Vec<(SimResult, MonitorOutcome)> {
-    [None, injected_hook(w, 1)]
-        .into_iter()
-        .enumerate()
-        .map(|(k, hook)| {
-            let r = pipeline.simulate(w.program(), |m| w.prepare(m, 1000 + k as u64), hook);
-            let batch = pipeline.monitor_result(model, &r, 0);
-            (r, batch)
-        })
-        .collect()
-}
-
-fn assert_stream_matches_batch(streamed: &[StreamEvent], batch: &MonitorOutcome) {
-    assert_eq!(streamed.len(), batch.events.len(), "window count differs");
-    for (w, ev) in streamed.iter().enumerate() {
-        assert_eq!(ev.window, w, "window indices must be dense from zero");
-        assert_eq!(ev.event, batch.events[w], "event differs at window {w}");
-        assert_eq!(ev.alarm, batch.alarms[w], "alarm differs at window {w}");
-        assert_eq!(
-            ev.tracked, batch.tracked[w],
-            "tracking differs at window {w}"
-        );
-    }
-}
-
-fn start_server(
-    model: Arc<TrainedModel>,
-    config: ServerConfig,
-) -> (ServerHandle, std::thread::JoinHandle<ServerReport>) {
-    let mut registry = ModelRegistry::new();
-    registry.insert(MODEL_ID, model);
-    let server = Server::bind("127.0.0.1:0", registry, config).expect("bind loopback");
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("server run"));
-    (handle, join)
-}
-
-fn wait_for<F: FnMut() -> bool>(mut cond: F, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
+use eddie::core::MonitorEvent;
+use eddie::serve::{load_sessions, read_frame, write_frame, ErrCode, Frame, ServerConfig};
+use eddie::stream::{FleetConfig, MonitorSession, StreamEvent};
+use eddie_experiments::diff::{self, wait_for, Fixture, LocalServer, MODEL_ID};
 
 /// Clean + injected runs replayed concurrently over loopback TCP: each
 /// client's event stream must equal the batch path exactly, and the
 /// injected run must raise an anomaly through the wire.
 #[test]
 fn loopback_replay_is_byte_identical_to_batch() {
-    let pipeline = power_pipeline();
-    let w = workload();
-    let model = Arc::new(train(&pipeline, &w));
-    let runs = runs_and_batches(&pipeline, &w, &model);
+    let fx = Fixture::gate();
+    let server = LocalServer::start(fx.model.clone(), ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
 
-    let (handle, join) = start_server(model, ServerConfig::default());
-    let addr = handle.addr();
-
-    let replays: Vec<_> = runs
-        .iter()
-        .map(|(r, _)| {
-            let signal = r.power.samples.clone();
-            let rate = r.power.sample_rate_hz();
-            std::thread::spawn(move || {
-                let mut client = ReplayClient::connect(addr).expect("connect");
-                client.hello(MODEL_ID, rate).expect("hello");
-                client.replay(&signal, 913).expect("replay")
-            })
-        })
-        .collect();
-    let outcomes: Vec<_> = replays.into_iter().map(|t| t.join().unwrap()).collect();
-
-    for ((r, batch), outcome) in runs.iter().zip(&outcomes) {
-        assert_stream_matches_batch(&outcome.events, batch);
-        let chunks = r.power.samples.chunks(913).count() as u64;
-        assert_eq!(outcome.acked_chunks, chunks);
-    }
+    // The runner checks each client's stream against the batch path and
+    // that every chunk was acknowledged.
+    let outcomes = diff::loopback(&addr, &fx.runs, 913, || {}).unwrap();
     // The injected run must be caught — through the whole network path.
     assert!(
         outcomes[1]
             .events
             .iter()
-            .any(|e| e.event == eddie_core::MonitorEvent::Anomaly),
+            .any(|e| e.event == MonitorEvent::Anomaly),
         "injected run must report an anomaly over the wire"
     );
 
     // Clean disconnects must leave no sessions behind.
     wait_for(
-        || handle.fleet_stats().active_sessions == 0,
+        || server.handle().fleet_stats().active_sessions == 0,
         "sessions evicted after close",
     );
-    handle.shutdown();
-    let report = join.join().unwrap();
+    let report = server.stop().unwrap();
     assert_eq!(report.connections, 2);
     assert_eq!(report.final_stats.active_sessions, 0);
     assert_eq!(report.bad_frames, 0);
@@ -175,12 +59,7 @@ fn loopback_replay_is_byte_identical_to_batch() {
 /// deliver a byte-identical event stream.
 #[test]
 fn busy_backpressure_preserves_equivalence() {
-    let pipeline = power_pipeline();
-    let w = workload();
-    let model = Arc::new(train(&pipeline, &w));
-    let runs = runs_and_batches(&pipeline, &w, &model);
-    let (r, batch) = &runs[1];
-
+    let fx = Fixture::gate();
     let config = ServerConfig::builder()
         .with_fleet(
             FleetConfig::builder()
@@ -193,22 +72,18 @@ fn busy_backpressure_preserves_equivalence() {
         .with_drain_idle(Duration::from_millis(2))
         .build()
         .expect("server config");
-    let (handle, join) = start_server(model, config);
+    let server = LocalServer::start(fx.model.clone(), config).unwrap();
 
-    let mut client = ReplayClient::connect(handle.addr()).expect("connect");
-    client
-        .hello(MODEL_ID, r.power.sample_rate_hz())
-        .expect("hello");
-    let outcome = client.replay(&r.power.samples, 733).expect("replay");
-
-    assert_stream_matches_batch(&outcome.events, batch);
+    // The runner checks the retransmitted stream against batch.
+    let addr = server.addr().to_string();
+    let outcomes = diff::loopback(&addr, &fx.runs[1..], 733, || {}).unwrap();
+    let outcome = &outcomes[0];
     assert!(
         outcome.busy_replies > 0,
         "a one-slot queue must refuse at least one chunk"
     );
 
-    handle.shutdown();
-    let report = join.join().unwrap();
+    let report = server.stop().unwrap();
     assert!(report.chunks_busy >= outcome.busy_replies);
     // The fleet ledger records every ingress refusal as shed — but the
     // wire layer turned each one into a retransmission, not data loss
@@ -235,11 +110,9 @@ fn busy_backpressure_preserves_equivalence() {
 /// session.
 #[test]
 fn malformed_frames_never_panic_the_server() {
-    let pipeline = power_pipeline();
-    let w = workload();
-    let model = Arc::new(train(&pipeline, &w));
-    let (handle, join) = start_server(model.clone(), ServerConfig::default());
-    let addr = handle.addr();
+    let fx = Fixture::gate();
+    let server = LocalServer::start(fx.model.clone(), ServerConfig::default()).unwrap();
+    let addr = server.addr();
 
     // Deterministic malformed frames with known-required Err replies.
     let zero_len = 0u32.to_le_bytes().to_vec();
@@ -294,22 +167,14 @@ fn malformed_frames_never_panic_the_server() {
     }
 
     // The server must still be fully functional for a real client.
-    let r = pipeline.simulate(w.program(), |m| w.prepare(m, 1000), None);
-    let batch = pipeline.monitor_result(&model, &r, 0);
-    let mut client = ReplayClient::connect(addr).expect("connect");
-    client
-        .hello(MODEL_ID, r.power.sample_rate_hz())
-        .expect("hello");
-    let outcome = client.replay(&r.power.samples, 1024).expect("replay");
-    assert_stream_matches_batch(&outcome.events, &batch);
+    diff::loopback(&addr.to_string(), &fx.runs[..1], 1024, || {}).unwrap();
 
     assert_eq!(
-        handle.fleet_stats().active_sessions,
+        server.handle().fleet_stats().active_sessions,
         0,
         "no leaked sessions"
     );
-    handle.shutdown();
-    let report = join.join().unwrap();
+    let report = server.stop().unwrap();
     assert!(
         report.bad_frames >= 4,
         "deterministic cases must be counted"
@@ -321,19 +186,18 @@ fn malformed_frames_never_panic_the_server() {
 /// registered totals remember the device existed.
 #[test]
 fn abrupt_disconnect_evicts_session() {
-    let pipeline = power_pipeline();
-    let w = workload();
-    let model = Arc::new(train(&pipeline, &w));
-    let (handle, join) = start_server(model, ServerConfig::default());
+    let fx = Fixture::gate();
+    let server = LocalServer::start(fx.model.clone(), ServerConfig::default()).unwrap();
+    let handle = server.handle();
 
-    let r = pipeline.simulate(w.program(), |m| w.prepare(m, 1000), None);
+    let r = &fx.runs[0];
     {
         let mut s = TcpStream::connect(handle.addr()).expect("connect");
         write_frame(
             &mut s,
             &Frame::Hello {
                 model_id: MODEL_ID.to_string(),
-                sample_rate: r.power.sample_rate_hz(),
+                sample_rate: r.rate,
             },
         )
         .unwrap();
@@ -341,7 +205,7 @@ fn abrupt_disconnect_evicts_session() {
             &mut s,
             &Frame::Chunk {
                 seq: 0,
-                samples: r.power.samples[..2048].to_vec(),
+                samples: r.signal[..2048].to_vec(),
             },
         )
         .unwrap();
@@ -360,18 +224,16 @@ fn abrupt_disconnect_evicts_session() {
     assert_eq!(stats.total_registered, 1, "eviction keeps the ledger");
     assert_eq!(stats.queued_chunks, 0);
 
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop().unwrap();
 }
 
 /// `Hello` with an unregistered model id is refused with
 /// `ErrCode::UnknownModel` and registers nothing.
 #[test]
 fn unknown_model_is_refused() {
-    let pipeline = power_pipeline();
-    let w = workload();
-    let model = Arc::new(train(&pipeline, &w));
-    let (handle, join) = start_server(model, ServerConfig::default());
+    let fx = Fixture::gate();
+    let server = LocalServer::start(fx.model.clone(), ServerConfig::default()).unwrap();
+    let handle = server.handle();
 
     let mut s = TcpStream::connect(handle.addr()).expect("connect");
     write_frame(
@@ -389,8 +251,7 @@ fn unknown_model_is_refused() {
     assert_eq!(handle.fleet_stats().active_sessions, 0);
     assert_eq!(handle.fleet_stats().total_registered, 0);
 
-    handle.shutdown();
-    join.join().unwrap();
+    server.stop().unwrap();
 }
 
 /// The `Snapshot` frame persists the session to disk; restoring it and
@@ -398,26 +259,22 @@ fn unknown_model_is_refused() {
 /// exactly — live state migrated over a file boundary.
 #[test]
 fn snapshot_persists_and_restores_mid_stream() {
-    let pipeline = power_pipeline();
-    let w = workload();
-    let model = Arc::new(train(&pipeline, &w));
-    let runs = runs_and_batches(&pipeline, &w, &model);
-    let (r, batch) = &runs[1]; // injected: the restored half crosses the anomaly
+    let fx = Fixture::gate();
+    let model = &fx.model;
+    let r = &fx.runs[1]; // injected: the restored half crosses the anomaly
 
-    let snap_path = std::env::temp_dir().join(format!(
-        "eddie-serve-loopback-{}-sessions.snap",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&snap_path);
+    let dir = diff::TempDir::new("loopback-snapshot");
+    let snap_path = dir.path().join("sessions.snap");
     let config = ServerConfig::builder()
         .with_snapshot_path(snap_path.clone())
         // Only the explicit Snapshot frame should write.
         .with_snapshot_every(Duration::from_secs(3600))
         .build()
         .expect("server config");
-    let (handle, join) = start_server(model.clone(), config);
+    let server = LocalServer::start(model.clone(), config).unwrap();
+    let handle = server.handle();
 
-    let signal = &r.power.samples;
+    let signal = &r.signal;
     // Cut deliberately off the STFT hop grid so the persisted state
     // carries a partial window.
     let cut = (signal.len() / 2 / model.config.hop) * model.config.hop + model.config.hop / 2;
@@ -427,7 +284,7 @@ fn snapshot_persists_and_restores_mid_stream() {
         &mut s,
         &Frame::Hello {
             model_id: MODEL_ID.to_string(),
-            sample_rate: r.power.sample_rate_hz(),
+            sample_rate: r.rate,
         },
     )
     .unwrap();
@@ -486,12 +343,10 @@ fn snapshot_persists_and_restores_mid_stream() {
     let mut all_events = served_events;
     all_events.extend(resumed.push(&signal[cut..]));
 
-    assert_stream_matches_batch(&all_events, batch);
+    r.check("snapshot file", &all_events).unwrap();
 
-    handle.shutdown();
-    let report = join.join().unwrap();
+    let report = server.stop().unwrap();
     assert!(report.snapshots_written >= 1);
-    let _ = std::fs::remove_file(&snap_path);
 }
 
 /// A client that closes with replies unread makes its kernel reset the
@@ -502,10 +357,9 @@ fn snapshot_persists_and_restores_mid_stream() {
 #[test]
 fn chunks_written_before_a_reset_are_all_counted() {
     const CHUNKS: u64 = 16;
-    let pipeline = power_pipeline();
-    let w = workload();
-    let model = Arc::new(train(&pipeline, &w));
-    let (handle, join) = start_server(model, ServerConfig::default());
+    let fx = Fixture::gate();
+    let server = LocalServer::start(fx.model.clone(), ServerConfig::default()).unwrap();
+    let handle = server.handle();
 
     let mut s = TcpStream::connect(handle.addr()).expect("connect");
     s.set_nodelay(true).expect("nodelay");
@@ -540,8 +394,7 @@ fn chunks_written_before_a_reset_are_all_counted() {
         || handle.fleet_stats().active_sessions == 0,
         "session evicted after the reset",
     );
-    handle.shutdown();
-    let report = join.join().unwrap();
+    let report = server.stop().unwrap();
     assert_eq!(
         report.chunks_received, CHUNKS,
         "every chunk written before the reset is counted"

@@ -13,23 +13,14 @@
 //! the quantized decide kernel; the byte-reproducibility test
 //! additionally forces both pool widths in-process.
 
-use eddie_core::{EddieConfig, MonitorOutcome, Pipeline, SignalSource, TrainedModel};
-use eddie_dsp::SvdDenoiserConfig;
-use eddie_em::EmChannelConfig;
-use eddie_exec::with_threads;
-use eddie_inject::{LoopInjector, OpPattern};
-use eddie_sim::{InjectionHook, SimConfig};
-use eddie_workloads::{Benchmark, Workload, WorkloadParams};
+use eddie::core::{MonitorOutcome, Pipeline, SignalSource, TrainedModel};
+use eddie::dsp::SvdDenoiserConfig;
+use eddie::em::EmChannelConfig;
+use eddie::exec::with_threads;
+use eddie_experiments::diff::{gate_builder, Fixture};
 
-const TRAIN_SEEDS: [u64; 4] = [1, 2, 3, 4];
 const CLEAN_SEEDS: [u64; 2] = [5001, 6001];
 const ATTACK_RUNS: u64 = 3;
-
-fn quick_sim() -> SimConfig {
-    let mut sim = SimConfig::iot_inorder();
-    sim.sample_interval = 8;
-    sim
-}
 
 /// The gate's RF environment: the §5.1 custom-ASIC receiver degraded
 /// far past its nominal 12 dB, to −6 dB sideband SNR.
@@ -44,37 +35,11 @@ fn denoise_config() -> SvdDenoiserConfig {
 }
 
 fn pipeline(denoised: bool) -> Pipeline {
-    let mut b = Pipeline::builder()
-        .sim(quick_sim())
-        .eddie(EddieConfig::quick())
-        .source(SignalSource::Em(harsh_channel()));
+    let mut b = gate_builder().source(SignalSource::Em(harsh_channel()));
     if denoised {
         b = b.denoise(denoise_config());
     }
     b.build().expect("valid pipeline")
-}
-
-fn workload() -> Workload {
-    Benchmark::Bitcount.workload(&WorkloadParams { scale: 1 })
-}
-
-/// A *weak* attack: half-duty two-op payload inside the hottest loop.
-/// Strong injections stay detectable without denoising even at this
-/// SNR; the gate is about the margin denoising buys.
-fn weak_hook(w: &Workload, seed: u64) -> Option<Box<dyn InjectionHook>> {
-    let region = w.program().declared_regions().next()?;
-    let pc = w.loop_branch_pc(region)?;
-    Some(Box::new(LoopInjector::new(
-        pc,
-        0.5,
-        OpPattern::loop_payload(2),
-        seed,
-    )))
-}
-
-fn train(p: &Pipeline, w: &Workload) -> TrainedModel {
-    p.train(w.program(), |m, s| w.prepare(m, s), &TRAIN_SEEDS)
-        .expect("training succeeds even at negative SNR")
 }
 
 struct GateOutcome {
@@ -83,8 +48,15 @@ struct GateOutcome {
     attacked: Vec<MonitorOutcome>,
 }
 
-fn evaluate(p: &Pipeline, w: &Workload) -> GateOutcome {
-    let model = train(p, w);
+/// Trains on `p` (training at negative SNR is part of what the gate
+/// checks), then monitors the clean runs and the *weak* attacks: a
+/// half-duty two-op payload inside the hottest loop. Strong injections
+/// stay detectable without denoising even at this SNR; the gate is
+/// about the margin denoising buys.
+fn evaluate(p: &Pipeline) -> GateOutcome {
+    let fx = Fixture::gate();
+    let w = &fx.workload;
+    let model = fx.train_on(p);
     let clean = CLEAN_SEEDS
         .iter()
         .map(|&s| p.monitor(&model, w.program(), |m| w.prepare(m, s), None))
@@ -95,7 +67,7 @@ fn evaluate(p: &Pipeline, w: &Workload) -> GateOutcome {
                 &model,
                 w.program(),
                 |m| w.prepare(m, 5002 + k),
-                weak_hook(w, 1001 + 2 * k),
+                fx.loop_injection(0.5, 2, 1001 + 2 * k),
             )
         })
         .collect();
@@ -108,9 +80,7 @@ fn evaluate(p: &Pipeline, w: &Workload) -> GateOutcome {
 
 #[test]
 fn denoised_detects_where_vanilla_misses() {
-    let w = workload();
-
-    let vanilla = evaluate(&pipeline(false), &w);
+    let vanilla = evaluate(&pipeline(false));
     for (i, run) in vanilla.clean.iter().enumerate() {
         assert_eq!(
             run.first_anomaly(),
@@ -127,7 +97,7 @@ fn denoised_detects_where_vanilla_misses() {
         );
     }
 
-    let denoised = evaluate(&pipeline(true), &w);
+    let denoised = evaluate(&pipeline(true));
     for (i, run) in denoised.clean.iter().enumerate() {
         assert_eq!(
             run.first_anomaly(),
@@ -150,10 +120,9 @@ fn gate_outcome_byte_identical_across_thread_counts() {
     // the worker-pool width. Models are compared encoded (every f64
     // travels as its bit pattern, so equal bytes mean equal bits);
     // outcomes via their full event streams, which hold no floats.
-    let w = workload();
     let run_all = || {
         [false, true].map(|d| {
-            let out = evaluate(&pipeline(d), &w);
+            let out = evaluate(&pipeline(d));
             let events: Vec<_> = out
                 .clean
                 .iter()

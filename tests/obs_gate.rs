@@ -15,100 +15,18 @@
 //! * journal sequence numbers are strictly increasing, and a snapshot
 //!   file carries the sequence forward (`resume_journal`).
 //!
-//! Everything lives in one `#[test]` because `eddie_obs::install()` is
+//! Everything lives in one `#[test]` because `eddie::obs::install()` is
 //! process-global: a single body controls exactly what runs before and
 //! after installation.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use eddie_core::{EddieConfig, MonitorEvent, MonitorOutcome, Pipeline, TrainedModel};
-use eddie_inject::{LoopInjector, OpPattern};
-use eddie_serve::{
-    fetch_stats, load_snapshot, read_frame, resume_journal, write_frame, Frame, ModelRegistry,
-    ReplayClient, Server, ServerConfig, ServerHandle, ServerReport,
+use eddie::core::MonitorEvent;
+use eddie::serve::{
+    fetch_stats, load_snapshot, read_frame, resume_journal, write_frame, Frame, ServerConfig,
 };
-use eddie_sim::{InjectionHook, SimConfig, SimResult};
-use eddie_stream::{FleetConfig, StreamEvent};
-use eddie_workloads::{Benchmark, Workload, WorkloadParams};
-
-const SEEDS: [u64; 4] = [1, 2, 3, 4];
-const MODEL_ID: &str = "bitcount-power";
-
-fn power_pipeline() -> Pipeline {
-    let mut sim = SimConfig::iot_inorder();
-    sim.sample_interval = 8;
-    Pipeline::builder()
-        .sim(sim)
-        .eddie(EddieConfig::quick())
-        .power()
-        .build()
-        .expect("valid pipeline")
-}
-
-fn workload() -> Workload {
-    Benchmark::Bitcount.workload(&WorkloadParams { scale: 1 })
-}
-
-fn injected_hook(w: &Workload, k: usize) -> Option<Box<dyn InjectionHook>> {
-    let region = w.program().declared_regions().next()?;
-    let pc = w.loop_branch_pc(region)?;
-    Some(Box::new(LoopInjector::new(
-        pc,
-        1.0,
-        OpPattern::loop_payload(8),
-        1000 + k as u64,
-    )))
-}
-
-fn runs_and_batches(
-    pipeline: &Pipeline,
-    w: &Workload,
-    model: &Arc<TrainedModel>,
-) -> Vec<(SimResult, MonitorOutcome)> {
-    [None, injected_hook(w, 1)]
-        .into_iter()
-        .enumerate()
-        .map(|(k, hook)| {
-            let r = pipeline.simulate(w.program(), |m| w.prepare(m, 1000 + k as u64), hook);
-            let batch = pipeline.monitor_result(model, &r, 0);
-            (r, batch)
-        })
-        .collect()
-}
-
-fn assert_stream_matches_batch(streamed: &[StreamEvent], batch: &MonitorOutcome) {
-    assert_eq!(streamed.len(), batch.events.len(), "window count differs");
-    for (w, ev) in streamed.iter().enumerate() {
-        assert_eq!(ev.window, w, "window indices must be dense from zero");
-        assert_eq!(ev.event, batch.events[w], "event differs at window {w}");
-        assert_eq!(ev.alarm, batch.alarms[w], "alarm differs at window {w}");
-        assert_eq!(
-            ev.tracked, batch.tracked[w],
-            "tracking differs at window {w}"
-        );
-    }
-}
-
-fn start_server(
-    model: Arc<TrainedModel>,
-    config: ServerConfig,
-) -> (ServerHandle, std::thread::JoinHandle<ServerReport>) {
-    let mut registry = ModelRegistry::new();
-    registry.insert(MODEL_ID, model);
-    let server = Server::bind("127.0.0.1:0", registry, config).expect("bind loopback");
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("server run"));
-    (handle, join)
-}
-
-fn wait_for<F: FnMut() -> bool>(mut cond: F, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
+use eddie::stream::FleetConfig;
+use eddie_experiments::diff::{self, wait_for, Fixture, LocalServer, TempDir, MODEL_ID};
 
 /// Reads one unlabeled series from a Prometheus text exposition.
 fn metric(text: &str, name: &str) -> u64 {
@@ -127,28 +45,18 @@ fn metric(text: &str, name: &str) -> u64 {
 
 #[test]
 fn instrumented_loopback_counters_balance() {
-    let pipeline = power_pipeline();
-    let w = workload();
-    let model = Arc::new(
-        pipeline
-            .train(w.program(), |m, s| w.prepare(m, s), &SEEDS)
-            .expect("train"),
-    );
-
     // Batch outcomes BEFORE installation: the batch path runs through
     // the same instrumented monitor code, so computing it first keeps
     // the anomaly counter attributable to the streamed path alone.
-    let runs = runs_and_batches(&pipeline, &w, &model);
+    let fx = Fixture::gate();
+    let runs = &fx.runs;
 
-    eddie_obs::install();
-    assert!(eddie_obs::enabled(), "install() arms the gate");
-    let obs = eddie_obs::global().expect("installed");
+    eddie::obs::install();
+    assert!(eddie::obs::enabled(), "install() arms the gate");
+    let obs = eddie::obs::global().expect("installed");
 
-    let snap_path = std::env::temp_dir().join(format!(
-        "eddie-serve-obs-gate-{}-snapshot.json",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&snap_path);
+    let dir = TempDir::new("obs-gate");
+    let snap_path = dir.path().join("snapshot.snap");
     let config = ServerConfig::builder()
         .with_fleet(
             // Tiny queue bounds so backpressure (Busy, shed, go-back-N
@@ -165,41 +73,26 @@ fn instrumented_loopback_counters_balance() {
         .with_snapshot_every(Duration::from_secs(3600))
         .build()
         .expect("server config");
-    let (handle, join) = start_server(model.clone(), config);
-    let addr = handle.addr();
+    let server = LocalServer::start(fx.model.clone(), config).unwrap();
+    let addr = server.addr();
 
     // Clean + injected replays, concurrently, with instrumentation on.
-    let replays: Vec<_> = runs
-        .iter()
-        .map(|(r, _)| {
-            let signal = r.power.samples.clone();
-            let rate = r.power.sample_rate_hz();
-            std::thread::spawn(move || {
-                let mut client = ReplayClient::connect(addr).expect("connect");
-                client.hello(MODEL_ID, rate).expect("hello");
-                client.replay(&signal, 499).expect("replay")
-            })
-        })
-        .collect();
-
-    // Scrape mid-replay from a separate session-less connection: the
-    // Stats frame must work while the fleet is under load.
-    let mid = fetch_stats(addr).expect("mid-replay scrape");
-    assert!(
-        mid.contains("eddie_serve_connections_total"),
-        "mid-replay scrape has serve counters:\n{mid}"
-    );
-    assert!(
-        mid.contains("# TYPE eddie_serve_connections_total counter"),
-        "exposition carries TYPE headers"
-    );
-
-    let outcomes: Vec<_> = replays.into_iter().map(|t| t.join().unwrap()).collect();
-
-    // Determinism with instrumentation on: byte-identical to batch.
-    for ((_, batch), outcome) in runs.iter().zip(&outcomes) {
-        assert_stream_matches_batch(&outcome.events, batch);
-    }
+    // Determinism with instrumentation on: the runner checks both
+    // streams byte-identical to batch.
+    let outcomes = diff::loopback(&addr.to_string(), runs, 499, || {
+        // Scrape mid-replay from a separate session-less connection:
+        // the Stats frame must work while the fleet is under load.
+        let mid = fetch_stats(addr).expect("mid-replay scrape");
+        assert!(
+            mid.contains("eddie_serve_connections_total"),
+            "mid-replay scrape has serve counters:\n{mid}"
+        );
+        assert!(
+            mid.contains("# TYPE eddie_serve_connections_total counter"),
+            "exposition carries TYPE headers"
+        );
+    })
+    .unwrap();
 
     // Snapshot via the wire so the file carries the live journal seq.
     {
@@ -208,7 +101,7 @@ fn instrumented_loopback_counters_balance() {
             &mut s,
             &Frame::Hello {
                 model_id: MODEL_ID.to_string(),
-                sample_rate: runs[0].0.power.sample_rate_hz(),
+                sample_rate: runs[0].rate,
             },
         )
         .unwrap();
@@ -224,14 +117,13 @@ fn instrumented_loopback_counters_balance() {
         while read_frame(&mut s).expect("read").is_some() {}
     }
     wait_for(
-        || handle.fleet_stats().active_sessions == 0,
+        || server.handle().fleet_stats().active_sessions == 0,
         "sessions evicted after close",
     );
 
     // Final scrape, then audit the books.
     let text = fetch_stats(addr).expect("final scrape");
-    handle.shutdown();
-    let report = join.join().unwrap();
+    let report = server.stop().unwrap();
 
     let accepted = metric(&text, "eddie_serve_chunks_accepted_total");
     let busy = metric(&text, "eddie_serve_chunks_busy_total");
@@ -274,8 +166,9 @@ fn instrumented_loopback_counters_balance() {
     // Core counters agree with the (pre-installation) batch truth.
     let batch_anomalies: u64 = runs
         .iter()
-        .map(|(_, b)| {
-            b.events
+        .map(|r| {
+            r.batch
+                .events
                 .iter()
                 .filter(|e| **e == MonitorEvent::Anomaly)
                 .count() as u64
@@ -325,10 +218,9 @@ fn instrumented_loopback_counters_balance() {
     resume_journal(&file);
     let seq_after = obs
         .journal()
-        .record(eddie_obs::JournalEvent::SnapshotPersisted { sessions: 0 });
+        .record(eddie::obs::JournalEvent::SnapshotPersisted { sessions: 0 });
     assert!(
         seq_after >= file.journal_seq,
         "post-restore records continue past the persisted seq"
     );
-    let _ = std::fs::remove_file(&snap_path);
 }

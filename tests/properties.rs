@@ -5,10 +5,10 @@
 use eddie::cfg::{Cfg, LoopForest};
 use eddie::dsp::{find_peaks, Complex, Fft, PeakConfig, Spectrum, Stft, StftConfig, WindowKind};
 use eddie::isa::{BranchCond, Instr, Program, ProgramBuilder, Reg};
+use eddie::rand::{check, vec_of, SplitMix64};
 use eddie::sim::{SimConfig, Simulator};
 use eddie::stats::descriptive::Edf;
 use eddie::stats::ks::{ks_statistic, ks_test, KsOutcome};
-use eddie_rand::{check, vec_of, SplitMix64};
 
 /// Cases per property.
 const CASES: usize = 64;
