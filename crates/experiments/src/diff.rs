@@ -88,8 +88,22 @@ pub fn gate_builder() -> PipelineBuilder {
 enum Plan {
     /// Odd runs carry the gates' in-loop injection; even runs are clean.
     Gate,
-    /// [`InjectPlan::Alternating`] over these target regions.
+    /// [`InjectPlan::Alternating`] over these target regions: every run
+    /// is injected, in a loop on even runs and as a burst after a loop
+    /// on odd ones.
     Alternating(Vec<RegionId>),
+}
+
+impl Plan {
+    /// What run `k` carries, as the subcommand tables print it.
+    fn label(&self, k: usize) -> &'static str {
+        match (self, k % 2) {
+            (Plan::Gate, 0) => "clean",
+            (Plan::Gate, _) => "injected",
+            (Plan::Alternating(_), 0) => "loop",
+            (Plan::Alternating(_), _) => "burst",
+        }
+    }
 }
 
 /// A trained model and monitored runs, each with its batch outcome.
@@ -221,6 +235,7 @@ impl Fixture {
         Run {
             k,
             seed,
+            label: self.plan.label(k),
             rate: result.power.sample_rate_hz(),
             signal: result.power.samples,
             expected: expected_events(&batch),
@@ -249,6 +264,9 @@ pub struct Run {
     pub k: usize,
     /// Workload seed, `1000 + k`.
     pub seed: u64,
+    /// What the run carries: `clean`/`injected` in the gates' fixture,
+    /// `loop`/`burst` under [`InjectPlan::Alternating`].
+    label: &'static str,
     /// The captured signal.
     pub signal: Vec<f32>,
     /// Its sample rate.
@@ -262,11 +280,7 @@ pub struct Run {
 impl Run {
     /// The plan label the subcommand tables print.
     pub fn label(&self) -> &'static str {
-        if self.k.is_multiple_of(2) {
-            "clean"
-        } else {
-            "injected"
-        }
+        self.label
     }
 
     /// Checks what `path` delivered for this run against the batch
@@ -734,7 +748,6 @@ fn resilient_config(seed: u64, max_reconnects: u32) -> Result<ClientConfig, Fail
 /// back.
 fn resumable_server() -> ServerConfigBuilder {
     ServerConfig::builder()
-        .with_drain_idle(Duration::from_millis(1))
         .with_idle_timeout(Duration::from_millis(800))
         .with_resume_linger(Duration::from_secs(30))
         .with_resume_tail(4096)

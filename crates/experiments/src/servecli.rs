@@ -5,13 +5,13 @@
 //!
 //! * `serve` trains a model, binds the TCP server, and serves capture
 //!   connections until stdin closes (or the process is killed).
-//! * `replay-client` replays simulated clean + injected runs against a
-//!   server over real TCP and diffs every received event against the
-//!   batch `Pipeline::monitor_result` path. With no `--addr` it spins
-//!   up an in-process server on an ephemeral loopback port first, so
-//!   one command exercises the complete network path end to end —
-//!   this is what the CI loopback gate runs at `EDDIE_THREADS=1` and
-//!   `4`.
+//! * `replay-client` replays simulated loop- and burst-injected runs
+//!   against a server over real TCP and diffs every received event
+//!   against the batch `Pipeline::monitor_result` path. With no
+//!   `--addr` it spins up an in-process server on an ephemeral
+//!   loopback port first, so one command exercises the complete
+//!   network path end to end — this is what the CI loopback gate runs
+//!   at `EDDIE_THREADS=1` and `4`.
 //! * `stats` scrapes a running server's metrics over the wire
 //!   (`Frame::Stats` → `Frame::StatsReply`) and renders them as a
 //!   human table, or as the raw Prometheus text with `--raw`.
@@ -101,9 +101,9 @@ pub fn serve(args: &[String]) -> Result<String, String> {
 /// `eddie-experiments replay-client [--addr HOST:PORT] [--chunk N]
 /// [--scale quick|full]`
 ///
-/// Replays clean + injected simulated runs over TCP and verifies the
-/// received event stream against the batch pipeline. Without
-/// `--addr`, an in-process loopback server is started first.
+/// Replays loop- and burst-injected simulated runs over TCP and
+/// verifies the received event stream against the batch pipeline.
+/// Without `--addr`, an in-process loopback server is started first.
 pub fn replay_client(args: &[String]) -> Result<String, String> {
     eddie_obs::install();
     let scale = parse_scale(args)?;

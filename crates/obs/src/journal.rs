@@ -8,15 +8,13 @@ use std::sync::Mutex;
 /// One structured, typed event. All payload fields are numeric so the
 /// journal never allocates per-event strings on the record path and
 /// renders to JSON without escaping concerns.
+///
+/// Events are decisions and lifecycle changes, never one per window:
+/// a per-window record would turn the ring over in milliseconds at
+/// ingest rates and evict the transitions and anomalies an operator
+/// reads it for (`eddie_core_windows_evaluated_total` counts windows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalEvent {
-    /// A monitoring window finished evaluation on a device.
-    WindowProcessed {
-        /// Fleet device id.
-        device: u64,
-        /// Window index within the device's stream.
-        window: u64,
-    },
     /// The monitor moved to a different loop/region id.
     RegionTransition {
         /// Fleet device id.
@@ -116,7 +114,6 @@ impl JournalEvent {
     /// The event's type tag as it appears in JSON.
     pub fn kind(&self) -> &'static str {
         match self {
-            JournalEvent::WindowProcessed { .. } => "window_processed",
             JournalEvent::RegionTransition { .. } => "region_transition",
             JournalEvent::AnomalyRaised { .. } => "anomaly_raised",
             JournalEvent::ChunkShed { .. } => "chunk_shed",
@@ -158,9 +155,6 @@ impl JournalRecord {
             self.event.kind()
         );
         match self.event {
-            JournalEvent::WindowProcessed { device, window } => {
-                let _ = write!(s, ",\"device\":{device},\"window\":{window}");
-            }
             JournalEvent::RegionTransition {
                 device,
                 window,
@@ -319,7 +313,7 @@ mod tests {
     fn sequence_is_monotonic_and_ring_is_bounded() {
         let j = Journal::new(3);
         for i in 0..5 {
-            let seq = j.record(JournalEvent::WindowProcessed {
+            let seq = j.record(JournalEvent::AnomalyRaised {
                 device: 0,
                 window: i,
             });

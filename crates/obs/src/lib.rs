@@ -14,10 +14,12 @@
 //! * [`Histogram`] — fixed log2-bucketed latency histogram with
 //!   deterministic bucket edges and mergeable, order-independent
 //!   [`HistogramSnapshot`]s;
-//! * [`Registry`] — a sharded name → metric map rendering
-//!   [Prometheus text](Registry::render_prometheus);
+//! * [`Registry`] — a name → metric map behind one lock, rendering
+//!   [Prometheus text](Registry::render_prometheus) straight from the
+//!   map;
 //! * [`Journal`] — a bounded ring buffer of typed [`JournalEvent`]s
-//!   with monotonic sequence numbers and JSON rendering;
+//!   (decisions and lifecycle changes, not per-window records) with
+//!   monotonic sequence numbers and JSON rendering;
 //! * [`Timer`] — an RAII span helper recording elapsed nanoseconds
 //!   into a histogram on drop.
 //!

@@ -1,5 +1,4 @@
-//! The sharded name → metric registry and its Prometheus-text
-//! exposition.
+//! The name → metric registry and its Prometheus-text exposition.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -7,15 +6,21 @@ use std::sync::{Arc, Mutex};
 
 use crate::metrics::{bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot};
 
-/// Registry shards: registration locks one shard, never the whole map.
-/// Hot paths hold cached `Arc` handles and touch no shard at all.
-const SHARDS: usize = 8;
-
 #[derive(Debug, Clone)]
 enum Slot {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
+}
+
+impl Slot {
+    fn value(&self) -> MetricValue {
+        match self {
+            Slot::Counter(c) => MetricValue::Counter(c.value()),
+            Slot::Gauge(g) => MetricValue::Gauge(g.value()),
+            Slot::Histogram(h) => MetricValue::Histogram(h.snapshot()),
+        }
+    }
 }
 
 /// A point-in-time value of one registered metric, from
@@ -30,16 +35,16 @@ pub enum MetricValue {
     Histogram(HistogramSnapshot),
 }
 
-/// A sharded registry of named metrics.
+/// A registry of named metrics: one map behind one lock.
 ///
 /// Names follow Prometheus conventions: `snake_case`, `_total` suffix
-/// for counters, optional labels in braces
-/// (`eddie_stream_device_queued_chunks{device="3"}`). Handles are
-/// `Arc`s — instrumented code registers once, caches the handle, and
-/// records lock-free thereafter.
+/// for counters, optional labels in braces (`lag_ns{conn="1"}`).
+/// Handles are `Arc`s — instrumented code registers once, caches the
+/// handle, and records lock-free thereafter, so the lock is only taken
+/// to register and to render.
 #[derive(Debug, Default)]
 pub struct Registry {
-    shards: [Mutex<BTreeMap<String, Slot>>; SHARDS],
+    metrics: Mutex<BTreeMap<String, Slot>>,
 }
 
 impl Registry {
@@ -48,14 +53,15 @@ impl Registry {
         Registry::default()
     }
 
-    fn shard(&self, name: &str) -> &Mutex<BTreeMap<String, Slot>> {
-        // FNV-1a over the name picks the shard.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in name.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(h % SHARDS as u64) as usize]
+    /// The `Slot` under `name`, created by `make` on first use.
+    fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Slot) -> Slot {
+        let mut metrics = self.metrics.lock().expect("registry lock");
+        metrics.entry(name.to_owned()).or_insert_with(make).clone()
+    }
+
+    fn insert(&self, name: &str, slot: Slot) {
+        let mut metrics = self.metrics.lock().expect("registry lock");
+        metrics.insert(name.to_owned(), slot);
     }
 
     /// The counter registered under `name`, created on first use.
@@ -65,12 +71,8 @@ impl Registry {
     /// Panics if `name` is registered as a different metric kind —
     /// that is a programming error, not a runtime condition.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut shard = self.shard(name).lock().expect("registry shard");
-        match shard
-            .entry(name.to_owned())
-            .or_insert_with(|| Slot::Counter(Arc::new(Counter::new())))
-        {
-            Slot::Counter(c) => c.clone(),
+        match self.get_or_insert(name, || Slot::Counter(Arc::new(Counter::new()))) {
+            Slot::Counter(c) => c,
             _ => panic!("metric `{name}` is registered as a different kind"),
         }
     }
@@ -81,12 +83,8 @@ impl Registry {
     ///
     /// Panics if `name` is registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut shard = self.shard(name).lock().expect("registry shard");
-        match shard
-            .entry(name.to_owned())
-            .or_insert_with(|| Slot::Gauge(Arc::new(Gauge::new())))
-        {
-            Slot::Gauge(g) => g.clone(),
+        match self.get_or_insert(name, || Slot::Gauge(Arc::new(Gauge::new()))) {
+            Slot::Gauge(g) => g,
             _ => panic!("metric `{name}` is registered as a different kind"),
         }
     }
@@ -97,12 +95,8 @@ impl Registry {
     ///
     /// Panics if `name` is registered as a different metric kind.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut shard = self.shard(name).lock().expect("registry shard");
-        match shard
-            .entry(name.to_owned())
-            .or_insert_with(|| Slot::Histogram(Arc::new(Histogram::new())))
-        {
-            Slot::Histogram(h) => h.clone(),
+        match self.get_or_insert(name, || Slot::Histogram(Arc::new(Histogram::new()))) {
+            Slot::Histogram(h) => h,
             _ => panic!("metric `{name}` is registered as a different kind"),
         }
     }
@@ -114,36 +108,24 @@ impl Registry {
     /// holds a second handle to the same atomic stripes, so the
     /// exposed value *is* the owner's value.
     pub fn register_counter(&self, name: &str, counter: Arc<Counter>) {
-        let mut shard = self.shard(name).lock().expect("registry shard");
-        shard.insert(name.to_owned(), Slot::Counter(counter));
+        self.insert(name, Slot::Counter(counter));
     }
 
     /// Exposes an existing gauge under `name`, replacing any previous
     /// registration.
     pub fn register_gauge(&self, name: &str, gauge: Arc<Gauge>) {
-        let mut shard = self.shard(name).lock().expect("registry shard");
-        shard.insert(name.to_owned(), Slot::Gauge(gauge));
+        self.insert(name, Slot::Gauge(gauge));
     }
 
     /// Exposes an existing histogram under `name`, replacing any
     /// previous registration.
     pub fn register_histogram(&self, name: &str, histogram: Arc<Histogram>) {
-        let mut shard = self.shard(name).lock().expect("registry shard");
-        shard.insert(name.to_owned(), Slot::Histogram(histogram));
-    }
-
-    /// Removes the metric registered under `name`, if any.
-    pub fn unregister(&self, name: &str) {
-        let mut shard = self.shard(name).lock().expect("registry shard");
-        shard.remove(name);
+        self.insert(name, Slot::Histogram(histogram));
     }
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("registry shard").len())
-            .sum()
+        self.metrics.lock().expect("registry lock").len()
     }
 
     /// Whether no metrics are registered.
@@ -153,76 +135,49 @@ impl Registry {
 
     /// The current value of the metric registered under `name`.
     pub fn value(&self, name: &str) -> Option<MetricValue> {
-        let shard = self.shard(name).lock().expect("registry shard");
-        shard.get(name).map(|slot| match slot {
-            Slot::Counter(c) => MetricValue::Counter(c.value()),
-            Slot::Gauge(g) => MetricValue::Gauge(g.value()),
-            Slot::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-        })
+        let metrics = self.metrics.lock().expect("registry lock");
+        metrics.get(name).map(Slot::value)
     }
 
     /// Point-in-time values of every registered metric, sorted by
-    /// name. Shards are locked one at a time, so a snapshot racing
-    /// registrations is still each-metric-consistent.
+    /// name.
     pub fn snapshot(&self) -> Vec<(String, MetricValue)> {
-        let mut merged: BTreeMap<String, Slot> = BTreeMap::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("registry shard");
-            for (name, slot) in shard.iter() {
-                merged.insert(name.clone(), slot.clone());
-            }
-        }
-        merged
-            .into_iter()
-            .map(|(name, slot)| {
-                let value = match slot {
-                    Slot::Counter(c) => MetricValue::Counter(c.value()),
-                    Slot::Gauge(g) => MetricValue::Gauge(g.value()),
-                    Slot::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                };
-                (name, value)
-            })
+        let metrics = self.metrics.lock().expect("registry lock");
+        metrics
+            .iter()
+            .map(|(name, slot)| (name.clone(), slot.value()))
             .collect()
     }
 
-    /// Renders every metric in the Prometheus text exposition format:
-    /// `# TYPE` comments, plain `name value` samples for counters and
-    /// gauges, and cumulative `_bucket{le="..."}` / `_sum` / `_count`
-    /// series for histograms (empty trailing buckets elided).
+    /// Renders every metric in the Prometheus text exposition format,
+    /// sorted by name: `# TYPE` comments, plain `name value` samples
+    /// for counters and gauges, and cumulative `_bucket{le="..."}` /
+    /// `_sum` / `_count` series for histograms (empty trailing buckets
+    /// elided).
     pub fn render_prometheus(&self) -> String {
+        let metrics = self.metrics.lock().expect("registry lock");
         let mut out = String::new();
-        self.render_prometheus_into(&mut out);
-        out
-    }
-
-    /// [`render_prometheus`](Self::render_prometheus) into a
-    /// caller-owned scratch buffer. The buffer is cleared first but its
-    /// capacity is kept, so a periodic scraper (the serve `Stats`
-    /// handler, the experiments soak loop) re-renders without growing
-    /// the heap once the buffer has warmed up to the exposition size.
-    pub fn render_prometheus_into(&self, out: &mut String) {
-        out.clear();
-        let mut last_base = String::new();
-        for (name, value) in self.snapshot() {
-            let (base, labels) = split_name(&name);
-            let kind = match value {
-                MetricValue::Counter(_) => "counter",
-                MetricValue::Gauge(_) => "gauge",
-                MetricValue::Histogram(_) => "histogram",
+        let mut last_base = "";
+        for (name, slot) in metrics.iter() {
+            let (base, labels) = split_name(name);
+            let kind = match slot {
+                Slot::Counter(_) => "counter",
+                Slot::Gauge(_) => "gauge",
+                Slot::Histogram(_) => "histogram",
             };
             if base != last_base {
                 let _ = writeln!(out, "# TYPE {base} {kind}");
-                last_base.clear();
-                last_base.push_str(base);
+                last_base = base;
             }
-            match value {
-                MetricValue::Counter(v) => {
-                    let _ = writeln!(out, "{name} {v}");
+            match slot {
+                Slot::Counter(c) => {
+                    let _ = writeln!(out, "{name} {}", c.value());
                 }
-                MetricValue::Gauge(v) => {
-                    let _ = writeln!(out, "{name} {v}");
+                Slot::Gauge(g) => {
+                    let _ = writeln!(out, "{name} {}", g.value());
                 }
-                MetricValue::Histogram(h) => {
+                Slot::Histogram(h) => {
+                    let h = h.snapshot();
                     let top = h.buckets.iter().rposition(|&b| b > 0).unwrap_or(0);
                     let mut cum = 0u64;
                     for (i, &b) in h.buckets.iter().enumerate().take(top + 1) {
@@ -242,6 +197,7 @@ impl Registry {
                 }
             }
         }
+        out
     }
 }
 
@@ -315,12 +271,10 @@ mod tests {
         // Re-registration replaces.
         r.register_counter("fleet_shed_total", Arc::new(Counter::new()));
         assert_eq!(r.value("fleet_shed_total"), Some(MetricValue::Counter(0)));
-        r.unregister("fleet_shed_total");
-        assert!(r.value("fleet_shed_total").is_none());
     }
 
     #[test]
-    fn snapshot_is_sorted_across_shards() {
+    fn snapshot_is_sorted_by_name() {
         let r = Registry::new();
         for name in ["zeta", "alpha", "mid{device=\"4\"}", "mid{device=\"11\"}"] {
             let _ = r.counter(name);
@@ -353,33 +307,6 @@ mod tests {
         assert!(text.contains("lat_ns_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("lat_ns_sum 103"));
         assert!(text.contains("lat_ns_count 3"));
-    }
-
-    /// The scratch-buffer render must match the allocating one and,
-    /// once warmed, re-render into the same heap allocation: a periodic
-    /// scraper should not grow memory scrape after scrape.
-    #[test]
-    fn scratch_render_matches_and_keeps_capacity() {
-        let r = Registry::new();
-        r.counter("reqs_total").add(5);
-        r.gauge("depth").set(-2);
-        let h = r.histogram("lat_ns");
-        h.record(0);
-        h.record(3);
-        h.record(100);
-
-        let mut scratch = String::new();
-        r.render_prometheus_into(&mut scratch);
-        assert_eq!(scratch, r.render_prometheus());
-
-        let warmed = scratch.capacity();
-        let ptr = scratch.as_ptr();
-        for _ in 0..32 {
-            r.render_prometheus_into(&mut scratch);
-        }
-        assert_eq!(scratch, r.render_prometheus());
-        assert_eq!(scratch.capacity(), warmed, "re-render must not grow");
-        assert_eq!(scratch.as_ptr(), ptr, "re-render must not reallocate");
     }
 
     #[test]

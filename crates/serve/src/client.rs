@@ -15,7 +15,7 @@
 //! `Ack`/`Busy` reply per `Chunk` (with `Event` frames interleaved at
 //! arbitrary points), so progress accounting needs no timeouts.
 
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -193,59 +193,15 @@ impl ReplayClient {
     ) -> Result<ReplayOutcome, ClientError> {
         assert!(chunk_len > 0, "chunk_len must be positive");
         let chunks: Vec<&[f32]> = signal.chunks(chunk_len).collect();
-        let total = chunks.len() as u64;
-
         let mut events: Vec<StreamEvent> = Vec::new();
-        let mut acked: u64 = 0; // every seq < acked is accepted
-        let mut next_to_send: u64 = 0;
-        let mut in_flight: u64 = 0; // sent, reply not yet read
-        let mut busy_replies: u64 = 0;
-        let mut sent_chunks: u64 = 0;
-        let mut duplicate_acks: u64 = 0;
-
-        while acked < total {
-            while next_to_send < total && in_flight < PIPELINE_WINDOW as u64 {
-                write_frame(
-                    &mut self.writer,
-                    &Frame::Chunk {
-                        seq: next_to_send,
-                        samples: chunks[next_to_send as usize].to_vec(),
-                    },
-                )?;
-                next_to_send += 1;
-                in_flight += 1;
-                sent_chunks += 1;
-            }
-            self.writer.flush()?;
-
-            match read_frame(&mut self.reader)? {
-                None => return Err(ClientError::Protocol("EOF while replies were owed")),
-                Some(Frame::Ack { seq }) => {
-                    in_flight -= 1;
-                    if seq + 1 > acked {
-                        acked = seq + 1;
-                    } else {
-                        duplicate_acks += 1;
-                    }
-                }
-                Some(Frame::Busy { seq }) => {
-                    in_flight -= 1;
-                    busy_replies += 1;
-                    // Go-back-N: everything from the refused seq on
-                    // must be resent in order. Chunks still in flight
-                    // past `seq` will be refused too and drain the
-                    // in-flight count as their replies arrive.
-                    if seq < next_to_send {
-                        next_to_send = seq;
-                    }
-                    std::thread::sleep(BUSY_PAUSE);
-                }
-                Some(f @ Frame::Event { .. }) => {
-                    events.push(f.to_stream_event().expect("event frame converts"));
-                }
-                Some(Frame::Err { code }) => return Err(ClientError::Server(code)),
-                Some(_) => return Err(ClientError::Protocol("unexpected client-side frame")),
-            }
+        let mut sender = GoBackN::default();
+        let streamed = sender.stream(&mut self.reader, &mut self.writer, &chunks, 0, |ev| {
+            events.push(ev);
+            Ok(())
+        })?;
+        if let Streamed::Moved { .. } = streamed {
+            // Redirects are for resumable sessions only.
+            return Err(ClientError::Protocol("unexpected client-side frame"));
         }
 
         // Graceful close: the server flushes this device's queue (all
@@ -256,16 +212,16 @@ impl ReplayClient {
             match read_frame(&mut self.reader)? {
                 None => break,
                 Some(f @ Frame::Event { .. }) => {
-                    events.push(f.to_stream_event().expect("event frame converts"));
+                    events.push(to_event(f));
                 }
                 Some(Frame::Err { code }) => return Err(ClientError::Server(code)),
                 Some(Frame::Ack { .. }) => {
                     // Stale reply to a chunk resent just before Close;
                     // everything is already acked, so it's a duplicate.
-                    duplicate_acks += 1;
+                    sender.duplicate_acks += 1;
                 }
                 Some(Frame::Busy { .. }) => {
-                    busy_replies += 1;
+                    sender.busy_replies += 1;
                 }
                 Some(_) => return Err(ClientError::Protocol("unexpected client-side frame")),
             }
@@ -273,10 +229,10 @@ impl ReplayClient {
 
         Ok(ReplayOutcome {
             events,
-            acked_chunks: acked,
-            busy_replies,
-            sent_chunks,
-            duplicate_acks,
+            acked_chunks: chunks.len() as u64,
+            busy_replies: sender.busy_replies,
+            sent_chunks: sender.sent_chunks,
+            duplicate_acks: sender.duplicate_acks,
         })
     }
 
@@ -308,6 +264,98 @@ impl ReplayClient {
 pub fn fetch_stats(addr: impl ToSocketAddrs) -> Result<String, ClientError> {
     let mut client = ReplayClient::connect(addr)?;
     client.stats()
+}
+
+/// The stream event an [`Frame::Event`] carries.
+fn to_event(frame: Frame) -> StreamEvent {
+    frame.to_stream_event().expect("event frame converts")
+}
+
+/// The go-back-N sender both clients stream through, with its tallies
+/// (kept across the connections of one replay).
+#[derive(Debug, Default)]
+struct GoBackN {
+    /// `Busy` replies received.
+    busy_replies: u64,
+    /// `Chunk` frames written, including resends.
+    sent_chunks: u64,
+    /// `Ack` replies for an already-acknowledged sequence number.
+    duplicate_acks: u64,
+}
+
+/// How a [`GoBackN::stream`] pass ended.
+enum Streamed {
+    /// Every chunk is acknowledged.
+    Acked,
+    /// The server answered [`Frame::Moved`]: the session lives at
+    /// `shard_addr` now.
+    Moved { shard_addr: String, token: u64 },
+}
+
+impl GoBackN {
+    /// Sends `chunks[from..]` with up to [`PIPELINE_WINDOW`] in flight
+    /// until every one is acknowledged, handing each event that
+    /// arrives meanwhile to `on_event`. A `Busy` rewinds the send
+    /// cursor to the refused sequence number (go-back-N: chunks still
+    /// in flight past it are refused too and drain the in-flight count
+    /// as their replies arrive) and pauses for [`BUSY_PAUSE`].
+    fn stream(
+        &mut self,
+        reader: &mut impl Read,
+        writer: &mut impl Write,
+        chunks: &[&[f32]],
+        from: u64,
+        mut on_event: impl FnMut(StreamEvent) -> Result<(), ClientError>,
+    ) -> Result<Streamed, ClientError> {
+        let total = chunks.len() as u64;
+        let mut acked = from; // every seq < acked is accepted
+        let mut next_to_send = from;
+        let mut in_flight = 0u64; // sent, reply not yet read
+        while acked < total {
+            while next_to_send < total && in_flight < PIPELINE_WINDOW as u64 {
+                write_frame(
+                    writer,
+                    &Frame::Chunk {
+                        seq: next_to_send,
+                        samples: chunks[next_to_send as usize].to_vec(),
+                    },
+                )?;
+                next_to_send += 1;
+                in_flight += 1;
+                self.sent_chunks += 1;
+            }
+            writer.flush()?;
+
+            match read_frame(reader)? {
+                None => return Err(ClientError::Protocol("EOF while replies were owed")),
+                Some(Frame::Ack { seq }) => {
+                    in_flight = in_flight.saturating_sub(1);
+                    if seq + 1 > acked {
+                        acked = seq + 1;
+                    } else {
+                        self.duplicate_acks += 1;
+                    }
+                }
+                Some(Frame::Busy { seq }) => {
+                    in_flight = in_flight.saturating_sub(1);
+                    self.busy_replies += 1;
+                    if seq < next_to_send {
+                        next_to_send = seq.max(acked);
+                    }
+                    std::thread::sleep(BUSY_PAUSE);
+                }
+                Some(f @ Frame::Event { .. }) => {
+                    on_event(to_event(f))?;
+                }
+                Some(Frame::Moved { shard_addr, token }) => {
+                    return Ok(Streamed::Moved { shard_addr, token })
+                }
+                Some(Frame::Err { code }) => return Err(ClientError::Server(code)),
+                Some(_) => return Err(ClientError::Protocol("unexpected client-side frame")),
+            }
+        }
+        Ok(Streamed::Acked)
+    }
 }
 
 /// Tunables of a [`ResilientClient`]. Construct via
@@ -526,26 +574,29 @@ pub struct ResilientOutcome {
 /// Running tallies and the stream position shared across attempts.
 struct ResumableReplay<'a> {
     chunks: Vec<&'a [f32]>,
-    events: Vec<StreamEvent>,
+    log: EventLog,
     token: Option<u64>,
     resumes: u64,
-    replayed_events: u64,
-    busy_replies: u64,
-    sent_chunks: u64,
-    duplicate_acks: u64,
+    sender: GoBackN,
     redirects: u64,
 }
 
-impl ResumableReplay<'_> {
+/// The events received so far, exactly once each across resumes.
+struct EventLog {
+    events: Vec<StreamEvent>,
+    /// Replay duplicates discarded.
+    replayed: u64,
+}
+
+impl EventLog {
     /// Appends an incoming event, discarding replay duplicates. Events
     /// arrive one per window with dense indices, so the next new event
     /// is always `events.len()`; anything earlier is a replay overlap
     /// and anything later is a hole the server must not produce.
-    fn accept_event(&mut self, frame: Frame) -> Result<(), ClientError> {
-        let ev = frame.to_stream_event().expect("event frame converts");
+    fn accept(&mut self, ev: StreamEvent) -> Result<(), ClientError> {
         match (ev.window as u64).cmp(&(self.events.len() as u64)) {
             std::cmp::Ordering::Less => {
-                self.replayed_events += 1;
+                self.replayed += 1;
                 Ok(())
             }
             std::cmp::Ordering::Equal => {
@@ -610,13 +661,13 @@ impl ResilientClient {
         assert!(chunk_len > 0, "chunk_len must be positive");
         let mut replay = ResumableReplay {
             chunks: signal.chunks(chunk_len).collect(),
-            events: Vec::new(),
+            log: EventLog {
+                events: Vec::new(),
+                replayed: 0,
+            },
             token: None,
             resumes: 0,
-            replayed_events: 0,
-            busy_replies: 0,
-            sent_chunks: 0,
-            duplicate_acks: 0,
+            sender: GoBackN::default(),
             redirects: 0,
         };
         let mut backoff = Backoff::new(&self.config);
@@ -637,12 +688,12 @@ impl ResilientClient {
                         windows,
                         reconnects,
                         resumes: replay.resumes,
-                        replayed_events: replay.replayed_events,
-                        busy_replies: replay.busy_replies,
-                        sent_chunks: replay.sent_chunks,
-                        duplicate_acks: replay.duplicate_acks,
+                        replayed_events: replay.log.replayed,
+                        busy_replies: replay.sender.busy_replies,
+                        sent_chunks: replay.sender.sent_chunks,
+                        duplicate_acks: replay.sender.duplicate_acks,
                         redirects: replay.redirects,
-                        events: replay.events,
+                        events: replay.log.events,
                     });
                 }
                 // Redirected: reconnect at the new address right away —
@@ -708,7 +759,7 @@ impl ResilientClient {
         let handshake = match replay.token {
             Some(token) => Frame::Resume {
                 token,
-                have_windows: replay.events.len() as u64,
+                have_windows: replay.log.events.len() as u64,
             },
             None => Frame::HelloResumable {
                 model_id: model_id.to_string(),
@@ -727,7 +778,7 @@ impl ResilientClient {
                     replay.token = Some(token);
                     break next_seq;
                 }
-                Some(f @ Frame::Event { .. }) => replay.accept_event(f)?,
+                Some(f @ Frame::Event { .. }) => replay.log.accept(to_event(f))?,
                 Some(Frame::Moved { shard_addr, token }) => {
                     self.follow_moved(replay, addr, hops, &shard_addr, token)?;
                     return Ok(None);
@@ -747,55 +798,18 @@ impl ResilientClient {
         *hops = 0;
 
         // Stream the remaining chunks, go-back-N on Busy.
-        let total = replay.chunks.len() as u64;
-        let mut acked = acked0;
-        let mut next_to_send = acked0;
-        let mut in_flight = 0u64;
-        while acked < total {
-            while next_to_send < total && in_flight < PIPELINE_WINDOW as u64 {
-                write_frame(
-                    &mut writer,
-                    &Frame::Chunk {
-                        seq: next_to_send,
-                        samples: replay.chunks[next_to_send as usize].to_vec(),
-                    },
-                )?;
-                next_to_send += 1;
-                in_flight += 1;
-                replay.sent_chunks += 1;
-            }
-            writer.flush()?;
-
-            match read_frame(&mut reader)? {
-                None => return Err(ClientError::Protocol("EOF while replies were owed")),
-                Some(Frame::Ack { seq }) => {
-                    in_flight = in_flight.saturating_sub(1);
-                    if seq + 1 > acked {
-                        acked = seq + 1;
-                    } else {
-                        replay.duplicate_acks += 1;
-                    }
-                }
-                Some(Frame::Busy { seq }) => {
-                    in_flight = in_flight.saturating_sub(1);
-                    replay.busy_replies += 1;
-                    if seq < next_to_send {
-                        next_to_send = seq.max(acked);
-                    }
-                    std::thread::sleep(BUSY_PAUSE);
-                }
-                Some(f @ Frame::Event { .. }) => replay.accept_event(f)?,
-                Some(Frame::Moved { shard_addr, token }) => {
-                    // The session was migrated away mid-stream; chase
-                    // it. The new shard's `Session` reply rewinds the
-                    // chunk cursor to wherever the migrated session
-                    // actually is.
-                    self.follow_moved(replay, addr, hops, &shard_addr, token)?;
-                    return Ok(None);
-                }
-                Some(Frame::Err { code }) => return Err(ClientError::Server(code)),
-                Some(_) => return Err(ClientError::Protocol("unexpected client-side frame")),
-            }
+        let streamed =
+            replay
+                .sender
+                .stream(&mut reader, &mut writer, &replay.chunks, acked0, |ev| {
+                    replay.log.accept(ev)
+                })?;
+        if let Streamed::Moved { shard_addr, token } = streamed {
+            // The session was migrated away mid-stream; chase it. The
+            // new shard's `Session` reply rewinds the chunk cursor to
+            // wherever the migrated session actually is.
+            self.follow_moved(replay, addr, hops, &shard_addr, token)?;
+            return Ok(None);
         }
 
         // Finish: the server flushes the device queue and reports the
@@ -807,9 +821,9 @@ impl ResilientClient {
             match read_frame(&mut reader)? {
                 None => return Err(ClientError::Protocol("EOF while finish reply was owed")),
                 Some(Frame::Finished { windows }) => break windows,
-                Some(f @ Frame::Event { .. }) => replay.accept_event(f)?,
-                Some(Frame::Ack { .. }) => replay.duplicate_acks += 1,
-                Some(Frame::Busy { .. }) => replay.busy_replies += 1,
+                Some(f @ Frame::Event { .. }) => replay.log.accept(to_event(f))?,
+                Some(Frame::Ack { .. }) => replay.sender.duplicate_acks += 1,
+                Some(Frame::Busy { .. }) => replay.sender.busy_replies += 1,
                 Some(Frame::Moved { shard_addr, token }) => {
                     self.follow_moved(replay, addr, hops, &shard_addr, token)?;
                     return Ok(None);
@@ -818,7 +832,7 @@ impl ResilientClient {
                 Some(_) => return Err(ClientError::Protocol("unexpected client-side frame")),
             }
         };
-        if (replay.events.len() as u64) != windows {
+        if (replay.log.events.len() as u64) != windows {
             // Missing tail events: recoverable — the resume handshake
             // replays them from the server's buffer.
             return Err(ClientError::Protocol("event stream incomplete at finish"));

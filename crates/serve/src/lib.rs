@@ -19,8 +19,8 @@
 //!   connections onto one [`eddie_stream::Fleet`], with a drain loop
 //!   over the [`eddie_exec`] worker pool, periodic session snapshots
 //!   in the store's spill framing, and graceful shutdown. Plain
-//!   threads only — no async runtime: `EDDIE_REACTORS` nonblocking
-//!   [`eddie_net`] event-loop threads own every socket, and fleet
+//!   threads only — no async runtime: one nonblocking [`eddie_net`]
+//!   event-loop thread owns the listener and every socket, and fleet
 //!   backpressure becomes an epoll interest-set flip instead of a
 //!   blocked reader.
 //! * [`client`] — a blocking replay client with go-back-N
@@ -28,9 +28,11 @@
 //!   and the loopback CI gates; plus [`ResilientClient`], a
 //!   self-healing variant that reconnects with deterministic seeded
 //!   backoff and resumes its session (`HelloResumable` / `Resume`)
-//!   across drops, corruption, and severed connections. The chaos CI
-//!   gate drives it through an [`eddie_chaos::ChaosProxy`] and diffs
-//!   the recovered event stream against the batch pipeline.
+//!   across drops, corruption, and severed connections. Both stream
+//!   through the same go-back-N loop and differ only in handshake and
+//!   goodbye. The chaos CI gate drives the resilient client through an
+//!   [`eddie_chaos::ChaosProxy`] and diffs the recovered event stream
+//!   against the batch pipeline.
 //!
 //! # Determinism on the wire
 //!

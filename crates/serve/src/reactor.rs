@@ -1,20 +1,18 @@
-//! The connection tier: every socket on `EDDIE_REACTORS` event-loop
-//! threads.
+//! The connection tier: every socket on one event-loop thread.
 //!
-//! Connection count is decoupled from thread count: each reactor
+//! Connection count is decoupled from thread count: the reactor
 //! thread owns an [`eddie_net::Reactor`] (epoll on Linux, `poll(2)`
 //! fallback) plus a slab of connection state machines, each driving
 //! the protocol core in [`handle_frame`].
 //!
 //! ## How the pieces meet
 //!
-//! * **Accept** — reactor 0 registers the listener in its poller and
-//!   deals new sockets round-robin: locally, or into a peer's `inbox`
-//!   mailbox followed by a wakeup.
+//! * **Accept** — the listener sits in the same poller; each tick
+//!   accepts until it would block and registers the new sockets.
 //! * **Events out** — the fleet drain loop holds [`ConnOutbox`]
 //!   clones as its routes. A send pushes the frame into the
 //!   connection's outbox and, once per batch, marks the connection
-//!   dirty in its reactor's mailbox and wakes it; the reactor moves
+//!   dirty in the reactor's mailbox and wakes it; the reactor moves
 //!   outbox frames into the connection's write buffer and flushes as
 //!   the socket allows, resuming partial writes on writable readiness.
 //! * **Backpressure** — a real `PushResult::Full` surfaces as
@@ -51,9 +49,9 @@ use crate::server::{
 };
 use crate::wire::{ErrCode, Frame, MAX_FRAME_LEN};
 
-/// Poller user-data word for the listener (reactor 0 only). Far above
-/// any practical slab token (slot `u32::MAX - 1` at generation
-/// `u32::MAX`), and distinct from [`eddie_net::WAKE_DATA`].
+/// Poller user-data word for the listener. Far above any practical
+/// slab token (slot `u32::MAX - 1` at generation `u32::MAX`), and
+/// distinct from [`eddie_net::WAKE_DATA`].
 const LISTENER_DATA: u64 = u64::MAX - 1;
 
 /// Per-connection inbound accumulator bound: one maximum frame plus
@@ -61,28 +59,18 @@ const LISTENER_DATA: u64 = u64::MAX - 1;
 /// memory and TCP pushes back.
 const MAX_READ_BUFFER: usize = MAX_FRAME_LEN + 64 * 1024;
 
-/// Reactor poll timeout: the longest a reactor sleeps between ticks
+/// Reactor poll timeout: the longest the reactor sleeps between ticks
 /// (idle-timeout checks, backpressure and flush rechecks). It is also
 /// the quiet period a closing connection waits for the peer to hang up
 /// before the server closes it.
 const POLL_INTERVAL: Duration = Duration::from_millis(2);
 
-/// How many reactor threads `run_reactors` spawns: `EDDIE_REACTORS`,
-/// default 1, clamped to `1..=64`.
-fn reactor_count() -> usize {
-    std::env::var("EDDIE_REACTORS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1)
-        .clamp(1, 64)
-}
-
 /// What the drain loop (and the protocol core) sees of a reactor-owned
-/// connection — its route: an unbounded frame queue plus the address
-/// of the reactor to poke.
+/// connection — its route: an unbounded frame queue plus the reactor's
+/// mailbox to mark it dirty in.
 pub(crate) struct ConnOutbox {
     frames: Mutex<VecDeque<Frame>>,
-    /// Whether the connection already sits in its reactor's dirty
+    /// Whether the connection already sits in the reactor's dirty
     /// mailbox — batches of sends cost one mailbox entry and wakeup.
     queued: AtomicBool,
     /// Set at teardown so late routed frames are dropped instead of
@@ -90,7 +78,7 @@ pub(crate) struct ConnOutbox {
     dead: AtomicBool,
     /// The connection's slab token (`Token::as_u64`).
     token: u64,
-    /// The owning reactor's mailboxes and waker.
+    /// The reactor's mailbox and waker.
     reactor: Arc<ReactorShared>,
 }
 
@@ -114,14 +102,23 @@ impl ConnOutbox {
     }
 }
 
-/// The cross-thread face of one reactor: mailboxes other threads fill,
-/// plus the waker that interrupts its blocked poll.
-struct ReactorShared {
+/// The cross-thread face of the reactor: the mailbox the drain loop
+/// fills, plus the waker that interrupts its blocked poll (also how
+/// `ServerHandle::shutdown` gets its attention).
+pub(crate) struct ReactorShared {
     /// Tokens of connections with undrained outbox frames.
     dirty: Mutex<Vec<u64>>,
-    /// Sockets handed off by the accepting reactor.
-    inbox: Mutex<Vec<TcpStream>>,
-    waker: Waker,
+    pub(crate) waker: Waker,
+}
+
+impl ReactorShared {
+    /// The shared face of `reactor`.
+    pub(crate) fn new(reactor: &Reactor) -> ReactorShared {
+        ReactorShared {
+            dirty: Mutex::new(Vec::new()),
+            waker: reactor.waker(),
+        }
+    }
 }
 
 /// Where a connection is in its lifecycle. `Open` is the only mode
@@ -162,108 +159,30 @@ struct RConn {
     drained: usize,
 }
 
-/// Scratch buffers reused across every connection of one reactor.
-#[derive(Default)]
-struct Scratch {
-    /// Stats-scrape rendering buffer (see [`handle_frame`]).
-    stats: String,
-    /// Frame encoding buffer.
-    encode: Vec<u8>,
-}
-
-/// Runs the connection tier until shutdown: builds `EDDIE_REACTORS`
-/// reactors, runs reactor 0 (which owns the listener) on the calling
-/// thread and the rest on spawned threads, and returns once every
-/// connection is closed. Fatal listener/poller errors initiate a
-/// server-wide shutdown and surface here.
-pub(crate) fn run_reactors(
+/// Runs the connection tier on the calling thread: poll, accept from
+/// the (nonblocking) listener, drive readiness, tick timers/rechecks,
+/// flush dirty outboxes — until shutdown has been observed and every
+/// connection is gone. A fatal listener error initiates a server-wide
+/// shutdown and surfaces here once the connections are closed; a
+/// fatal poller error parks or evicts every session and surfaces at
+/// once.
+pub(crate) fn run_reactor(
+    mut reactor: Reactor,
     listener: TcpListener,
-    shared: &Arc<Shared>,
-    config: &Arc<ServerConfig>,
+    shared: &Shared,
+    config: &ServerConfig,
 ) -> io::Result<()> {
     // High-fanout headroom: a stock 1024-descriptor soft limit dies at
     // ~1k connections. Best effort — the hard limit still rules.
     let _ = eddie_net::sys::raise_nofile_limit(16_384);
 
-    let n = reactor_count();
-    let local_registry;
-    let registry = match eddie_obs::global() {
-        Some(o) => o.registry(),
-        None => {
-            local_registry = eddie_obs::Registry::new();
-            &local_registry
-        }
-    };
-
-    let mut reactors = Vec::with_capacity(n);
-    let mut peers: Vec<Arc<ReactorShared>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let reactor = Reactor::new(registry)?;
-        peers.push(Arc::new(ReactorShared {
-            dirty: Mutex::new(Vec::new()),
-            inbox: Mutex::new(Vec::new()),
-            waker: reactor.waker(),
-        }));
-        reactors.push(reactor);
-    }
-    {
-        // Publish the wakers so `ServerHandle::shutdown` interrupts
-        // blocked polls instead of waiting out their timeout.
-        let mut wakers = shared.reactor_wakers.lock().expect("reactor wakers");
-        wakers.clear();
-        wakers.extend(reactors.iter().map(|r| r.waker()));
-    }
-
-    let mut handles = Vec::with_capacity(n - 1);
-    let mut iter = reactors.into_iter();
-    let reactor0 = iter.next().expect("at least one reactor");
-    for (i, reactor) in iter.enumerate() {
-        let rs = peers[i + 1].clone();
-        let all = peers.clone();
-        let shared = shared.clone();
-        let config = config.clone();
-        handles.push(std::thread::spawn(move || {
-            // A fatal poller error already initiated shutdown inside
-            // the loop; nothing more to do with it here.
-            let _ = reactor_loop(reactor, rs, all, None, &shared, &config);
-        }));
-    }
-    let served = reactor_loop(
-        reactor0,
-        peers[0].clone(),
-        peers.clone(),
-        Some(listener),
-        shared,
-        config,
-    );
-    for h in handles {
-        let _ = h.join();
-    }
-    served
-}
-
-/// One reactor thread: poll, adopt handoffs, accept, drive readiness,
-/// tick timers/rechecks, flush dirty outboxes — until shutdown has
-/// been observed and every owned connection is gone.
-fn reactor_loop(
-    mut reactor: Reactor,
-    rs: Arc<ReactorShared>,
-    peers: Vec<Arc<ReactorShared>>,
-    listener: Option<TcpListener>,
-    shared: &Shared,
-    config: &ServerConfig,
-) -> io::Result<()> {
     let mut slab: Slab<RConn> = Slab::new();
     let mut events: Vec<Event> = Vec::new();
-    let mut scratch = Scratch::default();
-    let mut next_rr = 0usize;
+    let mut encode: Vec<u8> = Vec::new();
     let mut shutdown_seen = false;
     let mut served: io::Result<()> = Ok(());
 
-    if let Some(l) = &listener {
-        l.set_nonblocking(true)?;
-        reactor.register_untracked(l.as_raw_fd(), LISTENER_DATA, Interest::READABLE)?;
-    }
+    reactor.register_untracked(listener.as_raw_fd(), LISTENER_DATA, Interest::READABLE)?;
 
     loop {
         if shared.shutdown.load(Ordering::SeqCst) && !shutdown_seen {
@@ -275,35 +194,19 @@ fn reactor_loop(
         }
 
         if let Err(e) = reactor.poll(&mut events, Some(POLL_INTERVAL)) {
-            // A broken poller strands every connection this thread
-            // owns: take the whole server down and park what we can.
+            // A broken poller strands every connection: take the whole
+            // server down and park what we can.
             shared.shutdown.store(true, Ordering::SeqCst);
-            for p in &peers {
-                p.waker.wake();
-            }
             abort_connections(&mut slab, &reactor, shared);
             return Err(e);
         }
 
-        // Sockets dealt to us by the accepting reactor.
-        let adopted: Vec<TcpStream> = std::mem::take(&mut *rs.inbox.lock().expect("reactor inbox"));
-        for stream in adopted {
-            add_conn(stream, &mut slab, &reactor, &rs, shared);
-        }
-
-        if let Some(l) = &listener {
-            if !shutdown_seen {
-                if let Some(e) =
-                    accept_burst(l, &mut next_rr, &peers, &rs, &mut slab, &reactor, shared)
-                {
-                    // Fatal listener error: shut down, drain, then
-                    // report it from `run_reactors`.
-                    served = Err(e);
-                    shared.shutdown.store(true, Ordering::SeqCst);
-                    for p in &peers {
-                        p.waker.wake();
-                    }
-                }
+        if !shutdown_seen {
+            if let Some(e) = accept_burst(&listener, &mut slab, &reactor, shared) {
+                // Fatal listener error: shut down, drain (the next
+                // iteration observes the flag), then report it.
+                served = Err(e);
+                shared.shutdown.store(true, Ordering::SeqCst);
             }
         }
 
@@ -311,11 +214,11 @@ fn reactor_loop(
         let batch = std::mem::take(&mut events);
         for ev in &batch {
             if ev.data == LISTENER_DATA {
-                continue; // accept burst above runs every tick
+                continue; // the accept burst above runs every tick
             }
             let token = Token::from_u64(ev.data);
             let keep = match slab.get_mut(token) {
-                Some(rc) => drive_event(rc, *ev, shared, config, &mut scratch),
+                Some(rc) => drive_event(rc, *ev, shared, config),
                 None => continue, // stale: closed earlier this tick
             };
             finish_pass(&mut slab, &reactor, token, keep, shared);
@@ -324,20 +227,21 @@ fn reactor_loop(
 
         // Tick: idle timeouts, backpressure unpause, flush completion,
         // closing deadlines.
-        tick(&mut slab, &reactor, shared, config, &mut scratch);
+        tick(&mut slab, &reactor, shared, config);
 
         // Dirty outboxes last, so frames produced by this tick's
         // events and rechecks go out without waiting for the self-wake.
-        let dirty: Vec<u64> = std::mem::take(&mut *rs.dirty.lock().expect("dirty mailbox"));
+        let dirty: Vec<u64> =
+            std::mem::take(&mut *shared.reactor.dirty.lock().expect("dirty mailbox"));
         for raw in dirty {
             let token = Token::from_u64(raw);
             let keep = match slab.get_mut(token) {
                 Some(rc) => {
                     rc.outbox.queued.store(false, Ordering::Release);
-                    pump_outbox(rc, &mut scratch);
+                    pump_outbox(rc, &mut encode);
                     let sent = rc.conn.flush().is_ok();
                     if !sent {
-                        salvage(rc, shared, config, &mut scratch);
+                        salvage(rc, shared, config);
                     }
                     sent
                 }
@@ -347,19 +251,14 @@ fn reactor_loop(
         }
     }
 
-    if let Some(l) = &listener {
-        let _ = reactor.deregister_untracked(l.as_raw_fd());
-    }
+    let _ = reactor.deregister_untracked(listener.as_raw_fd());
     served
 }
 
-/// Accepts until the listener would block, dealing sockets round-robin
-/// across the reactor pool. Returns a fatal listener error, if any.
+/// Accepts until the listener would block, registering each socket.
+/// Returns a fatal listener error, if any.
 fn accept_burst(
     listener: &TcpListener,
-    next_rr: &mut usize,
-    peers: &[Arc<ReactorShared>],
-    rs: &Arc<ReactorShared>,
     slab: &mut Slab<RConn>,
     reactor: &Reactor,
     shared: &Shared,
@@ -368,14 +267,7 @@ fn accept_burst(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 shared.counters.connections.inc();
-                let target = &peers[*next_rr % peers.len()];
-                *next_rr += 1;
-                if Arc::ptr_eq(target, rs) {
-                    add_conn(stream, slab, reactor, rs, shared);
-                } else {
-                    target.inbox.lock().expect("reactor inbox").push(stream);
-                    target.waker.wake();
-                }
+                add_conn(stream, slab, reactor, shared);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return None,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -384,15 +276,9 @@ fn accept_burst(
     }
 }
 
-/// Registers one fresh socket in this reactor: lifecycle counters and
+/// Registers one fresh socket in the reactor: lifecycle counters and
 /// journal, nonblocking conversion, slab slot, poller registration.
-fn add_conn(
-    stream: TcpStream,
-    slab: &mut Slab<RConn>,
-    reactor: &Reactor,
-    rs: &Arc<ReactorShared>,
-    shared: &Shared,
-) {
+fn add_conn(stream: TcpStream, slab: &mut Slab<RConn>, reactor: &Reactor, shared: &Shared) {
     let conn_id = shared.counters.next_conn_id.fetch_add(1, Ordering::Relaxed);
     shared.counters.open_connections.add(1);
     if let Some(o) = eddie_obs::global() {
@@ -421,7 +307,7 @@ fn add_conn(
             queued: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             token: t.as_u64(),
-            reactor: rs.clone(),
+            reactor: shared.reactor.clone(),
         }),
         conn,
         state: ConnState::new(),
@@ -496,13 +382,7 @@ fn desired_interest(rc: &RConn) -> Interest {
 }
 
 /// Handles one readiness event. Returns whether the connection stays.
-fn drive_event(
-    rc: &mut RConn,
-    ev: Event,
-    shared: &Shared,
-    config: &ServerConfig,
-    scratch: &mut Scratch,
-) -> bool {
+fn drive_event(rc: &mut RConn, ev: Event, shared: &Shared, config: &ServerConfig) -> bool {
     if ev.readable || ev.error {
         if rc.mode == ConnMode::Closing {
             drain_courtesy(rc);
@@ -515,7 +395,7 @@ fn drive_event(
                     if pass.eof {
                         rc.saw_eof = true;
                     }
-                    pump_frames(rc, shared, config, scratch);
+                    pump_frames(rc, shared, config);
                     if rc.saw_eof && matches!(rc.mode, ConnMode::Open | ConnMode::PausedFull) {
                         if rc.conn.mid_frame() {
                             // EOF inside a frame: the peer died
@@ -531,14 +411,14 @@ fn drive_event(
                 }
                 Err(_) => {
                     // Transport error: nothing left to flush to.
-                    salvage(rc, shared, config, scratch);
+                    salvage(rc, shared, config);
                     return false;
                 }
             }
         }
     }
     if ev.writable && rc.conn.flush().is_err() {
-        salvage(rc, shared, config, scratch);
+        salvage(rc, shared, config);
         return false;
     }
     true
@@ -549,14 +429,14 @@ fn drive_event(
 /// that closed with our replies unread; the kernel delivers the reset
 /// after the data the peer sent, and those chunks were sent, so the
 /// chunk ledger must count them.
-fn salvage(rc: &mut RConn, shared: &Shared, config: &ServerConfig, scratch: &mut Scratch) {
+fn salvage(rc: &mut RConn, shared: &Shared, config: &ServerConfig) {
     while rc.mode == ConnMode::Open {
-        pump_frames(rc, shared, config, scratch);
+        pump_frames(rc, shared, config);
         match rc.conn.fill(MAX_READ_BUFFER) {
             Ok(pass) if pass.bytes > 0 => {}
             // The error, EOF or an empty socket: answer the last bytes.
             _ => {
-                pump_frames(rc, shared, config, scratch);
+                pump_frames(rc, shared, config);
                 return;
             }
         }
@@ -566,7 +446,7 @@ fn salvage(rc: &mut RConn, shared: &Shared, config: &ServerConfig, scratch: &mut
 /// Extracts and handles every complete frame while the connection is
 /// `Open`. Mode transitions out of `Open` stop consumption with the
 /// remainder left buffered.
-fn pump_frames(rc: &mut RConn, shared: &Shared, config: &ServerConfig, scratch: &mut Scratch) {
+fn pump_frames(rc: &mut RConn, shared: &Shared, config: &ServerConfig) {
     while rc.mode == ConnMode::Open {
         match rc.conn.next_frame(MAX_FRAME_LEN) {
             Ok(Some(body)) => {
@@ -574,14 +454,7 @@ fn pump_frames(rc: &mut RConn, shared: &Shared, config: &ServerConfig, scratch: 
                 match Frame::decode(&body) {
                     Ok(frame) => {
                         shared.counters.frames_decoded.inc();
-                        let step = handle_frame(
-                            frame,
-                            &rc.outbox,
-                            &mut rc.state,
-                            shared,
-                            config,
-                            &mut scratch.stats,
-                        );
+                        let step = handle_frame(frame, &rc.outbox, &mut rc.state, shared, config);
                         apply_step(rc, step, shared);
                     }
                     Err(_) => {
@@ -668,12 +541,12 @@ fn begin_close(rc: &mut RConn, reason: ExitReason, shared: &Shared) {
 }
 
 /// Moves queued outbox frames into the connection's write buffer.
-fn pump_outbox(rc: &mut RConn, scratch: &mut Scratch) {
+fn pump_outbox(rc: &mut RConn, encode: &mut Vec<u8>) {
     let mut frames = rc.outbox.frames.lock().expect("conn outbox");
     while let Some(frame) = frames.pop_front() {
-        scratch.encode.clear();
-        frame.encode_into(&mut scratch.encode);
-        rc.conn.queue(&scratch.encode);
+        encode.clear();
+        frame.encode_into(encode);
+        rc.conn.queue(encode);
     }
 }
 
@@ -728,14 +601,8 @@ fn closing_complete(rc: &RConn) -> bool {
             || rc.close_deadline.is_some_and(|d| Instant::now() >= d))
 }
 
-/// Once-per-poll maintenance across all owned connections.
-fn tick(
-    slab: &mut Slab<RConn>,
-    reactor: &Reactor,
-    shared: &Shared,
-    config: &ServerConfig,
-    scratch: &mut Scratch,
-) {
+/// Once-per-poll maintenance across all connections.
+fn tick(slab: &mut Slab<RConn>, reactor: &Reactor, shared: &Shared, config: &ServerConfig) {
     let now = Instant::now();
     for token in slab.tokens() {
         let keep = match slab.get_mut(token) {
@@ -765,7 +632,7 @@ fn tick(
                         if resume {
                             rc.mode = ConnMode::Open;
                             // Frames buffered while paused are live.
-                            pump_frames(rc, shared, config, scratch);
+                            pump_frames(rc, shared, config);
                             if rc.saw_eof
                                 && matches!(rc.mode, ConnMode::Open | ConnMode::PausedFull)
                             {
@@ -776,7 +643,7 @@ fn tick(
                     ConnMode::Flushing(_) => {
                         check_flushing(rc, shared);
                         if rc.mode == ConnMode::Open {
-                            pump_frames(rc, shared, config, scratch);
+                            pump_frames(rc, shared, config);
                         }
                     }
                     ConnMode::Closing => {}

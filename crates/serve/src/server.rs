@@ -3,10 +3,9 @@
 //!
 //! # Threading model
 //!
-//! * `EDDIE_REACTORS` (default 1) **reactor threads** own every
-//!   socket (see the private `reactor` module). Reactor 0 also owns
-//!   the listener and deals accepted connections round-robin. Each
-//!   connection runs the protocol state machine (`handle_frame`):
+//! * One **reactor thread** owns the listener and every socket (see
+//!   the private `reactor` module). Each connection runs the protocol
+//!   state machine (`handle_frame`):
 //!   `Hello` registers a [`MonitorSession`] in the shared fleet, and
 //!   `Chunk` frames are pushed through
 //!   [`Fleet::push_chunk`](eddie_stream::Fleet::push_chunk). A `Full`
@@ -14,8 +13,8 @@
 //!   pause of the connection's read interest, which is how fleet
 //!   backpressure reaches the capture device.
 //! * Replies and events go through a per-connection outbox that the
-//!   owning reactor flushes as the socket allows, so slow clients
-//!   never stall the drain loop.
+//!   reactor flushes as the socket allows, so slow clients never
+//!   stall the drain loop.
 //! * One **drain loop** thread repeatedly calls
 //!   [`Fleet::drain`](eddie_stream::Fleet::drain) — sharding live
 //!   sessions across the [`eddie_exec`] worker pool — and routes each
@@ -53,6 +52,7 @@ use std::time::{Duration, Instant};
 
 use eddie_chaos::{ServerFaults, SnapshotFate};
 use eddie_core::{Error as CoreError, ErrorKind, TrainedModel};
+use eddie_net::Reactor;
 use eddie_obs::{Counter, Gauge, Histogram, JournalEvent, Timer};
 use eddie_store::snapshot::{parse_spill_snapshot, SpillSnapshotRecord};
 use eddie_store::{SessionStore, StoreConfig};
@@ -60,7 +60,7 @@ use eddie_stream::{
     DeviceId, Fleet, FleetConfig, FleetStats, MonitorSession, PushResult, SessionSnapshot,
 };
 
-use crate::reactor::ConnOutbox;
+use crate::reactor::{ConnOutbox, ReactorShared};
 use crate::wire::{ErrCode, Frame, MAX_FRAME_LEN};
 
 /// The trained models a server hosts, keyed by the id clients name in
@@ -112,8 +112,6 @@ pub struct ServerConfig {
     pub snapshot_path: Option<PathBuf>,
     /// How often the drain loop persists all live sessions.
     pub snapshot_every: Duration,
-    /// How long the drain loop sleeps when no chunks are queued.
-    pub drain_idle: Duration,
     /// Disconnect a connection that sends nothing for this long;
     /// `None` keeps connections open indefinitely. A resumable session
     /// is *parked*, not evicted, by an idle disconnect.
@@ -147,7 +145,6 @@ impl Default for ServerConfig {
             fleet: FleetConfig::default(),
             snapshot_path: None,
             snapshot_every: Duration::from_secs(5),
-            drain_idle: Duration::from_micros(500),
             idle_timeout: None,
             resume_linger: Duration::from_secs(30),
             resume_tail: 1024,
@@ -193,12 +190,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// How long the drain loop sleeps when no chunks are queued.
-    pub fn with_drain_idle(mut self, idle: Duration) -> ServerConfigBuilder {
-        self.config.drain_idle = idle;
-        self
-    }
-
     /// Disconnect (parking resumable sessions) after this much silence.
     pub fn with_idle_timeout(mut self, timeout: Duration) -> ServerConfigBuilder {
         self.config.idle_timeout = Some(timeout);
@@ -241,16 +232,14 @@ impl ServerConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error of kind [`ErrorKind::InvalidConfig`] when an
-    /// interval is zero or the resume tail is empty — values that
-    /// would spin a loop or make every resume a gap.
+    /// Returns an error of kind [`ErrorKind::InvalidConfig`] when the
+    /// snapshot interval or idle timeout is zero, the resume tail is
+    /// empty or the token base is zero — values that would spin a loop,
+    /// make every resume a gap or collide with the no-session token.
     pub fn build(self) -> Result<ServerConfig, CoreError> {
         let c = &self.config;
         let invalid =
             |msg: &str| CoreError::new(ErrorKind::InvalidConfig, "eddie-serve", msg.to_string());
-        if c.drain_idle.is_zero() {
-            return Err(invalid("drain_idle must be positive"));
-        }
         if c.snapshot_every.is_zero() {
             return Err(invalid("snapshot_every must be positive"));
         }
@@ -563,16 +552,16 @@ pub(crate) struct Shared {
     /// stats allocates outside the core lock (and, steady-state, not
     /// at all inside it).
     stats_scratch: Mutex<FleetStats>,
-    /// Wakers of the live reactor threads, so
-    /// [`ServerHandle::shutdown`] interrupts blocked polls instead of
-    /// waiting out their timeout.
-    pub(crate) reactor_wakers: Mutex<Vec<eddie_net::Waker>>,
+    /// The reactor's dirty mailbox and waker; the waker also lets
+    /// [`ServerHandle::shutdown`] interrupt a blocked poll instead of
+    /// waiting out its timeout.
+    pub(crate) reactor: Arc<ReactorShared>,
 }
 
 /// The single-mutex heart of the server: the fleet plus the routing
 /// table from device index to connection outbox, plus the book of
 /// resumable sessions. A send into a route marks the connection dirty
-/// and wakes its reactor; a connection torn down mid-route drops the
+/// and wakes the reactor; a connection torn down mid-route drops the
 /// frame, and its exit bookkeeping evicts or parks the session.
 pub(crate) struct Core {
     pub(crate) fleet: Fleet,
@@ -645,11 +634,9 @@ impl ServerHandle {
     /// from [`Server::run`].
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Reactor threads may be parked in a poll; wake them so the
-        // flag is observed immediately.
-        for waker in self.shared.reactor_wakers.lock().expect("wakers").iter() {
-            waker.wake();
-        }
+        // The reactor may be parked in a poll; wake it so the flag is
+        // observed immediately.
+        self.shared.reactor.waker.wake();
     }
 
     /// Whether shutdown has been requested.
@@ -865,6 +852,7 @@ impl ServerHandle {
 /// [`ServerHandle::shutdown`] is called.
 pub struct Server {
     listener: TcpListener,
+    reactor: Reactor,
     shared: Arc<Shared>,
     config: ServerConfig,
     addr: SocketAddr,
@@ -889,6 +877,10 @@ impl Server {
             }
             None => Fleet::new(config.fleet),
         };
+        let reactor = match eddie_obs::global() {
+            Some(o) => Reactor::new(o.registry())?,
+            None => Reactor::new(&eddie_obs::Registry::new())?,
+        };
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
@@ -905,8 +897,9 @@ impl Server {
                 shutdown: AtomicBool::new(false),
                 counters: Counters::new(),
                 stats_scratch: Mutex::new(FleetStats::default()),
-                reactor_wakers: Mutex::new(Vec::new()),
+                reactor: Arc::new(ReactorShared::new(&reactor)),
             }),
+            reactor,
             config,
             addr,
         })
@@ -926,13 +919,15 @@ impl Server {
         }
     }
 
-    /// Serves until [`ServerHandle::shutdown`]: runs the reactor
-    /// threads (which accept and drive every connection) and the drain
-    /// loop, persists periodic snapshots, and on shutdown closes every
-    /// connection before returning the final report.
+    /// Serves until [`ServerHandle::shutdown`]: runs the reactor on the
+    /// calling thread (it accepts and drives every connection) and the
+    /// drain loop on another, persists periodic snapshots, and on
+    /// shutdown closes every connection before returning the final
+    /// report.
     pub fn run(self) -> io::Result<ServerReport> {
         let Server {
             listener,
+            reactor,
             shared,
             config,
             ..
@@ -947,7 +942,7 @@ impl Server {
             std::thread::spawn(move || drain_loop(&shared, &config, &stop))
         };
 
-        let served = crate::reactor::run_reactors(listener, &shared, &config);
+        let served = crate::reactor::run_reactor(reactor, listener, &shared, &config);
 
         drain_stop.store(true, Ordering::SeqCst);
         let _ = drain_thread.join();
@@ -988,6 +983,9 @@ fn build_report(shared: &Shared) -> ServerReport {
         final_stats,
     }
 }
+
+/// How long the drain loop sleeps when no chunks are queued.
+const DRAIN_IDLE: Duration = Duration::from_micros(500);
 
 /// The drain loop: process queued chunks across the worker pool, route
 /// events to connection outboxes (under the core lock — see the module
@@ -1083,7 +1081,7 @@ fn drain_loop(shared: &Shared, config: &ServerConfig, stop: &AtomicBool) {
                 break;
             }
         } else if !did_work {
-            std::thread::sleep(config.drain_idle);
+            std::thread::sleep(DRAIN_IDLE);
         }
     }
 }
@@ -1320,7 +1318,6 @@ pub(crate) fn handle_frame(
     state: &mut ConnState,
     shared: &Shared,
     config: &ServerConfig,
-    stats_scratch: &mut String,
 ) -> Step {
     match frame {
         hello @ (Frame::Hello { .. } | Frame::HelloResumable { .. }) => {
@@ -1644,10 +1641,7 @@ pub(crate) fn handle_frame(
             // Allowed in any state, including before Hello, so an
             // operator can scrape a server without a session.
             let text = match eddie_obs::global() {
-                Some(o) => {
-                    o.registry().render_prometheus_into(stats_scratch);
-                    stats_scratch.clone()
-                }
+                Some(o) => o.registry().render_prometheus(),
                 None => String::from("# eddie-obs not installed\n"),
             };
             route.send(Frame::StatsReply {
@@ -1719,7 +1713,6 @@ mod tests {
     fn config_defaults_are_sane() {
         let c = ServerConfig::default();
         assert!(c.snapshot_path.is_none());
-        assert!(c.drain_idle > Duration::ZERO);
         assert!(c.idle_timeout.is_none());
         assert!(c.resume_tail > 0);
         assert_eq!(c.token_base, 1);
@@ -1751,10 +1744,6 @@ mod tests {
         );
 
         for (broken, what) in [
-            (
-                ServerConfig::builder().with_drain_idle(Duration::ZERO),
-                "drain",
-            ),
             (
                 ServerConfig::builder().with_snapshot_every(Duration::ZERO),
                 "snapshot",

@@ -959,21 +959,116 @@ mod tests {
         ));
     }
 
+    /// One instance of each of the 16 frame types, with every
+    /// variable-length field non-empty so its length can be mutated.
+    fn one_of_each() -> Vec<Frame> {
+        let frames = vec![
+            Frame::Hello {
+                model_id: "bitcount".into(),
+                sample_rate: 1.25e8,
+            },
+            Frame::Chunk {
+                seq: 3,
+                samples: vec![1.0, -0.0, f32::MIN_POSITIVE, 3.25e7],
+            },
+            Frame::Snapshot,
+            Frame::Close,
+            Frame::Stats,
+            Frame::HelloResumable {
+                model_id: "bitcount".into(),
+                sample_rate: 1.25e8,
+            },
+            Frame::Resume {
+                token: u64::MAX,
+                have_windows: 9,
+            },
+            Frame::Finish,
+            Frame::Ack { seq: 7 },
+            Frame::Busy { seq: 9 },
+            Frame::Event {
+                window: 123,
+                kind: EventKind::RegionChange,
+                region: 4,
+                alarm: true,
+                tracked: 4,
+            },
+            Frame::Err {
+                code: ErrCode::UnknownModel,
+            },
+            Frame::StatsReply {
+                text: "# TYPE x counter\nx 5\n".into(),
+            },
+            Frame::Session {
+                token: 0xdead_beef_cafe_f00d,
+                next_seq: 42,
+            },
+            Frame::Finished { windows: 1 << 40 },
+            Frame::Moved {
+                shard_addr: "127.0.0.1:9001".into(),
+                token: 0xfeed_f00d_dead_beef,
+            },
+        ];
+        let mut tags: Vec<u8> = frames.iter().map(|f| f.encode()[4]).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), 16, "one instance per frame type");
+        frames
+    }
+
+    /// Byte offsets of the u32 length fields in an encoded frame: the
+    /// outer frame length, plus the model-id length of a hello, the
+    /// sample count of a chunk and the address length of a redirect
+    /// (each right after the tag, past a chunk's u64 seq).
+    fn length_fields(encoded: &[u8]) -> Vec<usize> {
+        match encoded[4] {
+            TAG_HELLO | TAG_HELLO_RESUMABLE | TAG_MOVED => vec![0, 5],
+            TAG_CHUNK => vec![0, 13],
+            _ => vec![0],
+        }
+    }
+
     #[test]
     fn truncation_is_detected_everywhere() {
-        let encoded = Frame::Chunk {
-            seq: 3,
-            samples: vec![1.0; 10],
+        for frame in one_of_each() {
+            let encoded = frame.encode();
+            // Clean EOF only at offset 0; every proper prefix must error.
+            assert!(matches!(read_frame(&mut &encoded[..0]), Ok(None)));
+            for cut in 1..encoded.len() {
+                let r = read_frame(&mut &encoded[..cut]);
+                assert!(
+                    matches!(r, Err(ReadError::Wire(WireError::Truncated))),
+                    "{frame:?}: prefix of {cut} bytes should be Truncated, got {r:?}"
+                );
+            }
         }
-        .encode();
-        // Clean EOF only at offset 0; every proper prefix must error.
-        assert!(matches!(read_frame(&mut &encoded[..0]), Ok(None)));
-        for cut in 1..encoded.len() {
-            let r = read_frame(&mut &encoded[..cut]);
-            assert!(
-                matches!(r, Err(ReadError::Wire(WireError::Truncated))),
-                "prefix of {cut} bytes should be Truncated, got {r:?}"
-            );
+    }
+
+    /// Every u32 length field of every frame type, set to 0, one less,
+    /// one more and `u32::MAX`, must decode to a typed error — never a
+    /// panic, never a frame. The one layout that still parses is a
+    /// `StatsReply` whose text lost its last byte.
+    #[test]
+    fn length_field_mutations_are_typed_errors() {
+        for frame in one_of_each() {
+            let encoded = frame.encode();
+            for at in length_fields(&encoded) {
+                let value = u32::from_le_bytes(encoded[at..at + 4].try_into().unwrap());
+                for mutated in [0, value - 1, value + 1, u32::MAX] {
+                    let mut bytes = encoded.clone();
+                    bytes[at..at + 4].copy_from_slice(&mutated.to_le_bytes());
+                    let what = format!("{frame:?} with the u32 at byte {at} set to {mutated}");
+                    match read_frame(&mut &bytes[..]) {
+                        Err(ReadError::Wire(_)) => {}
+                        Ok(Some(Frame::StatsReply { text })) if at == 0 && mutated == value - 1 => {
+                            let Frame::StatsReply { text: full } = &frame else {
+                                unreachable!("only a StatsReply decodes to one")
+                            };
+                            assert_eq!(text, full[..full.len() - 1], "{what}");
+                        }
+                        other => panic!("{what}: expected a WireError, got {other:?}"),
+                    }
+                }
+            }
         }
     }
 

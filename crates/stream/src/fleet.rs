@@ -173,14 +173,6 @@ pub struct FleetStats {
     pub shed_samples: u64,
 }
 
-/// Per-device queue-depth gauges, registered when observability is
-/// installed at session registration time.
-#[derive(Debug)]
-struct DeviceObs {
-    queued_chunks: Arc<Gauge>,
-    queued_samples: Arc<Gauge>,
-}
-
 /// Fleet-wide instrumentation handles, created when observability is
 /// installed at [`Fleet::new`] time. `None` costs one branch per
 /// operation.
@@ -221,7 +213,6 @@ struct Device {
     queued_samples: usize,
     shed_chunks: u64,
     shed_samples: u64,
-    obs: Option<DeviceObs>,
     /// Logical-tick of the device's last accepted chunk (or its
     /// registration) — the LRU key for budget parking. A logical
     /// counter, not wall time, so park decisions are a pure function
@@ -384,26 +375,11 @@ impl Fleet {
             }
             store.note_added(index as u64, session.approx_bytes() as u64);
         }
-        let device_obs = eddie_obs::global().map(|o| {
-            let r = o.registry();
-            let queued_chunks = Arc::new(Gauge::new());
-            let queued_samples = Arc::new(Gauge::new());
-            r.register_gauge(
-                &format!("eddie_stream_device_queued_chunks{{device=\"{index}\"}}"),
-                queued_chunks.clone(),
-            );
-            r.register_gauge(
-                &format!("eddie_stream_device_queued_samples{{device=\"{index}\"}}"),
-                queued_samples.clone(),
-            );
+        if let Some(o) = eddie_obs::global() {
             o.journal().record(JournalEvent::SessionRegistered {
                 device: index as u64,
             });
-            DeviceObs {
-                queued_chunks,
-                queued_samples,
-            }
-        });
+        }
         self.tick += 1;
         let device = Device {
             state: SessionState::Resident(Box::new(session)),
@@ -411,7 +387,6 @@ impl Fleet {
             queued_samples: 0,
             shed_chunks: 0,
             shed_samples: 0,
-            obs: device_obs,
             last_active: self.tick,
         };
         if index == self.devices.len() {
@@ -453,19 +428,10 @@ impl Fleet {
                 .active_sessions
                 .set(self.devices.iter().filter(|d| d.is_some()).count() as i64);
         }
-        if removed.obs.is_some() {
-            if let Some(o) = eddie_obs::global() {
-                let index = device.0;
-                o.registry().unregister(&format!(
-                    "eddie_stream_device_queued_chunks{{device=\"{index}\"}}"
-                ));
-                o.registry().unregister(&format!(
-                    "eddie_stream_device_queued_samples{{device=\"{index}\"}}"
-                ));
-                o.journal().record(JournalEvent::SessionEvicted {
-                    device: index as u64,
-                });
-            }
+        if let Some(o) = eddie_obs::global() {
+            o.journal().record(JournalEvent::SessionEvicted {
+                device: device.0 as u64,
+            });
         }
         match removed.state {
             SessionState::Resident(s) => Some(*s),
@@ -647,10 +613,6 @@ impl Fleet {
             obs.queued_chunks.add(1);
             obs.queued_samples.add(chunk.len() as i64);
         }
-        if let Some(dobs) = &d.obs {
-            dobs.queued_chunks.add(1);
-            dobs.queued_samples.add(chunk.len() as i64);
-        }
         d.queue.push_back(chunk);
         PushResult::Accepted
     }
@@ -681,10 +643,6 @@ impl Fleet {
                 d.queued_samples -= chunk.len();
                 events.extend(session.push(&chunk));
             }
-            if let Some(dobs) = &d.obs {
-                dobs.queued_chunks.set(0);
-                dobs.queued_samples.set(0);
-            }
             (*i, pre_region, events)
         });
         let mut out = vec![Vec::new(); total];
@@ -695,10 +653,6 @@ impl Fleet {
                 let journal = o.journal();
                 let mut tracked = pre_region;
                 for ev in &events {
-                    journal.record(JournalEvent::WindowProcessed {
-                        device: i as u64,
-                        window: ev.window as u64,
-                    });
                     if let MonitorEvent::RegionChange(to) = ev.event {
                         journal.record(JournalEvent::RegionTransition {
                             device: i as u64,

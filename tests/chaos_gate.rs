@@ -174,7 +174,6 @@ fn idle_park_then_resume_completes_the_stream() {
     let signal = &r.signal;
 
     let config = ServerConfig::builder()
-        .with_drain_idle(Duration::from_millis(1))
         .with_idle_timeout(Duration::from_millis(40))
         .with_resume_tail(4096)
         .build()
@@ -243,7 +242,6 @@ fn resume_past_the_tail_is_refused_with_a_gap() {
     // A replay tail of one event: any client that missed more than the
     // single retained event has an unfillable hole.
     let config = ServerConfig::builder()
-        .with_drain_idle(Duration::from_millis(1))
         .with_resume_tail(1)
         .build()
         .expect("server config");

@@ -68,8 +68,6 @@ fn busy_backpressure_preserves_equivalence() {
                 .build()
                 .expect("fleet config"),
         )
-        // Slow the drain loop down so the one-slot queue really fills.
-        .with_drain_idle(Duration::from_millis(2))
         .build()
         .expect("server config");
     let server = LocalServer::start(fx.model.clone(), config).unwrap();

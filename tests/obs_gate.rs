@@ -13,7 +13,9 @@
 //! * the event stream stays byte-identical to the batch path with
 //!   instrumentation on — CI runs this at `EDDIE_THREADS=1` and `4`;
 //! * journal sequence numbers are strictly increasing, and a snapshot
-//!   file carries the sequence forward (`resume_journal`).
+//!   file carries the sequence forward (`resume_journal`);
+//! * the journal keeps decisions: an anomaly record survives a ring's
+//!   worth of further monitored windows.
 //!
 //! Everything lives in one `#[test]` because `eddie::obs::install()` is
 //! process-global: a single body controls exactly what runs before and
@@ -22,10 +24,11 @@
 use std::time::Duration;
 
 use eddie::core::MonitorEvent;
+use eddie::obs::{JournalEvent, Observer, JOURNAL_CAPACITY};
 use eddie::serve::{
     fetch_stats, load_snapshot, read_frame, resume_journal, write_frame, Frame, ServerConfig,
 };
-use eddie::stream::FleetConfig;
+use eddie::stream::{Fleet, FleetConfig, MonitorSession, PushResult};
 use eddie_experiments::diff::{self, wait_for, Fixture, LocalServer, TempDir, MODEL_ID};
 
 /// Reads one unlabeled series from a Prometheus text exposition.
@@ -68,7 +71,6 @@ fn instrumented_loopback_counters_balance() {
                 .build()
                 .expect("fleet config"),
         )
-        .with_drain_idle(Duration::from_millis(2))
         .with_snapshot_path(snap_path.clone())
         .with_snapshot_every(Duration::from_secs(3600))
         .build()
@@ -218,9 +220,52 @@ fn instrumented_loopback_counters_balance() {
     resume_journal(&file);
     let seq_after = obs
         .journal()
-        .record(eddie::obs::JournalEvent::SnapshotPersisted { sessions: 0 });
+        .record(JournalEvent::SnapshotPersisted { sessions: 0 });
     assert!(
         seq_after >= file.journal_seq,
         "post-restore records continue past the persisted seq"
+    );
+
+    journal_keeps_decisions(fx, obs);
+}
+
+/// Monitors the injected run through an observed fleet and takes its
+/// first journalled `AnomalyRaised`, then monitors at least
+/// [`JOURNAL_CAPACITY`] more windows of the clean run. The anomaly
+/// record must still be in the ring: the journal holds decisions and
+/// lifecycle changes, so windows that decide nothing new must not
+/// evict it.
+fn journal_keeps_decisions(fx: &Fixture, obs: &Observer) {
+    let mut fleet = Fleet::new(FleetConfig::default());
+    let mut monitor = |k: usize| -> usize {
+        let run = &fx.runs[k];
+        let session = MonitorSession::new(fx.model.clone(), run.rate).expect("session");
+        let dev = fleet.add_session(session);
+        let mut windows = 0;
+        for chunk in run.signal.chunks(4096) {
+            assert_eq!(fleet.push_chunk(dev, chunk.to_vec()), PushResult::Accepted);
+            windows += fleet.drain()[dev.index()].len();
+        }
+        let _ = fleet.remove_session(dev);
+        windows
+    };
+
+    let from = obs.journal().next_seq();
+    monitor(1);
+    let anomaly = obs
+        .journal()
+        .recent()
+        .into_iter()
+        .find(|r| r.seq >= from && matches!(r.event, JournalEvent::AnomalyRaised { .. }))
+        .expect("the injected run journals an anomaly");
+
+    let mut windows = 0;
+    while windows < JOURNAL_CAPACITY {
+        windows += monitor(0);
+    }
+    assert!(
+        obs.journal().recent().contains(&anomaly),
+        "{anomaly:?} was evicted by {windows} clean windows ({} records since)",
+        obs.journal().next_seq() - anomaly.seq - 1
     );
 }
