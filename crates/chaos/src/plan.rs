@@ -480,6 +480,18 @@ impl ServerFaults {
         }
     }
 
+    /// How many of the configured failing snapshot-write attempts have
+    /// not come up yet. The server times its attempts (one per
+    /// snapshot interval), so a run that must show its snapshot
+    /// failures waits for this to reach zero rather than on the clock.
+    pub fn snapshot_failures_pending(&self) -> usize {
+        let seen = self.snapshots_seen.load(Ordering::Relaxed);
+        self.snapshot_fail_nth
+            .iter()
+            .filter(|&&n| n >= seen)
+            .count()
+    }
+
     /// Consulted once per drain batch: a `Some` means the drain loop
     /// should sleep that long before the next batch.
     pub fn drain_pause(&self) -> Option<Duration> {
@@ -511,7 +523,19 @@ mod tests {
         let f = p.server_faults();
         assert!(!f.busy_storm());
         assert_eq!(f.snapshot_fate(), SnapshotFate::Write);
+        assert_eq!(f.snapshot_failures_pending(), 0);
         assert!(f.drain_pause().is_none());
+    }
+
+    #[test]
+    fn pending_snapshot_failures_count_down_with_attempts() {
+        let f = FaultPlan::parse("snapfail=1;2").unwrap().server_faults();
+        let mut pending = vec![f.snapshot_failures_pending()];
+        for _ in 0..4 {
+            f.snapshot_fate();
+            pending.push(f.snapshot_failures_pending());
+        }
+        assert_eq!(pending, [2, 2, 1, 0, 0]);
     }
 
     #[test]

@@ -1,10 +1,14 @@
 use crate::{Complex, DspError};
 
-/// An iterative radix-2 decimation-in-time FFT.
+/// An iterative decimation-in-time FFT: one radix-4 pass fusing the
+/// first two radix-2 stages (whose twiddles are 1 and −i), then radix-2
+/// stages, each walking its own contiguous twiddle table.
 ///
 /// Twiddle factors and the bit-reversal permutation are precomputed at
 /// construction, so one planner can be reused across the many windows of
-/// an STFT without per-call allocation.
+/// an STFT without per-call allocation. A length-`n` planner also runs
+/// the `n/2`-point transform behind the real-input STFT path, whose
+/// stages and bit-reversal are a prefix of its own.
 ///
 /// # Examples
 ///
@@ -24,7 +28,10 @@ pub struct Fft {
     len: usize,
     /// Bit-reversed index for each position.
     rev: Vec<u32>,
-    /// Forward twiddles `e^{-2πik/len}` for `k` in `0..len/2`.
+    /// Per-stage twiddle tables, laid end to end: the stage combining
+    /// blocks of `half` holds `e^{-2πik/(2·half)}` for `k` in
+    /// `0..half`, starting at index `half - 1`. The last table
+    /// (`half = len/2`) is `e^{-2πik/len}`.
     twiddles: Vec<Complex>,
 }
 
@@ -43,12 +50,15 @@ impl Fft {
         let rev: Vec<u32> = (0..len as u32)
             .map(|i| i.reverse_bits() >> (32 - bits))
             .collect();
-        let twiddles: Vec<Complex> = (0..len / 2)
-            .map(|k| {
-                let angle = -2.0 * std::f64::consts::PI * k as f64 / len as f64;
+        let mut twiddles = Vec::with_capacity(len - 1);
+        let mut half = 1;
+        while half < len {
+            twiddles.extend((0..half).map(|k| {
+                let angle = -2.0 * std::f64::consts::PI * k as f64 / (2 * half) as f64;
                 Complex::from_polar(1.0, angle)
-            })
-            .collect();
+            }));
+            half *= 2;
+        }
         Ok(Fft { len, rev, twiddles })
     }
 
@@ -70,24 +80,72 @@ impl Fft {
     /// Panics if `buf.len()` differs from the planner length.
     pub fn forward(&self, buf: &mut [Complex]) {
         assert_eq!(buf.len(), self.len, "buffer length must match planner");
-        // Bit-reversal permutation.
-        for i in 0..self.len {
-            let j = self.rev[i] as usize;
+        self.transform(buf);
+    }
+
+    /// In-place forward transform of length `len/2` — a one-point
+    /// identity when `len` is 2.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf.len()` is not half the planner length.
+    pub(crate) fn forward_half(&self, buf: &mut [Complex]) {
+        assert_eq!(
+            buf.len(),
+            self.len / 2,
+            "buffer length must be half the planner's"
+        );
+        self.transform(buf);
+    }
+
+    /// `e^{-2πik/len}` for `k` in `0..len/2`: the twiddles of the last
+    /// stage, and of the real-input split step.
+    pub(crate) fn half_twiddles(&self) -> &[Complex] {
+        &self.twiddles[self.len / 2 - 1..]
+    }
+
+    /// The forward transform of `buf.len()` points, `len` or `len/2`.
+    fn transform(&self, buf: &mut [Complex]) {
+        let n = buf.len();
+        // A `len/2` transform's bit reversal is the planner's, one bit
+        // shorter: for `i < len/2` the top bit of `i` is zero.
+        let shift = (self.len / n).trailing_zeros();
+        for (i, &r) in self.rev[..n].iter().enumerate() {
+            let j = (r >> shift) as usize;
             if i < j {
                 buf.swap(i, j);
             }
         }
-        // Butterfly stages.
-        let mut half = 1;
-        while half < self.len {
-            let stride = self.len / (2 * half);
-            for start in (0..self.len).step_by(2 * half) {
-                for k in 0..half {
-                    let w = self.twiddles[k * stride];
-                    let a = buf[start + k];
-                    let b = buf[start + k + half] * w;
-                    buf[start + k] = a + b;
-                    buf[start + k + half] = a - b;
+        if n <= 2 {
+            // One butterfly; a one-point transform (the half of a
+            // two-point planner) is the identity.
+            if n == 2 {
+                let (a, b) = (buf[0], buf[1]);
+                buf[0] = a + b;
+                buf[1] = a - b;
+            }
+            return;
+        }
+        // The first two radix-2 stages as one radix-4 pass. Their
+        // twiddles are 1 and −i, so no multiply is needed.
+        for q in buf.chunks_exact_mut(4) {
+            let (s0, d0) = (q[0] + q[1], q[0] - q[1]);
+            let (s1, d1) = (q[2] + q[3], q[2] - q[3]);
+            let d1 = Complex::new(d1.im, -d1.re);
+            q[0] = s0 + s1;
+            q[1] = d0 + d1;
+            q[2] = s0 - s1;
+            q[3] = d0 - d1;
+        }
+        let mut half = 4;
+        while half < n {
+            let twiddles = &self.twiddles[half - 1..2 * half - 1];
+            for block in buf.chunks_exact_mut(2 * half) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(twiddles) {
+                    let t = *b * w;
+                    *b = *a - t;
+                    *a += t;
                 }
             }
             half *= 2;
@@ -140,17 +198,24 @@ mod tests {
 
     #[test]
     fn matches_reference_dft() {
-        let n = 64;
-        let fft = Fft::new(n).unwrap();
-        let input: Vec<Complex> = (0..n)
-            .map(|i| Complex::new(((i * 37) % 11) as f64 - 5.0, ((i * 13) % 7) as f64))
-            .collect();
-        let expected = dft(&input);
-        let mut buf = input;
-        fft.forward(&mut buf);
-        for (a, b) in buf.iter().zip(&expected) {
-            assert!((a.re - b.re).abs() < 1e-8, "{a} vs {b}");
-            assert!((a.im - b.im).abs() < 1e-8);
+        // The radix-4 pass is skipped at n = 2 and covers the whole
+        // transform at n = 4, so every length down to 2 is checked, and
+        // the half transform down to its one-point identity.
+        for bits in 1..=10 {
+            let n = 1usize << bits;
+            let fft = Fft::new(n).unwrap();
+            let input: Vec<Complex> = (0..n)
+                .map(|i| Complex::new(((i * 37) % 11) as f64 - 5.0, ((i * 13) % 7) as f64))
+                .collect();
+            let mut full = input.clone();
+            fft.forward(&mut full);
+            let mut half = input[..n / 2].to_vec();
+            fft.forward_half(&mut half);
+            for (got, want) in [(full, dft(&input)), (half, dft(&input[..n / 2]))] {
+                for (k, (a, b)) in got.iter().zip(&want).enumerate() {
+                    assert!((*a - *b).abs() < 1e-8, "n={n} bin {k}: {a} vs {b}");
+                }
+            }
         }
     }
 

@@ -8,9 +8,12 @@
 //! reproduction has no opaque dependencies:
 //!
 //! * [`Complex`] — minimal complex arithmetic;
-//! * [`Fft`] — an iterative radix-2 FFT with precomputed twiddles;
+//! * [`Fft`] — an iterative FFT (a fused radix-4 first pass, then
+//!   radix-2 stages) with one contiguous twiddle table per stage;
 //! * [`WindowKind`] — rectangular/Hann/Hamming/Blackman analysis windows;
 //! * [`Stft`] — overlapping windowed transforms producing [`Spectrum`]s;
+//!   a real signal's `n`-sample window is packed into an `n/2`-point
+//!   complex transform and split back into its one-sided spectrum;
 //! * [`StreamingStft`] — the same transform fed chunk-by-chunk, for the
 //!   online monitoring runtime (`eddie-stream`); emits bit-identical
 //!   spectra to the batch path and keeps only the overlap tail;

@@ -12,7 +12,9 @@ pub(crate) struct DspMetrics {
     /// `eddie_dsp_stft_frames_total` — STFT frames produced (real and
     /// complex paths).
     pub(crate) stft_frames: Arc<Counter>,
-    /// `eddie_dsp_fft_ns` — forward-FFT latency per frame.
+    /// `eddie_dsp_fft_ns` — forward-FFT latency per frame: the
+    /// `n/2`-point transform of a real frame's packed samples, the
+    /// `n`-point transform of a complex frame.
     pub(crate) fft_ns: Arc<Histogram>,
 }
 

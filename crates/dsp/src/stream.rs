@@ -4,7 +4,8 @@
 //! exactly the spectra [`Stft::process_real`] would produce on the
 //! concatenated signal — bit-identical, because both paths run every
 //! window through the same [`Stft`] frame routine (same mean-removal
-//! summation order, same window coefficients, same FFT plan). Only the
+//! summation order, same window coefficients, same half-length
+//! transform and split step). Only the
 //! overlap tail that future windows still need is retained between
 //! pushes, so memory stays bounded by one window regardless of how long
 //! the stream runs.
@@ -63,7 +64,8 @@ pub struct StreamingStft {
     pending: Vec<f32>,
     base: usize,
     windows: usize,
-    /// FFT scratch buffer, reused across windows.
+    /// Scratch for a frame's packed half-length transform, reused
+    /// across windows.
     buf: Vec<Complex>,
 }
 
@@ -76,7 +78,7 @@ impl StreamingStft {
     /// [`Stft::new`].
     pub fn new(config: StftConfig) -> Result<StreamingStft, DspError> {
         let stft = Stft::new(config)?;
-        let buf = vec![Complex::ZERO; config.window_len];
+        let buf = vec![Complex::ZERO; config.window_len / 2];
         Ok(StreamingStft {
             stft,
             pending: Vec::new(),

@@ -767,7 +767,8 @@ pub struct ChaosRun {
 /// `plan`, in front of a local server wired with the plan's server
 /// faults, with a self-healing client doing the recovering. A plan
 /// that fails snapshot writes gets a snapshot file in a temp dir,
-/// removed afterwards. Audits every delivered stream and its window
+/// removed afterwards, and the server is kept up until every failing
+/// attempt has come. Audits every delivered stream and its window
 /// total, the server's ledger, and the fault evidence of the whole
 /// run: each configured fault class must have fired.
 pub fn chaos(
@@ -781,7 +782,8 @@ pub fn chaos(
     let snapshot = snapshot_dir
         .as_ref()
         .map(|d| d.path().join("sessions.snap"));
-    let mut config = resumable_server().with_faults(plan.server_faults());
+    let faults = plan.server_faults();
+    let mut config = resumable_server().with_faults(faults.clone());
     if let Some(p) = &snapshot {
         config = config
             .with_snapshot_path(p.clone())
@@ -809,10 +811,20 @@ pub fn chaos(
         );
         outcomes.push(o);
     }
+    // The server times its snapshot attempts, so a replay can end
+    // before the failing ones come up: keep it serving until they have.
+    let snapshots_due = poll_until(Duration::from_secs(10), || {
+        faults.snapshot_failures_pending() == 0
+    });
     let stats = proxy.stats();
     proxy.shutdown();
     let report = server.stop()?;
     audit_ledger(path, &report)?;
+    ensure!(
+        snapshots_due,
+        "[{path}] {} configured snapshot failures had not come up after 10 s",
+        faults.snapshot_failures_pending()
+    );
 
     // Fault evidence over the whole run: each configured class fired.
     let reconnects: u64 = outcomes.iter().map(|o| o.reconnects).sum();

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use eddie::core::{MonitorEvent, Pipeline};
-use eddie::dsp::SvdDenoiserConfig;
+use eddie::dsp::{find_peaks, Complex, Spectrum, Stft, StftConfig, SvdDenoiserConfig};
 use eddie::exec::with_threads;
 use eddie::stream::{Fleet, FleetConfig, MonitorSession, PushResult, SessionSnapshot};
 use eddie_experiments::diff::{self, chunked, gate_builder, Fixture};
@@ -54,6 +54,51 @@ fn session_matches_batch_for_many_chunkings() {
             );
         }
     }
+}
+
+/// Every window of the gate runs' power signal goes through the
+/// real-input STFT path. Each must have the same peak bins, in the same
+/// rank order, as the per-window complex reference: the mean-removed
+/// frame promoted to complex and transformed in full.
+#[test]
+fn real_stft_peaks_match_the_complex_reference_on_every_gate_window() {
+    let fx = Fixture::gate();
+    let cfg = fx.pipeline.eddie_config();
+    let n = cfg.window_len;
+    let mut peaks_compared = 0;
+    for run in &fx.runs {
+        let stft = Stft::new(StftConfig {
+            window_len: n,
+            hop: cfg.hop,
+            window: cfg.window,
+            sample_rate_hz: run.rate,
+        })
+        .expect("gate STFT config");
+        let spectra = stft.process_real(&run.signal);
+        assert_eq!(spectra.len(), run.expected.len(), "run {}", run.k);
+        let ranked = |s: &Spectrum| -> Vec<usize> {
+            find_peaks(s, &cfg.peaks).iter().map(|p| p.bin).collect()
+        };
+        for (w, real) in spectra.iter().enumerate() {
+            let frame = &run.signal[real.start_sample..real.start_sample + n];
+            let mean = frame.iter().map(|&x| x as f64).sum::<f64>() / n as f64;
+            let promoted: Vec<Complex> = frame
+                .iter()
+                .map(|&x| Complex::new(x as f64 - mean, 0.0))
+                .collect();
+            let reference = &stft.process_complex(&promoted)[0];
+            let bins = ranked(real);
+            assert_eq!(
+                bins,
+                ranked(reference),
+                "run {} ({}) window {w}",
+                run.k,
+                run.label()
+            );
+            peaks_compared += bins.len();
+        }
+    }
+    assert!(peaks_compared > 0, "the gate windows carry peaks");
 }
 
 #[test]

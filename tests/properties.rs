@@ -37,6 +37,44 @@ fn fft_round_trips() {
     );
 }
 
+/// The FFT equals the O(n²) DFT at every power-of-two length from 2
+/// to 1024: below 4 there is no radix-4 pass, at 4 it is the whole
+/// transform, and above it radix-2 stages follow.
+#[test]
+fn fft_matches_dft_at_every_length() {
+    check(
+        CASES,
+        |r| floats(r, 2048..2049, -1e3, 1e3),
+        |values| {
+            for bits in 1..=10 {
+                let n = 1usize << bits;
+                let input: Vec<Complex> = values[..2 * n]
+                    .chunks_exact(2)
+                    .map(|c| Complex::new(c[0], c[1]))
+                    .collect();
+                let roots: Vec<Complex> = (0..n)
+                    .map(|j| {
+                        Complex::from_polar(1.0, -2.0 * std::f64::consts::PI * j as f64 / n as f64)
+                    })
+                    .collect();
+                let mut buf = input.clone();
+                Fft::new(n).unwrap().forward(&mut buf);
+                let scale: f64 = input.iter().map(|c| c.abs()).sum();
+                for (k, got) in buf.iter().enumerate() {
+                    let want = input
+                        .iter()
+                        .enumerate()
+                        .fold(Complex::ZERO, |acc, (j, &x)| acc + x * roots[j * k % n]);
+                    assert!(
+                        (*got - want).abs() <= 1e-12 * scale,
+                        "n={n} bin {k}: {got} vs {want}"
+                    );
+                }
+            }
+        },
+    );
+}
+
 /// Parseval: time-domain and frequency-domain energies agree.
 #[test]
 fn fft_preserves_energy() {
