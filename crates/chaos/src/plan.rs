@@ -66,7 +66,7 @@ pub struct Decision {
 /// | `busy=START+LEN` | server refuses chunks `START..START+LEN` with `Busy` |
 /// | `snapfail=A;B;…` | fail the `A`-th, `B`-th, … snapshot writes |
 /// | `snaptrunc` | snapshot failures leave a truncated temp file (crash style) |
-/// | `drain=EVERYxMS` | every `EVERY` drain batches, pause `MS` milliseconds |
+/// | `drain=EVERYxMS` | every `EVERY` drain batches, stall the server's serving thread `MS` milliseconds |
 ///
 /// Example: `seed=7,drop=0.05,dup=0.02,sever=40;97,busy=20+8`.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,7 +98,9 @@ pub struct FaultPlan {
     /// behind (simulating a crash mid-write) instead of failing
     /// cleanly.
     pub snapshot_truncate: bool,
-    /// Pause the drain loop every this many batches (0 = never).
+    /// Stall the server's serving thread after every this many drain
+    /// batches (0 = never). The thread reads, acks and flushes too, so
+    /// the whole server stalls, not only the drain.
     pub drain_pause_every: u64,
     /// How long a drain pause lasts.
     pub drain_pause: Duration,
@@ -374,8 +376,8 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// Pause the drain loop `pause` long every `every` batches
-    /// (0 disables).
+    /// Stall the serving thread `pause` long after every `every` drain
+    /// batches (0 disables).
     pub fn with_drain_pause(mut self, every: u64, pause: Duration) -> FaultPlanBuilder {
         self.plan.drain_pause_every = every;
         self.plan.drain_pause = pause;
@@ -432,7 +434,7 @@ pub enum SnapshotFate {
 
 /// Server-side failpoints derived from a [`FaultPlan`] — wire one into
 /// a server config to inject faults past the transport: `Busy` storms,
-/// snapshot-write failures, and slow-drain pauses.
+/// snapshot-write failures, and serving-thread stalls between drains.
 ///
 /// All counters are atomic, so consulting a failpoint from concurrent
 /// connection threads is safe; schedules that need strict determinism
@@ -492,8 +494,8 @@ impl ServerFaults {
             .count()
     }
 
-    /// Consulted once per drain batch: a `Some` means the drain loop
-    /// should sleep that long before the next batch.
+    /// Consulted once per drain batch: a `Some` means the serving
+    /// thread should sleep that long before it goes on.
     pub fn drain_pause(&self) -> Option<Duration> {
         if self.drain_pause_every == 0 {
             return None;

@@ -21,12 +21,16 @@
 //! * [`with_threads`] — scoped programmatic override of the pool width
 //!   (used by the determinism tests and the benchmarks).
 //!
-//! The crate is std-only. Workers claim items one at a time — from a
+//! The crate is std-only. A call at width `w` spawns `w − 1` scoped
+//! workers and the calling thread takes a share itself, so a fan-out
+//! over two items starts one thread, not two, and the caller never
+//! idles in the join. Workers claim items one at a time — from a
 //! shared atomic cursor, or from a mutex-guarded `iter_mut` for
 //! [`par_map_mut`] — and results land in per-index `Mutex` slots;
-//! worker threads never share mutable state beyond those slots, and
-//! nested `par_map` calls from inside a worker fall back to the serial
-//! loop so one fan-out level never oversubscribes the machine.
+//! workers never share mutable state beyond those slots, and nested
+//! `par_map` calls from inside a share (the caller's included) fall
+//! back to the serial loop so one fan-out level never oversubscribes
+//! the machine.
 //!
 //! # Determinism contract
 //!
@@ -75,10 +79,11 @@ pub fn parse_thread_count(value: &str) -> Option<usize> {
 ///
 /// The environment and the machine parallelism are read **once per
 /// process** and cached: long-lived services (`eddie-serve`) call this
-/// from their drain loop millions of times, and an env lookup plus
-/// parse per drain is measurable noise there. Processes that want a
-/// different width mid-run use [`with_threads`]; changing the
-/// environment variable after the first pool use has no effect.
+/// once per fleet drain on their serving thread, millions of times,
+/// and an env lookup plus parse per drain is measurable noise there.
+/// Processes that want a different width mid-run use [`with_threads`];
+/// changing the environment variable after the first pool use has no
+/// effect.
 pub fn num_threads() -> usize {
     if let Some(n) = THREAD_OVERRIDE.get() {
         return n;
@@ -110,9 +115,33 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// `true` when called from inside a [`par_map`] worker thread.
+/// `true` when called from inside a [`par_map`] share: on a worker
+/// thread, or on the calling thread while it runs its own share.
 pub fn in_worker() -> bool {
     IN_WORKER.get()
+}
+
+/// Runs `share` on `threads` threads: `threads − 1` scoped workers plus
+/// the calling thread, each marked as a worker so nested calls run
+/// serially. The caller's mark is restored on return and on unwind; a
+/// panic in any share propagates once every worker has joined.
+fn fan_out(threads: usize, share: impl Fn() + Sync) {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_WORKER.set(self.0);
+        }
+    }
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(|| {
+                IN_WORKER.set(true);
+                share();
+            });
+        }
+        let _restore = Restore(IN_WORKER.replace(true));
+        share();
+    });
 }
 
 /// Locks `m`, recovering the guard if a panicking worker poisoned it:
@@ -136,18 +165,18 @@ fn collect_slots<U>(slots: Vec<Mutex<Option<U>>>) -> Vec<U> {
 }
 
 /// Maps `f` over `0..n` on a scoped worker pool, returning the results
-/// in index order.
+/// in index order. The calling thread runs one share of the items.
 ///
 /// The output is byte-identical to `(0..n).map(f).collect()` for every
-/// pool width: items may *run* in any order on any worker, but each
+/// pool width: items may *run* in any order on any thread, but each
 /// result is stored in its item's slot and the slots are drained in
-/// order. Calls from inside a worker (nested fan-out) and calls with an
+/// order. Calls from inside a share (nested fan-out) and calls with an
 /// effective width of 1 take the serial path directly.
 ///
 /// # Panics
 ///
-/// Panics if `f` panics on any item (the worker's panic is propagated
-/// when the pool is joined).
+/// Panics if `f` panics on any item (the panic is propagated once the
+/// pool has joined).
 pub fn par_map_indexed<U, F>(n: usize, f: F) -> Vec<U>
 where
     U: Send,
@@ -164,21 +193,13 @@ where
     // data (results travel through the slot mutexes and the join).
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let (cursor, slots, f) = (&cursor, &slots, &f);
-            scope.spawn(move || {
-                IN_WORKER.set(true);
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let value = f(i);
-                    *lock(&slots[i]) = Some(value);
-                }
-            });
+    fan_out(threads, || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let value = f(i);
+        *lock(&slots[i]) = Some(value);
     });
     collect_slots(slots)
 }
@@ -195,19 +216,20 @@ where
 }
 
 /// Maps `f` over a mutable slice on the worker pool, giving each item
-/// exclusively to one worker and preserving input order in the output.
+/// exclusively to one thread and preserving input order in the output.
+/// The calling thread runs one share of the items.
 ///
 /// This is the scheduling primitive of the streaming runtime
 /// (`eddie-stream`): each monitored device's session is mutated in
-/// place by exactly one worker per drain, items are handed out one at a
-/// time from a shared `iter_mut`, and results land in per-index slots —
-/// so the output (and every per-item mutation sequence) is
+/// place by exactly one thread per drain, items are handed out one at
+/// a time from a shared `iter_mut`, and results land in per-index
+/// slots — so the output (and every per-item mutation sequence) is
 /// byte-identical to the serial `iter_mut` loop for every pool width.
 ///
 /// # Panics
 ///
-/// Panics if `f` panics on any item (the worker's panic is propagated
-/// when the pool is joined).
+/// Panics if `f` panics on any item (the panic is propagated once the
+/// pool has joined).
 pub fn par_map_mut<T, U, F>(items: &mut [T], f: F) -> Vec<U>
 where
     T: Send,
@@ -229,21 +251,13 @@ where
     // `iter_mut` yields non-overlapping exclusive references.
     let work = Mutex::new(items.iter_mut().enumerate());
     let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let (work, slots, f) = (&work, &slots, &f);
-            scope.spawn(move || {
-                IN_WORKER.set(true);
-                loop {
-                    // The guard is a temporary: released before `f` runs.
-                    let Some((i, item)) = lock(work).next() else {
-                        break;
-                    };
-                    let value = f(i, item);
-                    *lock(&slots[i]) = Some(value);
-                }
-            });
-        }
+    fan_out(threads, || loop {
+        // The guard is a temporary: released before `f` runs.
+        let Some((i, item)) = lock(&work).next() else {
+            break;
+        };
+        let value = f(i, item);
+        *lock(&slots[i]) = Some(value);
     });
     collect_slots(slots)
 }
@@ -394,6 +408,51 @@ mod tests {
         assert_eq!(parse_thread_count("-2"), None);
         assert_eq!(parse_thread_count("many"), None);
         assert_eq!(parse_thread_count(""), None);
+    }
+
+    /// Two items at width 2 that wait for each other must run at once:
+    /// one on the caller, one on the single worker. The caller's item is
+    /// a worker share, so a nested call there stays on the caller.
+    #[test]
+    fn caller_runs_a_share_and_nests_serially() {
+        let caller = std::thread::current().id();
+        let both = std::sync::Barrier::new(2);
+        let item = || {
+            both.wait();
+            let me = std::thread::current().id();
+            if me != caller {
+                return vec![me];
+            }
+            assert!(in_worker(), "the caller's share counts as a worker");
+            par_map_indexed(4, |_| std::thread::current().id())
+        };
+        let ran = with_threads(2, || par_map_indexed(2, |_| item()));
+        assert!(ran.contains(&vec![caller; 4]), "{ran:?}");
+        let mut two = [0u8; 2];
+        let ran = with_threads(2, || par_map_mut(&mut two, |_, _| item()));
+        assert!(ran.contains(&vec![caller; 4]), "{ran:?}");
+        assert!(!in_worker(), "the caller's worker mark is restored");
+    }
+
+    #[test]
+    fn callers_mark_is_restored_when_its_share_panics() {
+        let caller = std::thread::current().id();
+        let both = std::sync::Barrier::new(2);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_threads(2, || {
+                par_map_indexed(2, |i| {
+                    both.wait();
+                    assert_ne!(
+                        std::thread::current().id(),
+                        caller,
+                        "the caller's item panics"
+                    );
+                    i
+                })
+            })
+        }));
+        assert!(result.is_err(), "the caller's panic propagates");
+        assert!(!in_worker(), "the mark is restored on unwind");
     }
 
     #[test]

@@ -204,11 +204,11 @@ fn bench_fleet(fx: &Fixture, passes: usize, sha: &str) -> BenchRecord {
             for chunk in fx.signal.chunks(4096) {
                 for &d in &devs {
                     while fleet.push_chunk(d, chunk.to_vec()) == PushResult::Full {
-                        events += fleet.drain().iter().map(Vec::len).sum::<usize>();
+                        events += fleet.drain().iter().map(|(_, e)| e.len()).sum::<usize>();
                     }
                 }
             }
-            events += fleet.drain().iter().map(Vec::len).sum::<usize>();
+            events += fleet.drain().iter().map(|(_, e)| e.len()).sum::<usize>();
             black_box(events)
         });
     });

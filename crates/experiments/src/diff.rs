@@ -529,8 +529,8 @@ pub fn fleet(
         .collect();
     let mut events = vec![Vec::new(); devices.len()];
     let drain = |fleet: &mut Fleet, events: &mut [Vec<StreamEvent>]| {
-        for (dev, evs) in fleet.drain().into_iter().enumerate() {
-            events[dev].extend(evs);
+        for (dev, evs) in fleet.drain() {
+            events[dev.index()].extend(evs);
         }
     };
     let (mut offered, mut refused) = (0u64, 0u64);
@@ -581,7 +581,7 @@ pub fn park_thaw(
     let mut feed = |part: &[&[f32]]| {
         for c in part {
             assert_eq!(fleet.push_chunk(dev, c.to_vec()), PushResult::Accepted);
-            for e in fleet.drain() {
+            for (_, e) in fleet.drain() {
                 events.extend(e);
             }
             assert!(fleet.park(dev).expect("park"), "idle device must park");

@@ -271,9 +271,10 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
                 }
             }
         }
-        let events = fleet.drain();
-        for (t, acc) in tracked_events.iter_mut().enumerate() {
-            acc.extend(events[devs[t].index()].iter().copied());
+        for (dev, evs) in fleet.drain() {
+            if let Some(t) = devs[..TRACKED].iter().position(|&d| d == dev) {
+                tracked_events[t].extend(evs);
+            }
         }
         check_ledger(&fleet, &format!("round {r}"))?;
         let ledger = fleet.ledger_snapshot().expect("store attached");

@@ -181,6 +181,12 @@ impl BufferedConn {
         self.wbuf.extend_from_slice(bytes);
     }
 
+    /// Lets `encode` append straight to the outbound buffer, saving the
+    /// copy through a scratch buffer that [`queue`](Self::queue) takes.
+    pub fn queue_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        encode(&mut self.wbuf);
+    }
+
     /// Outbound bytes not yet accepted by the socket.
     pub fn pending_write(&self) -> usize {
         self.wbuf.len() - self.wpos

@@ -1,8 +1,8 @@
 //! Cross-thread reactor wakeup over a self-pipe.
 //!
 //! A reactor thread blocks in [`Poller::wait`](crate::Poller::wait);
-//! other threads (the fleet drain loop, a shutdown handle, an
-//! acceptor handing off a connection) get its attention by writing one
+//! other threads (a shutdown handle, an acceptor handing off a
+//! connection) get its attention by writing one
 //! byte into a nonblocking pipe whose read end is registered in the
 //! poller. A full pipe means a wakeup is already pending, so
 //! [`Waker::wake`] treats `WouldBlock` as success — wakeups coalesce

@@ -26,7 +26,7 @@
 //! # The single-branch gate
 //!
 //! Instrumented hot paths (the per-frame FFT, the per-window K-S
-//! battery, the fleet drain loop) call [`global()`] first. When no
+//! battery, the fleet drain) call [`global()`] first. When no
 //! observer has been [`install`]ed — the default — that is **one
 //! relaxed atomic load and a branch**; no allocation, no lock, no
 //! time-stamping. Metrics are observational only: nothing in the

@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Stripes per [`Counter`]. Each stripe lives on its own cache line,
-/// so concurrent `inc`s from the worker pool, the drain loop and the
-/// reactor thread do not bounce one line between cores.
+/// so concurrent `inc`s from the worker pool and the server's serving
+/// thread do not bounce one line between cores.
 const STRIPES: usize = 8;
 
 /// Number of fixed histogram buckets: bucket 0 holds exact zeros,

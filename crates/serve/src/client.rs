@@ -32,7 +32,7 @@ use crate::wire::{read_frame, write_frame, ErrCode, Frame, ReadError, WireError}
 pub const PIPELINE_WINDOW: usize = 8;
 
 /// How long a client pauses after a `Busy` reply before resending,
-/// giving the server's drain loop a moment to make queue room.
+/// giving the server a moment to drain and make queue room.
 const BUSY_PAUSE: Duration = Duration::from_micros(200);
 
 /// Errors a replay can hit.

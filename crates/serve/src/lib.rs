@@ -16,13 +16,14 @@
 //!   produce [`wire::WireError`], never a panic or an oversized
 //!   allocation.
 //! * [`server`] — a `std::net` TCP server multiplexing many capture
-//!   connections onto one [`eddie_stream::Fleet`], with a drain loop
-//!   over the [`eddie_exec`] worker pool, periodic session snapshots
-//!   in the store's spill framing, and graceful shutdown. Plain
-//!   threads only — no async runtime: one nonblocking [`eddie_net`]
-//!   event-loop thread owns the listener and every socket, and fleet
-//!   backpressure becomes an epoll interest-set flip instead of a
-//!   blocked reader.
+//!   connections onto one [`eddie_stream::Fleet`], with periodic
+//!   session snapshots in the store's spill framing and graceful
+//!   shutdown. No async runtime and no thread hand-offs: one
+//!   nonblocking [`eddie_net`] event-loop thread owns the listener and
+//!   every socket, drains the fleet itself (sharding the devices with
+//!   queued chunks across the `eddie-exec` worker pool, taking a share
+//!   itself) and writes every reply and event, and fleet backpressure
+//!   becomes an epoll interest-set flip instead of a blocked reader.
 //! * [`client`] — a blocking replay client with go-back-N
 //!   retransmission on `Busy`, used by the `replay-client` experiment
 //!   and the loopback CI gates; plus [`ResilientClient`], a

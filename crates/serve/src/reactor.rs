@@ -1,51 +1,57 @@
-//! The connection tier: every socket on one event-loop thread.
+//! The serving loop: every socket and the fleet drain on one thread.
 //!
-//! Connection count is decoupled from thread count: the reactor
-//! thread owns an [`eddie_net::Reactor`] (epoll on Linux, `poll(2)`
-//! fallback) plus a slab of connection state machines, each driving
-//! the protocol core in [`handle_frame`].
+//! Connection count is decoupled from thread count: the serving thread
+//! owns an [`eddie_net::Reactor`] (epoll on Linux, `poll(2)` fallback)
+//! plus a slab of connection state machines, each driving the protocol
+//! core in [`handle_frame`], and it runs the fleet drain itself. Every
+//! frame the server sends is written on this thread.
 //!
-//! ## How the pieces meet
+//! ## One pass
 //!
-//! * **Accept** — the listener sits in the same poller; each tick
-//!   accepts until it would block and registers the new sockets.
-//! * **Events out** — the fleet drain loop holds [`ConnOutbox`]
-//!   clones as its routes. A send pushes the frame into the
-//!   connection's outbox and, once per batch, marks the connection
-//!   dirty in the reactor's mailbox and wakes it; the reactor moves
-//!   outbox frames into the connection's write buffer and flushes as
-//!   the socket allows, resuming partial writes on writable readiness.
+//! 1. **Poll** — wait up to [`POLL_INTERVAL`] for readiness, or not at
+//!    all while chunks are queued.
+//! 2. **Accept and read** — the listener sits in the same poller; each
+//!    pass accepts until it would block. Readable connections decode
+//!    frames, push chunks and queue replies, and the replies are
+//!    flushed before any DSP runs, so an `Ack` never waits on a drain.
+//! 3. **Drain** — [`serve_fleet`] processes every queued chunk on the
+//!    worker pool (this thread takes a share) and writes each device's
+//!    events into its connection's outbound buffer: the route is the
+//!    connection's slab [`Token`].
+//! 4. **Tick** — per connection: idle timeouts, backpressure resumes,
+//!    `Finish`/`Close` completion and closing deadlines; then flush
+//!    what is owed, resuming partial writes on writable readiness.
+//!
 //! * **Backpressure** — a real `PushResult::Full` surfaces as
 //!   [`Step::BackpressurePause`]: the connection drops readable
-//!   interest (already-buffered frames stay buffered) and a
-//!   once-per-tick recheck under the core lock restores it when the
-//!   device's queue has room. TCP then pushes back on the capture
-//!   device without freezing a thread.
+//!   interest (already-buffered frames stay buffered) until a tick
+//!   finds room in the device's queue, which the drain just before it
+//!   made. TCP then pushes back on the capture device without
+//!   freezing a thread.
 //! * **Flush** — `Finish`/`Close` become a `Flushing` mode: stop
-//!   reading, wait for the device's queue to hit zero (checked each
-//!   tick), then run [`after_flush`]. Because events are routed to
-//!   outboxes under the same lock as draining, an empty queue means
-//!   every event already sits in this connection's outbox — none can
-//!   be lost, and the stream a client sees stays byte-identical to the
-//!   batch pipeline's.
+//!   reading, wait for the device's queue to hit zero, then run
+//!   [`after_flush`]. A drain writes its events in the pass that
+//!   processes their chunks, so an empty queue means every event
+//!   already sits in this connection's outbound buffer ahead of the
+//!   reply — none can be lost, and the stream a client sees stays
+//!   byte-identical to the batch pipeline's.
 //! * **Goodbye** — a finished connection enters `Closing`: flush what
 //!   is owed, courteously drain inbound bytes (bounded) so the close
 //!   is a FIN rather than a RST destroying the final reply, then close
 //!   after a quiet period of one poll interval.
 
-use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use eddie_net::{BufferedConn, Event, FrameDefect, Interest, Reactor, Slab, Token, Waker};
+use eddie_net::{BufferedConn, Event, FrameDefect, Interest, Reactor, Slab, Token};
 use eddie_obs::JournalEvent;
 
 use crate::server::{
-    after_flush, finish_connection, handle_frame, ConnState, ExitReason, ServerConfig, Shared, Step,
+    after_flush, chunks_queued, finish_connection, handle_frame, send, send_err, serve_fleet,
+    ConnState, ExitReason, ServerConfig, Shared, Step,
 };
 use crate::wire::{ErrCode, Frame, MAX_FRAME_LEN};
 
@@ -59,67 +65,11 @@ const LISTENER_DATA: u64 = u64::MAX - 1;
 /// memory and TCP pushes back.
 const MAX_READ_BUFFER: usize = MAX_FRAME_LEN + 64 * 1024;
 
-/// Reactor poll timeout: the longest the reactor sleeps between ticks
-/// (idle-timeout checks, backpressure and flush rechecks). It is also
-/// the quiet period a closing connection waits for the peer to hang up
-/// before the server closes it.
+/// Poll timeout with nothing queued: the longest the serving thread
+/// sleeps between ticks (idle-timeout checks, snapshot and expiry
+/// schedules). It is also the quiet period a closing connection waits
+/// for the peer to hang up before the server closes it.
 const POLL_INTERVAL: Duration = Duration::from_millis(2);
-
-/// What the drain loop (and the protocol core) sees of a reactor-owned
-/// connection — its route: an unbounded frame queue plus the reactor's
-/// mailbox to mark it dirty in.
-pub(crate) struct ConnOutbox {
-    frames: Mutex<VecDeque<Frame>>,
-    /// Whether the connection already sits in the reactor's dirty
-    /// mailbox — batches of sends cost one mailbox entry and wakeup.
-    queued: AtomicBool,
-    /// Set at teardown so late routed frames are dropped instead of
-    /// accumulating against a connection that will never flush again.
-    dead: AtomicBool,
-    /// The connection's slab token (`Token::as_u64`).
-    token: u64,
-    /// The reactor's mailbox and waker.
-    reactor: Arc<ReactorShared>,
-}
-
-impl ConnOutbox {
-    /// Queues a frame and, if this is the first since the reactor last
-    /// drained the outbox, marks the connection dirty and wakes the
-    /// reactor. Frames sent after teardown are dropped.
-    pub(crate) fn send(&self, frame: Frame) {
-        if self.dead.load(Ordering::Acquire) {
-            return;
-        }
-        self.frames.lock().expect("conn outbox").push_back(frame);
-        if !self.queued.swap(true, Ordering::AcqRel) {
-            self.reactor
-                .dirty
-                .lock()
-                .expect("reactor dirty mailbox")
-                .push(self.token);
-            self.reactor.waker.wake();
-        }
-    }
-}
-
-/// The cross-thread face of the reactor: the mailbox the drain loop
-/// fills, plus the waker that interrupts its blocked poll (also how
-/// `ServerHandle::shutdown` gets its attention).
-pub(crate) struct ReactorShared {
-    /// Tokens of connections with undrained outbox frames.
-    dirty: Mutex<Vec<u64>>,
-    pub(crate) waker: Waker,
-}
-
-impl ReactorShared {
-    /// The shared face of `reactor`.
-    pub(crate) fn new(reactor: &Reactor) -> ReactorShared {
-        ReactorShared {
-            dirty: Mutex::new(Vec::new()),
-            waker: reactor.waker(),
-        }
-    }
-}
 
 /// Where a connection is in its lifecycle. `Open` is the only mode
 /// that consumes inbound frames.
@@ -142,7 +92,6 @@ enum ConnMode {
 struct RConn {
     conn: BufferedConn,
     state: ConnState,
-    outbox: Arc<ConnOutbox>,
     mode: ConnMode,
     /// Interest set currently installed in the poller.
     interest: Interest,
@@ -159,13 +108,12 @@ struct RConn {
     drained: usize,
 }
 
-/// Runs the connection tier on the calling thread: poll, accept from
-/// the (nonblocking) listener, drive readiness, tick timers/rechecks,
-/// flush dirty outboxes — until shutdown has been observed and every
-/// connection is gone. A fatal listener error initiates a server-wide
-/// shutdown and surfaces here once the connections are closed; a
-/// fatal poller error parks or evicts every session and surfaces at
-/// once.
+/// Runs the server on the calling thread, one pass at a time (see the
+/// module docs) — until shutdown has been observed, every connection is
+/// gone and nothing is left queued. A fatal listener error initiates a
+/// server-wide shutdown and surfaces here once the connections are
+/// closed; a fatal poller error parks or evicts every session and
+/// surfaces at once.
 pub(crate) fn run_reactor(
     mut reactor: Reactor,
     listener: TcpListener,
@@ -178,9 +126,10 @@ pub(crate) fn run_reactor(
 
     let mut slab: Slab<RConn> = Slab::new();
     let mut events: Vec<Event> = Vec::new();
-    let mut encode: Vec<u8> = Vec::new();
     let mut shutdown_seen = false;
     let mut served: io::Result<()> = Ok(());
+    let mut queued = false;
+    let mut last_snapshot = Instant::now();
 
     reactor.register_untracked(listener.as_raw_fd(), LISTENER_DATA, Interest::READABLE)?;
 
@@ -189,11 +138,18 @@ pub(crate) fn run_reactor(
             shutdown_seen = true;
             begin_shutdown(&mut slab, shared);
         }
-        if shutdown_seen && slab.is_empty() {
+        if shutdown_seen && slab.is_empty() && !queued {
             break;
         }
 
-        if let Err(e) = reactor.poll(&mut events, Some(POLL_INTERVAL)) {
+        // Queued chunks are work waiting: look for readiness without
+        // blocking.
+        let timeout = if queued {
+            Duration::ZERO
+        } else {
+            POLL_INTERVAL
+        };
+        if let Err(e) = reactor.poll(&mut events, Some(timeout)) {
             // A broken poller strands every connection: take the whole
             // server down and park what we can.
             shared.shutdown.store(true, Ordering::SeqCst);
@@ -210,45 +166,33 @@ pub(crate) fn run_reactor(
             }
         }
 
-        // Readiness events.
+        // Readiness: frames in, replies out.
         let batch = std::mem::take(&mut events);
         for ev in &batch {
             if ev.data == LISTENER_DATA {
-                continue; // the accept burst above runs every tick
+                continue; // the accept burst above runs every pass
             }
             let token = Token::from_u64(ev.data);
             let keep = match slab.get_mut(token) {
                 Some(rc) => drive_event(rc, *ev, shared, config),
-                None => continue, // stale: closed earlier this tick
+                None => continue, // stale: closed earlier this pass
             };
             finish_pass(&mut slab, &reactor, token, keep, shared);
         }
         events = batch;
 
-        // Tick: idle timeouts, backpressure unpause, flush completion,
-        // closing deadlines.
+        // The drain: every queued chunk, its events onto their routes.
+        serve_fleet(shared, config, &mut last_snapshot, |route, frame| {
+            if let Some(rc) = slab.get_mut(route) {
+                send(&mut rc.conn, frame);
+            }
+        });
+
+        // Tick: flush completion, backpressure resumes, idle timeouts,
+        // closing deadlines, and the events just routed.
         tick(&mut slab, &reactor, shared, config);
 
-        // Dirty outboxes last, so frames produced by this tick's
-        // events and rechecks go out without waiting for the self-wake.
-        let dirty: Vec<u64> =
-            std::mem::take(&mut *shared.reactor.dirty.lock().expect("dirty mailbox"));
-        for raw in dirty {
-            let token = Token::from_u64(raw);
-            let keep = match slab.get_mut(token) {
-                Some(rc) => {
-                    rc.outbox.queued.store(false, Ordering::Release);
-                    pump_outbox(rc, &mut encode);
-                    let sent = rc.conn.flush().is_ok();
-                    if !sent {
-                        salvage(rc, shared, config);
-                    }
-                    sent
-                }
-                None => continue,
-            };
-            finish_pass(&mut slab, &reactor, token, keep, shared);
-        }
+        queued = chunks_queued(shared);
     }
 
     let _ = reactor.deregister_untracked(listener.as_raw_fd());
@@ -302,15 +246,8 @@ fn add_conn(stream: TcpStream, slab: &mut Slab<RConn>, reactor: &Reactor, shared
     };
     let fd = conn.raw_fd();
     let token = slab.insert_with(|t| RConn {
-        outbox: Arc::new(ConnOutbox {
-            frames: Mutex::new(VecDeque::new()),
-            queued: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
-            token: t.as_u64(),
-            reactor: shared.reactor.clone(),
-        }),
         conn,
-        state: ConnState::new(),
+        state: ConnState::new(t),
         mode: ConnMode::Open,
         interest: Interest::READABLE,
         conn_id,
@@ -381,7 +318,8 @@ fn desired_interest(rc: &RConn) -> Interest {
     }
 }
 
-/// Handles one readiness event. Returns whether the connection stays.
+/// Handles one readiness event, then flushes what the connection owes.
+/// Returns whether the connection stays.
 fn drive_event(rc: &mut RConn, ev: Event, shared: &Shared, config: &ServerConfig) -> bool {
     if ev.readable || ev.error {
         if rc.mode == ConnMode::Closing {
@@ -402,9 +340,7 @@ fn drive_event(rc: &mut RConn, ev: Event, shared: &Shared, config: &ServerConfig
                             // mid-send. Same books as a malformed
                             // frame.
                             shared.counters.bad_frames.inc();
-                            rc.outbox.send(Frame::Err {
-                                code: ErrCode::BadFrame,
-                            });
+                            send_err(&mut rc.conn, ErrCode::BadFrame);
                         }
                         begin_close(rc, ExitReason::Abrupt, shared);
                     }
@@ -417,7 +353,14 @@ fn drive_event(rc: &mut RConn, ev: Event, shared: &Shared, config: &ServerConfig
             }
         }
     }
-    if ev.writable && rc.conn.flush().is_err() {
+    flush_owed(rc, shared, config)
+}
+
+/// Flushes the connection's outbound buffer as far as the socket
+/// allows. Returns whether the connection survived; a transport error
+/// salvages its buffered frames first.
+fn flush_owed(rc: &mut RConn, shared: &Shared, config: &ServerConfig) -> bool {
+    if rc.conn.wants_write() && rc.conn.flush().is_err() {
         salvage(rc, shared, config);
         return false;
     }
@@ -454,14 +397,12 @@ fn pump_frames(rc: &mut RConn, shared: &Shared, config: &ServerConfig) {
                 match Frame::decode(&body) {
                     Ok(frame) => {
                         shared.counters.frames_decoded.inc();
-                        let step = handle_frame(frame, &rc.outbox, &mut rc.state, shared, config);
+                        let step = handle_frame(frame, &mut rc.conn, &mut rc.state, shared, config);
                         apply_step(rc, step, shared);
                     }
                     Err(_) => {
                         shared.counters.bad_frames.inc();
-                        rc.outbox.send(Frame::Err {
-                            code: ErrCode::BadFrame,
-                        });
+                        send_err(&mut rc.conn, ErrCode::BadFrame);
                         // Corruption is a transport fault, not a
                         // goodbye: park a resumable session so the
                         // client can reconnect.
@@ -472,9 +413,7 @@ fn pump_frames(rc: &mut RConn, shared: &Shared, config: &ServerConfig) {
             Ok(None) => return,
             Err(FrameDefect::BadLength(_)) => {
                 shared.counters.bad_frames.inc();
-                rc.outbox.send(Frame::Err {
-                    code: ErrCode::BadFrame,
-                });
+                send_err(&mut rc.conn, ErrCode::BadFrame);
                 begin_close(rc, ExitReason::Abrupt, shared);
             }
         }
@@ -515,7 +454,7 @@ fn check_flushing(rc: &mut RConn, shared: &Shared) {
     if !drained {
         return;
     }
-    match after_flush(then, dev, &rc.outbox, shared) {
+    match after_flush(then, dev, &mut rc.conn, shared) {
         Step::Continue => rc.mode = ConnMode::Open,
         Step::End(reason) => begin_close(rc, reason, shared),
         Step::BackpressurePause | Step::Flush(_) => {
@@ -530,23 +469,12 @@ fn begin_close(rc: &mut RConn, reason: ExitReason, shared: &Shared) {
         finish_connection(&rc.state, reason, shared);
         rc.finished = true;
     }
-    // No new frames can matter now (the route is gone); frames already
-    // queued — the goodbye — still flush below.
-    rc.outbox.dead.store(true, Ordering::Release);
+    // The route is gone, so no new frames arrive; frames already
+    // queued — the goodbye — still flush.
     if rc.mode != ConnMode::Closing {
         rc.mode = ConnMode::Closing;
         // Bytes already buffered count against the courtesy budget.
         rc.drained = rc.drained.saturating_add(rc.conn.buffered_len());
-    }
-}
-
-/// Moves queued outbox frames into the connection's write buffer.
-fn pump_outbox(rc: &mut RConn, encode: &mut Vec<u8>) {
-    let mut frames = rc.outbox.frames.lock().expect("conn outbox");
-    while let Some(frame) = frames.pop_front() {
-        encode.clear();
-        frame.encode_into(encode);
-        rc.conn.queue(encode);
     }
 }
 
@@ -581,11 +509,7 @@ fn drain_courtesy(rc: &mut RConn) {
 /// Arms the closing quiet deadline once everything owed has reached
 /// the socket.
 fn arm_close_deadline(rc: &mut RConn) {
-    if rc.mode == ConnMode::Closing
-        && rc.close_deadline.is_none()
-        && !rc.conn.wants_write()
-        && rc.outbox.frames.lock().expect("conn outbox").is_empty()
-    {
+    if rc.mode == ConnMode::Closing && rc.close_deadline.is_none() && !rc.conn.wants_write() {
         rc.close_deadline = Some(Instant::now() + POLL_INTERVAL);
     }
 }
@@ -595,13 +519,13 @@ fn arm_close_deadline(rc: &mut RConn) {
 fn closing_complete(rc: &RConn) -> bool {
     rc.mode == ConnMode::Closing
         && !rc.conn.wants_write()
-        && rc.outbox.frames.lock().expect("conn outbox").is_empty()
         && (rc.saw_eof
             || rc.drained >= MAX_FRAME_LEN
             || rc.close_deadline.is_some_and(|d| Instant::now() >= d))
 }
 
-/// Once-per-poll maintenance across all connections.
+/// Once-per-pass maintenance across all connections, ending with a
+/// flush of what each owes.
 fn tick(slab: &mut Slab<RConn>, reactor: &Reactor, shared: &Shared, config: &ServerConfig) {
     let now = Instant::now();
     for token in slab.tokens() {
@@ -648,7 +572,7 @@ fn tick(slab: &mut Slab<RConn>, reactor: &Reactor, shared: &Shared, config: &Ser
                     }
                     ConnMode::Closing => {}
                 }
-                true
+                flush_owed(rc, shared, config)
             }
             None => continue,
         };
@@ -656,15 +580,14 @@ fn tick(slab: &mut Slab<RConn>, reactor: &Reactor, shared: &Shared, config: &Ser
     }
 }
 
-/// Removes a connection: route sends become no-ops, the descriptor
-/// leaves the poller, lifecycle books balance, and — if the protocol
-/// never concluded — the session is parked or evicted as an abrupt
-/// disconnect.
+/// Removes a connection: its token goes stale (a route still naming it
+/// drops frames), the descriptor leaves the poller, lifecycle books
+/// balance, and — if the protocol never concluded — the session is
+/// parked or evicted as an abrupt disconnect.
 fn teardown(slab: &mut Slab<RConn>, reactor: &Reactor, token: Token, shared: &Shared) {
     let Some(rc) = slab.remove(token) else {
         return;
     };
-    rc.outbox.dead.store(true, Ordering::Release);
     let _ = reactor.deregister(rc.conn.raw_fd());
     if !rc.finished {
         finish_connection(&rc.state, ExitReason::Abrupt, shared);
@@ -684,9 +607,7 @@ fn begin_shutdown(slab: &mut Slab<RConn>, shared: &Shared) {
     for token in slab.tokens() {
         if let Some(rc) = slab.get_mut(token) {
             if rc.mode != ConnMode::Closing {
-                rc.outbox.send(Frame::Err {
-                    code: ErrCode::Shutdown,
-                });
+                send_err(&mut rc.conn, ErrCode::Shutdown);
                 begin_close(rc, ExitReason::Shutdown, shared);
             }
         }

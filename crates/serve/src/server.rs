@@ -3,33 +3,38 @@
 //!
 //! # Threading model
 //!
-//! * One **reactor thread** owns the listener and every socket (see
-//!   the private `reactor` module). Each connection runs the protocol
-//!   state machine (`handle_frame`):
-//!   `Hello` registers a [`MonitorSession`] in the shared fleet, and
-//!   `Chunk` frames are pushed through
-//!   [`Fleet::push_chunk`](eddie_stream::Fleet::push_chunk). A `Full`
-//!   result becomes an explicit [`Frame::Busy`] on the wire plus a
-//!   pause of the connection's read interest, which is how fleet
-//!   backpressure reaches the capture device.
-//! * Replies and events go through a per-connection outbox that the
-//!   reactor flushes as the socket allows, so slow clients never
-//!   stall the drain loop.
-//! * One **drain loop** thread repeatedly calls
-//!   [`Fleet::drain`](eddie_stream::Fleet::drain) — sharding live
-//!   sessions across the [`eddie_exec`] worker pool — and routes each
-//!   device's events to its connection's outbox.
+//! One **serving thread** (the caller of [`Server::run`]) produces
+//! every frame the server sends. It owns the listener and every socket
+//! (see the private `reactor` module) and runs each connection's
+//! protocol state machine (`handle_frame`): `Hello` registers a
+//! [`MonitorSession`] in the fleet, and `Chunk` frames are pushed
+//! through [`Fleet::push_chunk`](eddie_stream::Fleet::push_chunk). A
+//! `Full` result becomes an explicit [`Frame::Busy`] on the wire plus a
+//! pause of the connection's read interest, which is how fleet
+//! backpressure reaches the capture device.
 //!
-//! All shared state (fleet, event routes, model-id bookkeeping) lives
-//! behind **one** mutex, which makes the two invariants that matter
-//! easy to see:
+//! After each pass's frames are handled and their replies flushed, the
+//! same thread drains the fleet ([`Fleet::drain`]: the devices with
+//! queued chunks, sharded across the `eddie-exec` worker pool with the
+//! serving thread taking a share) and writes each device's events into
+//! its connection's outbound buffer; the route is the connection's slab
+//! token. It also expires parked sessions and forwarding stubs and
+//! writes the periodic snapshot. Slow clients never stall it: unsent
+//! bytes wait in their connection's buffer.
 //!
-//! 1. events are routed to outboxes *while the fleet lock is held*, so
-//!    when a connection observes an empty queue for its device (during
-//!    `Finish` or a graceful `Close`) every event for already-drained
-//!    chunks is already in the outbox — none are lost;
-//! 2. eviction (route removal + [`Fleet::remove_session`]) is atomic
-//!    with respect to draining, so an abrupt disconnect can never leak
+//! The fleet and its bookkeeping (event routes, model ids, resumable
+//! sessions) live behind one mutex, which the serving thread shares only
+//! with [`ServerHandle`] calls (stats, export, import). With one thread
+//! producing frames, the two invariants that matter hold by
+//! construction:
+//!
+//! 1. a drain writes its events in the pass that processes their
+//!    chunks, so when a connection sees an empty queue for its device
+//!    (during `Finish` or a graceful `Close`) every event for its
+//!    accepted chunks is already queued ahead of the reply — none are
+//!    lost;
+//! 2. eviction (route removal + [`Fleet::remove_session`]) never
+//!    interleaves with a drain, so an abrupt disconnect can never leak
 //!    a session or route events to a dead connection.
 //!
 //! Per-device event order is the fleet's determinism contract, so the
@@ -52,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use eddie_chaos::{ServerFaults, SnapshotFate};
 use eddie_core::{Error as CoreError, ErrorKind, TrainedModel};
-use eddie_net::Reactor;
+use eddie_net::{BufferedConn, Reactor, Token, Waker};
 use eddie_obs::{Counter, Gauge, Histogram, JournalEvent, Timer};
 use eddie_store::snapshot::{parse_spill_snapshot, SpillSnapshotRecord};
 use eddie_store::{SessionStore, StoreConfig};
@@ -60,7 +65,6 @@ use eddie_stream::{
     DeviceId, Fleet, FleetConfig, FleetStats, MonitorSession, PushResult, SessionSnapshot,
 };
 
-use crate::reactor::{ConnOutbox, ReactorShared};
 use crate::wire::{ErrCode, Frame, MAX_FRAME_LEN};
 
 /// The trained models a server hosts, keyed by the id clients name in
@@ -110,7 +114,8 @@ pub struct ServerConfig {
     /// persistence (client `Snapshot` frames then fail with
     /// [`ErrCode::SnapshotFailed`]).
     pub snapshot_path: Option<PathBuf>,
-    /// How often the drain loop persists all live sessions.
+    /// How often the serving thread persists all live sessions (it
+    /// writes the file itself, between drains).
     pub snapshot_every: Duration,
     /// Disconnect a connection that sends nothing for this long;
     /// `None` keeps connections open indefinitely. A resumable session
@@ -184,7 +189,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// How often the drain loop persists all live sessions.
+    /// How often the serving thread persists all live sessions.
     pub fn with_snapshot_every(mut self, every: Duration) -> ServerConfigBuilder {
         self.config.snapshot_every = every;
         self
@@ -408,6 +413,10 @@ pub(crate) struct Counters {
     pub(crate) idle_disconnects: Arc<Counter>,
     pub(crate) backpressure_pauses: Arc<Counter>,
     pub(crate) open_connections: Arc<Gauge>,
+    /// `eddie_serve_ingest_lag_ns`: a chunk's wait for the core lock
+    /// plus its push. The serving thread runs the drain itself, so only
+    /// a [`ServerHandle`] call (stats, export, import) can hold the lock
+    /// then.
     pub(crate) ingest_lag_ns: Arc<Histogram>,
     pub(crate) next_conn_id: AtomicU64,
 }
@@ -542,40 +551,35 @@ pub struct ServerReport {
     pub final_stats: FleetStats,
 }
 
-/// Everything the server's threads share.
+/// What the serving thread shares with [`ServerHandle`]s.
 pub(crate) struct Shared {
     pub(crate) core: Mutex<Core>,
     pub(crate) registry: ModelRegistry,
     pub(crate) shutdown: AtomicBool,
     pub(crate) counters: Counters,
-    /// Scratch buffer for [`ServerHandle::fleet_stats`], so polling
-    /// stats allocates outside the core lock (and, steady-state, not
-    /// at all inside it).
-    stats_scratch: Mutex<FleetStats>,
-    /// The reactor's dirty mailbox and waker; the waker also lets
-    /// [`ServerHandle::shutdown`] interrupt a blocked poll instead of
-    /// waiting out its timeout.
-    pub(crate) reactor: Arc<ReactorShared>,
+    /// Lets [`ServerHandle::shutdown`] interrupt the serving thread's
+    /// blocked poll instead of waiting out its timeout.
+    pub(crate) waker: Waker,
 }
 
 /// The single-mutex heart of the server: the fleet plus the routing
-/// table from device index to connection outbox, plus the book of
-/// resumable sessions. A send into a route marks the connection dirty
-/// and wakes the reactor; a connection torn down mid-route drops the
-/// frame, and its exit bookkeeping evicts or parks the session.
+/// table from device index to connection (its slab token), plus the
+/// book of resumable sessions. A route to a connection torn down since
+/// drops the frame, and the connection's exit bookkeeping evicts or
+/// parks the session.
 pub(crate) struct Core {
     pub(crate) fleet: Fleet,
-    pub(crate) routes: HashMap<usize, Arc<ConnOutbox>>,
+    pub(crate) routes: HashMap<usize, Token>,
     model_ids: HashMap<usize, String>,
     /// Resumable sessions by token. Entries persist across the
     /// connections that carry them; the tail keeps filling while the
     /// session is parked.
     resumables: HashMap<u64, Resumable>,
-    /// Device index → resume token, for the drain loop's tail append.
+    /// Device index → resume token, for the drain's tail append.
     device_tokens: HashMap<usize, u64>,
     /// Forwarding stubs for sessions migrated to another shard: any
     /// frame arriving for one of these tokens is answered with
-    /// [`Frame::Moved`] naming the new owner. Pruned by the drain loop
+    /// [`Frame::Moved`] naming the new owner. Pruned after each drain
     /// on the same linger schedule as parked sessions.
     moved_tokens: HashMap<u64, MovedStub>,
     next_token: u64,
@@ -634,9 +638,9 @@ impl ServerHandle {
     /// from [`Server::run`].
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // The reactor may be parked in a poll; wake it so the flag is
-        // observed immediately.
-        self.shared.reactor.waker.wake();
+        // The serving thread may be parked in a poll; wake it so the
+        // flag is observed immediately.
+        self.shared.waker.wake();
     }
 
     /// Whether shutdown has been requested.
@@ -646,17 +650,8 @@ impl ServerHandle {
 
     /// A point-in-time snapshot of fleet load (queue depths, shed
     /// counts, live session count).
-    ///
-    /// Fills a shared scratch buffer while the core lock is held and
-    /// clones it afterwards, so a stats poll never allocates the
-    /// per-device rows inside the lock the drain loop contends on.
     pub fn fleet_stats(&self) -> FleetStats {
-        let mut scratch = self.shared.stats_scratch.lock().expect("stats scratch");
-        {
-            let core = self.shared.core.lock().expect("core lock");
-            core.fleet.stats_into(&mut scratch);
-        }
-        scratch.clone()
+        self.shared.core.lock().expect("core lock").fleet.stats()
     }
 
     /// Tokens of the resumable sessions this server currently owns
@@ -676,8 +671,8 @@ impl ServerHandle {
 
     /// Captures a resumable session for live migration to another
     /// shard: freezes its ingest (further chunks get `Busy`, which the
-    /// client's go-back-N absorbs), waits for the drain loop to consume
-    /// what was already accepted, then snapshots the session and
+    /// client's go-back-N absorbs), waits for the serving thread to
+    /// drain what was already accepted, then snapshots the session and
     /// removes it from the fleet. A `migrating` tombstone keeps the
     /// token answerable until [`finish_export`](Self::finish_export)
     /// installs the redirect stub — call it once
@@ -716,7 +711,7 @@ impl ServerHandle {
             core.routes.remove(&dev.index());
             dev
         };
-        // Phase 2: wait for the drain loop to consume every chunk that
+        // Phase 2: wait for the serving thread to drain every chunk that
         // was accepted before the freeze, so the snapshot covers them.
         loop {
             let pending = {
@@ -896,8 +891,7 @@ impl Server {
                 registry,
                 shutdown: AtomicBool::new(false),
                 counters: Counters::new(),
-                stats_scratch: Mutex::new(FleetStats::default()),
-                reactor: Arc::new(ReactorShared::new(&reactor)),
+                waker: reactor.waker(),
             }),
             reactor,
             config,
@@ -919,11 +913,11 @@ impl Server {
         }
     }
 
-    /// Serves until [`ServerHandle::shutdown`]: runs the reactor on the
-    /// calling thread (it accepts and drives every connection) and the
-    /// drain loop on another, persists periodic snapshots, and on
-    /// shutdown closes every connection before returning the final
-    /// report.
+    /// Serves until [`ServerHandle::shutdown`] on the calling thread:
+    /// it accepts and drives every connection, drains the fleet,
+    /// persists periodic snapshots, and on shutdown closes every
+    /// connection and drains what is still queued before returning the
+    /// final report.
     pub fn run(self) -> io::Result<ServerReport> {
         let Server {
             listener,
@@ -932,21 +926,8 @@ impl Server {
             config,
             ..
         } = self;
-        let config = Arc::new(config);
 
-        let drain_stop = Arc::new(AtomicBool::new(false));
-        let drain_thread = {
-            let shared = shared.clone();
-            let config = config.clone();
-            let stop = drain_stop.clone();
-            std::thread::spawn(move || drain_loop(&shared, &config, &stop))
-        };
-
-        let served = crate::reactor::run_reactor(reactor, listener, &shared, &config);
-
-        drain_stop.store(true, Ordering::SeqCst);
-        let _ = drain_thread.join();
-        served?;
+        crate::reactor::run_reactor(reactor, listener, &shared, &config)?;
 
         // Final snapshot generation (normally empty after clean
         // eviction, but crash-recovery readers expect the file).
@@ -984,106 +965,120 @@ fn build_report(shared: &Shared) -> ServerReport {
     }
 }
 
-/// How long the drain loop sleeps when no chunks are queued.
-const DRAIN_IDLE: Duration = Duration::from_micros(500);
-
-/// The drain loop: process queued chunks across the worker pool, route
-/// events to connection outboxes (under the core lock — see the module
-/// docs for why), and persist periodic snapshots.
-fn drain_loop(shared: &Shared, config: &ServerConfig, stop: &AtomicBool) {
-    let mut last_snapshot = Instant::now();
-    loop {
-        let mut did_work = false;
-        {
-            let mut core = shared.core.lock().expect("core lock");
-            let core = &mut *core;
-            if core.fleet.total_pending_chunks() > 0 {
-                let events = core.fleet.drain();
-                for (idx, evs) in events.iter().enumerate() {
-                    if evs.is_empty() {
-                        continue;
-                    }
-                    // Resumable bookkeeping first, route second: the
-                    // tail keeps filling even while the session is
-                    // parked (no route), which is what makes replay on
-                    // reattach possible at all.
-                    if let Some(r) = core
-                        .device_tokens
-                        .get(&idx)
-                        .and_then(|t| core.resumables.get_mut(t))
-                    {
-                        for ev in evs {
-                            r.tail.push_back(Frame::from_stream_event(ev));
-                            r.windows_sent += 1;
-                            while r.tail.len() > config.resume_tail {
-                                r.tail.pop_front();
-                                r.tail_base += 1;
-                            }
-                        }
-                    }
-                    if let Some(route) = core.routes.get(&idx) {
-                        for ev in evs {
-                            // A dead connection swallows the frame;
-                            // its exit bookkeeping evicts or parks.
-                            route.send(Frame::from_stream_event(ev));
-                        }
-                        shared.counters.events_sent.add(evs.len() as u64);
+/// One drain on the serving thread: processes every queued chunk
+/// (sharded across the worker pool), appends each resumable device's
+/// events to its replay tail and hands them to `deliver` with the
+/// device's route, expires parked sessions and forwarding stubs whose
+/// linger ran out, and writes the periodic snapshot once
+/// `snapshot_every` has passed since `last_snapshot`. The slow-drain
+/// failpoint stalls the serving thread after a drain that processed
+/// chunks.
+pub(crate) fn serve_fleet(
+    shared: &Shared,
+    config: &ServerConfig,
+    last_snapshot: &mut Instant,
+    mut deliver: impl FnMut(Token, &Frame),
+) {
+    let drained = {
+        let mut core = shared.core.lock().expect("core lock");
+        let core = &mut *core;
+        // An idle fleet skips the drain, and with it the store's
+        // per-drain budget pass and the drain-latency sample.
+        let drained = if core.fleet.total_pending_chunks() > 0 {
+            core.fleet.drain()
+        } else {
+            Vec::new()
+        };
+        for (dev, evs) in &drained {
+            let idx = dev.index();
+            // Resumable bookkeeping first, route second: the tail keeps
+            // filling even while the session is parked (no route),
+            // which is what makes replay on reattach possible at all.
+            if let Some(r) = core
+                .device_tokens
+                .get(&idx)
+                .and_then(|t| core.resumables.get_mut(t))
+            {
+                for ev in evs {
+                    r.tail.push_back(Frame::from_stream_event(ev));
+                    r.windows_sent += 1;
+                    while r.tail.len() > config.resume_tail {
+                        r.tail.pop_front();
+                        r.tail_base += 1;
                     }
                 }
-                did_work = true;
             }
-            // Park expiry: a parked session whose client never came
-            // back is evicted for good once the linger runs out.
-            let (fleet, model_ids, device_tokens) = (
-                &mut core.fleet,
-                &mut core.model_ids,
-                &mut core.device_tokens,
-            );
-            core.resumables.retain(|token, r| {
-                let expired = !r.attached
-                    && r.parked_at
-                        .is_some_and(|t| t.elapsed() >= config.resume_linger);
-                if expired {
-                    // Only tear down fleet/bookkeeping this token still
-                    // owns: after a migration the device index may have
-                    // been re-admitted to a different session.
-                    let idx = r.device.index();
-                    if device_tokens.get(&idx) == Some(token) {
-                        device_tokens.remove(&idx);
-                        model_ids.remove(&idx);
-                        if fleet.contains(r.device) {
-                            let _ = fleet.remove_session(r.device);
-                        }
+            if let Some(&route) = core.routes.get(&idx) {
+                for ev in evs {
+                    // A route to a closed connection drops the frame;
+                    // its exit bookkeeping evicts or parks.
+                    deliver(route, &Frame::from_stream_event(ev));
+                }
+                shared.counters.events_sent.add(evs.len() as u64);
+            }
+        }
+        // Park expiry: a parked session whose client never came back
+        // is evicted for good once the linger runs out.
+        let now = Instant::now();
+        let (fleet, model_ids, device_tokens) = (
+            &mut core.fleet,
+            &mut core.model_ids,
+            &mut core.device_tokens,
+        );
+        core.resumables.retain(|token, r| {
+            let expired = !r.attached
+                && r.parked_at
+                    .is_some_and(|t| now.duration_since(t) >= config.resume_linger);
+            if expired {
+                // Only tear down fleet/bookkeeping this token still
+                // owns: after a migration the device index may have
+                // been re-admitted to a different session.
+                let idx = r.device.index();
+                if device_tokens.get(&idx) == Some(token) {
+                    device_tokens.remove(&idx);
+                    model_ids.remove(&idx);
+                    if fleet.contains(r.device) {
+                        let _ = fleet.remove_session(r.device);
                     }
                 }
-                !expired
-            });
-            // Forwarding stubs age out on the same linger schedule; a
-            // straggler asking afterwards gets `UnknownToken`, exactly
-            // as an expired parked session would.
-            core.moved_tokens
-                .retain(|_, stub| stub.since.elapsed() < config.resume_linger);
-        }
-        if config.snapshot_path.is_some() && last_snapshot.elapsed() >= config.snapshot_every {
-            persist_now(shared, config);
-            last_snapshot = Instant::now();
-        }
-        // Slow-drain failpoint: stall between batches, outside the
-        // core lock so ingest keeps flowing while the drain lags.
-        if did_work {
-            if let Some(pause) = config.faults.as_ref().and_then(|f| f.drain_pause()) {
-                std::thread::sleep(pause);
             }
-        }
-        if stop.load(Ordering::SeqCst) {
-            let core = shared.core.lock().expect("core lock");
-            if core.fleet.total_pending_chunks() == 0 {
-                break;
-            }
-        } else if !did_work {
-            std::thread::sleep(DRAIN_IDLE);
+            !expired
+        });
+        // Forwarding stubs age out on the same linger schedule; a
+        // straggler asking afterwards gets `UnknownToken`, exactly as an
+        // expired parked session would.
+        core.moved_tokens
+            .retain(|_, stub| now.duration_since(stub.since) < config.resume_linger);
+        drained
+    };
+    if config.snapshot_path.is_some() && last_snapshot.elapsed() >= config.snapshot_every {
+        persist_now(shared, config);
+        *last_snapshot = Instant::now();
+    }
+    // Slow-drain failpoint: stall the serving thread between drains,
+    // outside the core lock.
+    if !drained.is_empty() {
+        if let Some(pause) = config.faults.as_ref().and_then(|f| f.drain_pause()) {
+            std::thread::sleep(pause);
         }
     }
+}
+
+/// Whether any device has chunks waiting for the next drain.
+pub(crate) fn chunks_queued(shared: &Shared) -> bool {
+    let core = shared.core.lock().expect("core lock");
+    core.fleet.total_pending_chunks() > 0
+}
+
+/// Queues `frame` on a connection's outbound buffer; the serving
+/// thread flushes it as the socket allows.
+pub(crate) fn send(out: &mut BufferedConn, frame: &Frame) {
+    out.queue_with(|buf| frame.encode_into(buf));
+}
+
+/// Queues an [`Frame::Err`] reply carrying `code`.
+pub(crate) fn send_err(out: &mut BufferedConn, code: ErrCode) {
+    send(out, &Frame::Err { code });
 }
 
 /// Collects all live sessions' snapshots (briefly holding the core
@@ -1175,6 +1170,9 @@ fn write_snapshot_with_faults(
 
 /// Per-connection protocol state.
 pub(crate) struct ConnState {
+    /// The connection's slab token: the route its device's events
+    /// take.
+    pub(crate) route: Token,
     pub(crate) device: Option<DeviceId>,
     /// Resume token when the session was opened with
     /// `HelloResumable` or reclaimed with `Resume`.
@@ -1183,9 +1181,10 @@ pub(crate) struct ConnState {
 }
 
 impl ConnState {
-    /// A fresh connection: no session yet.
-    pub(crate) fn new() -> ConnState {
+    /// A fresh connection on slab slot `route`: no session yet.
+    pub(crate) fn new(route: Token) -> ConnState {
         ConnState {
+            route,
             device: None,
             token: None,
             expected_seq: 0,
@@ -1208,7 +1207,7 @@ pub(crate) enum ExitReason {
 }
 
 /// What to run once a [`Step::Flush`] completes (the device's queue
-/// has fully drained and every event is in the outbox).
+/// has fully drained and every event is queued on the connection).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FlushThen {
     /// Report the total window count (`Finish`); the connection
@@ -1238,12 +1237,12 @@ pub(crate) enum Step {
 }
 
 /// Completes a [`Step::Flush`]: the queue is empty, so every event for
-/// accepted chunks is already in the outbox (events are routed under
-/// the same lock as draining).
+/// accepted chunks is already queued on the connection (a drain writes
+/// its events in the pass that processes their chunks).
 pub(crate) fn after_flush(
     then: FlushThen,
     dev: DeviceId,
-    route: &ConnOutbox,
+    out: &mut BufferedConn,
     shared: &Shared,
 ) -> Step {
     match then {
@@ -1254,7 +1253,7 @@ pub(crate) fn after_flush(
                 // progress from resident metadata, no thaw needed.
                 core.fleet.windows_observed(dev).map_or(0, |n| n as u64)
             };
-            route.send(Frame::Finished { windows });
+            send(out, &Frame::Finished { windows });
             Step::Continue
         }
         FlushThen::Close => Step::End(ExitReason::Clean),
@@ -1309,12 +1308,12 @@ pub(crate) fn finish_connection(state: &ConnState, reason: ExitReason, shared: &
     }
 }
 
-/// Drives the protocol state machine one frame forward, emitting reply
-/// frames through `route`. Everything that would wait (flushes,
-/// backpressure) is delegated back to the reactor via [`Step`].
+/// Drives the protocol state machine one frame forward, queueing reply
+/// frames on `out`. Everything that would wait (flushes, backpressure)
+/// is delegated back to the reactor via [`Step`].
 pub(crate) fn handle_frame(
     frame: Frame,
-    route: &Arc<ConnOutbox>,
+    out: &mut BufferedConn,
     state: &mut ConnState,
     shared: &Shared,
     config: &ServerConfig,
@@ -1334,30 +1333,24 @@ pub(crate) fn handle_frame(
                 unreachable!("outer arm matched a hello variant")
             };
             if state.device.is_some() {
-                route.send(Frame::Err {
-                    code: ErrCode::ProtocolViolation,
-                });
+                send_err(out, ErrCode::ProtocolViolation);
                 return Step::End(ExitReason::Abrupt);
             }
             let Some(model) = shared.registry.get(&model_id) else {
-                route.send(Frame::Err {
-                    code: ErrCode::UnknownModel,
-                });
+                send_err(out, ErrCode::UnknownModel);
                 return Step::End(ExitReason::Clean);
             };
             let session = match MonitorSession::new(model.clone(), sample_rate) {
                 Ok(s) => s,
                 Err(_) => {
-                    route.send(Frame::Err {
-                        code: ErrCode::BadHello,
-                    });
+                    send_err(out, ErrCode::BadHello);
                     return Step::End(ExitReason::Clean);
                 }
             };
             let mut core = shared.core.lock().expect("core lock");
             let core = &mut *core;
             let dev = core.fleet.add_session(session);
-            core.routes.insert(dev.index(), route.clone());
+            core.routes.insert(dev.index(), state.route);
             core.model_ids.insert(dev.index(), model_id);
             state.device = Some(dev);
             if resumable {
@@ -1378,7 +1371,7 @@ pub(crate) fn handle_frame(
                     },
                 );
                 state.token = Some(token);
-                route.send(Frame::Session { token, next_seq: 0 });
+                send(out, &Frame::Session { token, next_seq: 0 });
             }
             Step::Continue
         }
@@ -1387,9 +1380,7 @@ pub(crate) fn handle_frame(
             have_windows,
         } => {
             if state.device.is_some() {
-                route.send(Frame::Err {
-                    code: ErrCode::ProtocolViolation,
-                });
+                send_err(out, ErrCode::ProtocolViolation);
                 return Step::End(ExitReason::Abrupt);
             }
             let mut core = shared.core.lock().expect("core lock");
@@ -1397,16 +1388,17 @@ pub(crate) fn handle_frame(
             if let Some(stub) = core.moved_tokens.get(&token) {
                 // The session lives on another shard now; point the
                 // client there with its token intact.
-                route.send(Frame::Moved {
-                    shard_addr: stub.addr.clone(),
-                    token,
-                });
+                send(
+                    out,
+                    &Frame::Moved {
+                        shard_addr: stub.addr.clone(),
+                        token,
+                    },
+                );
                 return Step::End(ExitReason::Clean);
             }
             let Some(r) = core.resumables.get_mut(&token) else {
-                route.send(Frame::Err {
-                    code: ErrCode::UnknownToken,
-                });
+                send_err(out, ErrCode::UnknownToken);
                 return Step::End(ExitReason::Clean);
             };
             if r.migrating {
@@ -1414,25 +1406,19 @@ pub(crate) fn handle_frame(
                 // session yet. A recoverable error makes the client
                 // back off and retry, by which time the redirect
                 // stub is installed.
-                route.send(Frame::Err {
-                    code: ErrCode::ProtocolViolation,
-                });
+                send_err(out, ErrCode::ProtocolViolation);
                 return Step::End(ExitReason::Clean);
             }
             if r.attached || have_windows > r.windows_sent {
                 // Another connection owns the session, or the
                 // client claims events we never sent.
-                route.send(Frame::Err {
-                    code: ErrCode::ProtocolViolation,
-                });
+                send_err(out, ErrCode::ProtocolViolation);
                 return Step::End(ExitReason::Clean);
             }
             if have_windows < r.tail_base {
                 // The replay window has already dropped events the
                 // client is missing; a resume would leave a hole.
-                route.send(Frame::Err {
-                    code: ErrCode::ResumeGap,
-                });
+                send_err(out, ErrCode::ResumeGap);
                 return Step::End(ExitReason::Clean);
             }
             r.attached = true;
@@ -1447,17 +1433,17 @@ pub(crate) fn handle_frame(
             if core.fleet.is_parked(dev) {
                 let _ = core.fleet.thaw(dev);
             }
-            route.send(Frame::Session { token, next_seq });
-            // Replay buffered events the client missed, under the
-            // core lock so the drain loop cannot interleave newer
-            // events out of order.
+            send(out, &Frame::Session { token, next_seq });
+            // Replay buffered events the client missed. The route is
+            // installed after the replay, so a later drain's events
+            // follow it in order.
             let replay_from = (have_windows - r.tail_base) as usize;
             let mut replayed = 0u64;
             for f in r.tail.iter().skip(replay_from) {
-                route.send(f.clone());
+                send(out, f);
                 replayed += 1;
             }
-            core.routes.insert(dev.index(), route.clone());
+            core.routes.insert(dev.index(), state.route);
             state.device = Some(dev);
             state.token = Some(token);
             state.expected_seq = next_seq;
@@ -1474,27 +1460,25 @@ pub(crate) fn handle_frame(
         Frame::Chunk { seq, samples } => {
             shared.counters.chunks_received.inc();
             let Some(dev) = state.device else {
-                route.send(Frame::Err {
-                    code: ErrCode::ProtocolViolation,
-                });
+                send_err(out, ErrCode::ProtocolViolation);
                 return Step::End(ExitReason::Abrupt);
             };
             if seq < state.expected_seq {
                 // Duplicate of an accepted chunk: idempotent ack.
                 shared.counters.duplicate_acks.inc();
-                route.send(Frame::Ack { seq });
+                send(out, &Frame::Ack { seq });
             } else if seq > state.expected_seq {
                 // A gap means an earlier chunk was refused; the
                 // client must resend in order (go-back-N).
                 shared.counters.chunks_busy.inc();
-                route.send(Frame::Busy { seq });
+                send(out, &Frame::Busy { seq });
             } else if config.faults.as_ref().is_some_and(|f| f.busy_storm()) {
                 // Injected busy storm: refuse a chunk the fleet
                 // would have taken; go-back-N absorbs it. Not real
                 // fleet pressure, so no backpressure pause: the
                 // storm must not freeze the connection's reads.
                 shared.counters.chunks_busy.inc();
-                route.send(Frame::Busy { seq });
+                send(out, &Frame::Busy { seq });
             } else {
                 // A session being exported (or already migrated)
                 // must not accept chunks the destination shard will
@@ -1506,8 +1490,7 @@ pub(crate) fn handle_frame(
                     Moved(String),
                 }
                 let outcome = {
-                    // Ingest lag: how long this chunk waits on the
-                    // core lock (drain contention) plus the push.
+                    // Ingest lag: the core-lock wait plus the push.
                     let _span = Timer::start(
                         eddie_obs::enabled().then(|| shared.counters.ingest_lag_ns.as_ref()),
                     );
@@ -1539,7 +1522,7 @@ pub(crate) fn handle_frame(
                 match outcome {
                     Ingest::Push(PushResult::Accepted) => {
                         shared.counters.chunks_accepted.inc();
-                        route.send(Frame::Ack { seq });
+                        send(out, &Frame::Ack { seq });
                         state.expected_seq += 1;
                     }
                     Ingest::Push(PushResult::Full) => {
@@ -1547,12 +1530,12 @@ pub(crate) fn handle_frame(
                         // and ask the reactor to stop reading until
                         // the queue has room.
                         shared.counters.chunks_busy.inc();
-                        route.send(Frame::Busy { seq });
+                        send(out, &Frame::Busy { seq });
                         return Step::BackpressurePause;
                     }
                     Ingest::Frozen => {
                         shared.counters.chunks_busy.inc();
-                        route.send(Frame::Busy { seq });
+                        send(out, &Frame::Busy { seq });
                     }
                     Ingest::Moved(addr) => {
                         // Counted as busy so the chunk ledger stays
@@ -1562,10 +1545,13 @@ pub(crate) fn handle_frame(
                         // the close — the client disconnects once
                         // it reads the first redirect.
                         shared.counters.chunks_busy.inc();
-                        route.send(Frame::Moved {
-                            shard_addr: addr,
-                            token: state.token.unwrap_or(0),
-                        });
+                        send(
+                            out,
+                            &Frame::Moved {
+                                shard_addr: addr,
+                                token: state.token.unwrap_or(0),
+                            },
+                        );
                     }
                 }
             }
@@ -1573,14 +1559,12 @@ pub(crate) fn handle_frame(
         }
         Frame::Snapshot => {
             let Some(dev) = state.device else {
-                route.send(Frame::Err {
-                    code: ErrCode::ProtocolViolation,
-                });
+                send_err(out, ErrCode::ProtocolViolation);
                 return Step::End(ExitReason::Abrupt);
             };
             let persisted =
                 config.snapshot_path.is_some() && { persist_device(dev, shared, config) };
-            route.send(if persisted {
+            let reply = if persisted {
                 // Ack carries the count of accepted chunks: the
                 // stream position the snapshot covers at most.
                 Frame::Ack {
@@ -1590,14 +1574,13 @@ pub(crate) fn handle_frame(
                 Frame::Err {
                     code: ErrCode::SnapshotFailed,
                 }
-            });
+            };
+            send(out, &reply);
             Step::Continue
         }
         Frame::Finish => {
             if state.device.is_none() {
-                route.send(Frame::Err {
-                    code: ErrCode::ProtocolViolation,
-                });
+                send_err(out, ErrCode::ProtocolViolation);
                 return Step::End(ExitReason::Abrupt);
             }
             // A migrated (or mid-export) session finishes on the
@@ -1606,16 +1589,17 @@ pub(crate) fn handle_frame(
                 let core = shared.core.lock().expect("core lock");
                 if let Some(t) = state.token {
                     if let Some(stub) = core.moved_tokens.get(&t) {
-                        route.send(Frame::Moved {
-                            shard_addr: stub.addr.clone(),
-                            token: t,
-                        });
+                        send(
+                            out,
+                            &Frame::Moved {
+                                shard_addr: stub.addr.clone(),
+                                token: t,
+                            },
+                        );
                         return Step::End(ExitReason::Clean);
                     }
                     if core.resumables.get(&t).is_none_or(|r| r.migrating) {
-                        route.send(Frame::Err {
-                            code: ErrCode::ProtocolViolation,
-                        });
+                        send_err(out, ErrCode::ProtocolViolation);
                         return Step::End(ExitReason::Clean);
                     }
                 }
@@ -1631,10 +1615,10 @@ pub(crate) fn handle_frame(
             if state.device.is_none() {
                 return Step::End(ExitReason::Clean);
             }
-            // Flush: wait until the drain loop has consumed the
-            // device's queue. Because events are routed under the
-            // same lock, an empty queue means every event is
-            // already in our outbox.
+            // Flush: wait until a drain has consumed the device's
+            // queue. A drain writes its events in the pass that
+            // processes their chunks, so an empty queue means every
+            // event is already queued on this connection.
             Step::Flush(FlushThen::Close)
         }
         Frame::Stats => {
@@ -1644,9 +1628,12 @@ pub(crate) fn handle_frame(
                 Some(o) => o.registry().render_prometheus(),
                 None => String::from("# eddie-obs not installed\n"),
             };
-            route.send(Frame::StatsReply {
-                text: clamp_stats_text(text),
-            });
+            send(
+                out,
+                &Frame::StatsReply {
+                    text: clamp_stats_text(text),
+                },
+            );
             Step::Continue
         }
         // Server-only frames from a client are protocol violations.
@@ -1658,9 +1645,7 @@ pub(crate) fn handle_frame(
         | Frame::Session { .. }
         | Frame::Finished { .. }
         | Frame::Moved { .. } => {
-            route.send(Frame::Err {
-                code: ErrCode::ProtocolViolation,
-            });
+            send_err(out, ErrCode::ProtocolViolation);
             Step::End(ExitReason::Abrupt)
         }
     }

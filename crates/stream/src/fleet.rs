@@ -10,8 +10,8 @@ use eddie_store::SessionStore;
 use crate::{MonitorSession, SessionSnapshot, StreamEvent};
 
 /// Handle to one session inside a [`Fleet`]. Ids are dense slot
-/// indices: live devices never shift, so indices into [`Fleet::drain`]
-/// results are stable for as long as the device is registered. An
+/// indices: live devices never shift, so the ids [`Fleet::drain`]
+/// returns are stable for as long as the device is registered. An
 /// evicted device's slot is *reused* by a later registration (lowest
 /// vacated index first), so churn — e.g. repeated migrate-out /
 /// migrate-in of cluster sessions — does not grow the slot table; a
@@ -43,7 +43,7 @@ pub struct FleetConfig {
 
 impl Default for FleetConfig {
     /// 64 chunks / 1 MiSample per device — roomy enough for bursty
-    /// ingest, small enough that a stalled drain loop surfaces as
+    /// ingest, small enough that a stalled drain surfaces as
     /// backpressure instead of unbounded memory.
     fn default() -> FleetConfig {
         FleetConfig {
@@ -253,8 +253,9 @@ impl Device {
 ///   samples arrive — cheap (one queue append), non-blocking, and
 ///   backpressure-aware;
 /// * the *processing* side calls [`drain`](Fleet::drain) — every queued
-///   chunk is pushed through its session, with devices sharded across
-///   the worker pool ([`eddie_exec::par_map_mut`]).
+///   chunk is pushed through its session, with the devices that have
+///   queued chunks sharded across the worker pool
+///   ([`eddie_exec::par_map_mut`]); idle devices cost nothing.
 ///
 /// Each device's chunks are processed in arrival order by exactly one
 /// worker per drain, and results are collected in device order, so the
@@ -456,7 +457,6 @@ impl Fleet {
 
     /// Size of the slot table — the high-water mark of concurrently
     /// registered devices (vacated slots are reused, not dropped).
-    /// Equals the length of the vector [`drain`](Fleet::drain) returns.
     pub fn registered(&self) -> usize {
         self.devices.len()
     }
@@ -506,23 +506,8 @@ impl Fleet {
 
     /// A point-in-time load snapshot: per-device queue depths and
     /// session progress, plus the cumulative accepted/shed counts.
-    ///
-    /// Allocates a fresh [`FleetStats`]; callers polling in a loop
-    /// (the serve drain loop holds its core mutex while reading) should
-    /// use [`stats_into`](Fleet::stats_into) with a reused scratch
-    /// buffer instead.
     pub fn stats(&self) -> FleetStats {
         let mut out = FleetStats::default();
-        self.stats_into(&mut out);
-        out
-    }
-
-    /// Fills `out` with the current load snapshot, reusing its
-    /// `devices` allocation. After the first call with a given buffer,
-    /// subsequent calls allocate only if the live-device count grew
-    /// past the buffer's capacity.
-    pub fn stats_into(&self, out: &mut FleetStats) {
-        out.devices.clear();
         out.devices.extend(self.live().map(|(i, d)| DeviceStats {
             device: DeviceId(i),
             queued_chunks: d.queue.len(),
@@ -540,6 +525,7 @@ impl Fleet {
         out.accepted_samples = self.accepted_samples.value();
         out.shed_chunks = self.shed_chunks.value();
         out.shed_samples = self.shed_samples.value();
+        out
     }
 
     /// Live *resident* sessions in [`DeviceId`] order, without building
@@ -617,20 +603,21 @@ impl Fleet {
         PushResult::Accepted
     }
 
-    /// Processes every queued chunk of every live device, sharding
-    /// devices across the worker pool. Returns the events each device
-    /// emitted, indexed by [`DeviceId::index`] — empty for devices with
-    /// nothing queued, no completed window, or an evicted slot.
-    pub fn drain(&mut self) -> Vec<Vec<StreamEvent>> {
+    /// Processes every queued chunk, sharding the devices that have
+    /// queued chunks across the worker pool; idle and parked devices
+    /// are not visited. Returns, in device order, each such device with
+    /// the events it emitted (empty when its chunks completed no
+    /// window). A drain with nothing queued returns an empty vector.
+    pub fn drain(&mut self) -> Vec<(DeviceId, Vec<StreamEvent>)> {
         let span = Timer::start(self.obs.as_ref().map(|o| o.drain_ns.as_ref()));
-        let total = self.devices.len();
-        let mut live: Vec<(usize, &mut Device)> = self
+        let mut ready: Vec<(usize, &mut Device)> = self
             .devices
             .iter_mut()
             .enumerate()
             .filter_map(|(i, slot)| slot.as_mut().map(|d| (i, d)))
+            .filter(|(_, d)| !d.queue.is_empty())
             .collect();
-        let drained = eddie_exec::par_map_mut(&mut live, |_, (i, d)| {
+        let drained = eddie_exec::par_map_mut(&mut ready, |_, (i, d)| {
             let session = match &mut d.state {
                 SessionState::Resident(s) => s,
                 // Parking requires an empty queue and pushes thaw
@@ -645,7 +632,7 @@ impl Fleet {
             }
             (*i, pre_region, events)
         });
-        let mut out = vec![Vec::new(); total];
+        let mut out = Vec::with_capacity(drained.len());
         for (i, pre_region, events) in drained {
             // Journal after the parallel section, in device order, so
             // the record sequence is identical for every worker count.
@@ -670,13 +657,13 @@ impl Fleet {
                     tracked = ev.tracked;
                 }
             }
-            out[i] = events;
+            out.push((DeviceId(i), events));
         }
         if let Some(obs) = &self.obs {
             obs.queued_chunks.set(0);
             obs.queued_samples.set(0);
             obs.events_emitted
-                .add(out.iter().map(|e| e.len() as u64).sum());
+                .add(out.iter().map(|(_, e)| e.len() as u64).sum());
         }
         drop(span);
         self.enforce_budget();
@@ -1008,6 +995,15 @@ mod tests {
         MonitorSession::new(model.clone(), 1000.0).unwrap()
     }
 
+    /// The events `dev` emitted in one drain's result (empty when the
+    /// drain did not visit it).
+    fn events_of(drained: &[(DeviceId, Vec<StreamEvent>)], dev: DeviceId) -> &[StreamEvent] {
+        drained
+            .iter()
+            .find(|(d, _)| *d == dev)
+            .map_or(&[], |(_, e)| e.as_slice())
+    }
+
     fn bounds(chunks: usize, samples: usize) -> FleetConfig {
         FleetConfig::builder()
             .with_max_pending_chunks(chunks)
@@ -1080,8 +1076,8 @@ mod tests {
         let events = fleet.drain();
         assert_eq!(events.len(), 2);
         assert_eq!(
-            events[a.index()],
-            events[b.index()],
+            events_of(&events, a),
+            events_of(&events, b),
             "chunking must not change events"
         );
         assert_eq!(
@@ -1134,10 +1130,10 @@ mod tests {
         // Double eviction is a no-op returning None.
         assert!(fleet.remove_session(a).is_none());
 
-        // Drain results stay indexed by the original ids.
+        // The drain visits only the live device with queued work, under
+        // its original id.
         let events = fleet.drain();
-        assert_eq!(events.len(), 2);
-        assert!(events[a.index()].is_empty());
+        assert_eq!(events.iter().map(|(d, _)| *d).collect::<Vec<_>>(), vec![b]);
 
         // The next registration reuses the vacated slot, so the slot
         // table does not grow.
@@ -1175,7 +1171,7 @@ mod tests {
         assert_eq!(stats.devices.len(), rows_before);
         assert_eq!(stats.total_registered, 2);
         assert!(fleet.contains(stable));
-        assert_eq!(fleet.drain().len(), 2);
+        assert!(fleet.drain().is_empty(), "nothing queued survives churn");
 
         // Several vacancies hand out the lowest index first.
         let x = fleet.add_session(session(&model));
@@ -1200,7 +1196,7 @@ mod tests {
         assert_eq!(stats.queued_chunks, 0, "evicted queue is gone");
         assert_eq!(stats.shed_chunks, 1, "shed totals survive eviction");
         assert_eq!(stats.shed_samples, 6);
-        assert!(fleet.drain().iter().all(Vec::is_empty));
+        assert!(fleet.drain().is_empty());
     }
 
     #[test]
@@ -1225,7 +1221,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_into_reuses_buffer_and_does_not_perturb_drain() {
+    fn stats_queries_do_not_perturb_drain() {
         let model = tiny_model();
         let signal: Vec<f32> = (0..4000).map(|i| (i as f32 * 0.01).sin()).collect();
 
@@ -1234,12 +1230,11 @@ mod tests {
         let qa = quiet.add_session(session(&model));
         let qb = quiet.add_session(session(&model));
 
-        // Observed fleet: identical pushes, but stats_into is hammered
-        // between every operation with one reused scratch buffer.
+        // Observed fleet: identical pushes, but stats is queried
+        // between every operation.
         let mut watched = Fleet::new(FleetConfig::default());
         let wa = watched.add_session(session(&model));
         let wb = watched.add_session(session(&model));
-        let mut scratch = FleetStats::default();
 
         let mut quiet_events = Vec::new();
         let mut watched_events = Vec::new();
@@ -1248,33 +1243,20 @@ mod tests {
             let _ = quiet.push_chunk(qb, chunk.to_vec());
             quiet_events.push(quiet.drain());
 
-            watched.stats_into(&mut scratch);
+            let _ = watched.stats();
             let _ = watched.push_chunk(wa, chunk.to_vec());
-            watched.stats_into(&mut scratch);
+            let _ = watched.stats();
             let _ = watched.push_chunk(wb, chunk.to_vec());
-            watched.stats_into(&mut scratch);
+            let _ = watched.stats();
             watched_events.push(watched.drain());
-            watched.stats_into(&mut scratch);
         }
         assert_eq!(
             quiet_events, watched_events,
             "stats queries must not change drained events"
         );
-
-        // The scratch buffer's allocation is reused: with a stable
-        // live-device count, repeated fills never grow capacity.
-        watched.stats_into(&mut scratch);
-        let cap = scratch.devices.capacity();
-        for _ in 0..32 {
-            watched.stats_into(&mut scratch);
-        }
-        assert_eq!(scratch.devices.capacity(), cap, "no per-call reallocation");
-        assert_eq!(scratch.active_sessions, 2);
-        assert_eq!(scratch.accepted_chunks, fleet_accepted(&watched));
-    }
-
-    fn fleet_accepted(fleet: &Fleet) -> u64 {
-        fleet.stats().accepted_chunks
+        let stats = watched.stats();
+        assert_eq!(stats.active_sessions, 2);
+        assert_eq!(stats.accepted_chunks, quiet.stats().accepted_chunks);
     }
 
     #[test]
@@ -1349,7 +1331,7 @@ mod tests {
         assert!(!fleet.is_parked(devs[0]));
         let _ = fleet.push_chunk(devs[3], signal[1000..].to_vec());
         let events = fleet.drain();
-        assert_eq!(events[devs[0].index()], events[devs[3].index()]);
+        assert_eq!(events_of(&events, devs[0]), events_of(&events, devs[3]));
         assert!(fleet.ledger_snapshot().unwrap().conserved());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -21,8 +21,8 @@
 //! * [`Fleet`] — many sessions behind one ingress API. Chunks land in
 //!   bounded per-device queues ([`Fleet::push_chunk`] reports
 //!   [`PushResult::Full`] instead of blocking — explicit backpressure),
-//!   and [`Fleet::drain`] shards the queued work across the
-//!   [`eddie_exec`] worker pool, one device per worker at a time.
+//!   and [`Fleet::drain`] shards the devices with queued chunks across
+//!   the [`eddie_exec`] worker pool, one device per worker at a time.
 //!   [`Fleet::with_store`] attaches an [`eddie_store::SessionStore`]
 //!   cold tier: models are interned (one allocation per distinct
 //!   program) and idle sessions beyond the resident budget are parked
@@ -65,10 +65,11 @@
 //!     PushResult::Full => { /* shed load or retry later */ }
 //! }
 //!
-//! // Worker side: process everything queued, sharded across the pool.
-//! for events in fleet.drain() {
+//! // Processing side: every device with queued chunks, sharded across
+//! // the pool; each comes back with its events, in device order.
+//! for (device, events) in fleet.drain() {
 //!     for ev in events {
-//!         println!("window {}: {:?}", ev.window, ev.event);
+//!         println!("device {}, window {}: {:?}", device.index(), ev.window, ev.event);
 //!     }
 //! }
 //!

@@ -215,7 +215,8 @@ fn full_shed_path_counts_and_preserves_accepted_prefix() {
 
     // Draining processes exactly the accepted prefix: same events as a
     // bare session fed only those samples.
-    let events = fleet.drain().swap_remove(dev.index());
+    let [(drained, events)]: [_; 1] = fleet.drain().try_into().expect("only the fed device");
+    assert_eq!(drained, dev);
     let mut reference = MonitorSession::new(model.clone(), rate).unwrap();
     let expected = reference.push(&accepted);
     assert_eq!(events, expected, "shed chunks must not affect the session");

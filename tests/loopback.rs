@@ -1,5 +1,5 @@
 //! End-to-end loopback suite: real TCP sockets on 127.0.0.1, a real
-//! server with its drain loop on the worker pool, real replay clients.
+//! server draining its fleet on the worker pool, real replay clients.
 //!
 //! The headline contract: the event stream a client receives over the
 //! wire is **byte-identical** to the batch `Pipeline::monitor_result`
@@ -311,8 +311,8 @@ fn snapshot_persists_and_restores_mid_stream() {
             }
         }
     }
-    // Let the drain loop consume everything so the snapshot covers the
-    // exact prefix we sent.
+    // Let the server drain everything so the snapshot covers the exact
+    // prefix we sent.
     wait_for(|| handle.fleet_stats().queued_chunks == 0, "queue drained");
     write_frame(&mut s, &Frame::Snapshot).unwrap();
     loop {
