@@ -50,8 +50,8 @@ use eddie_inject::{LoopInjector, OpPattern};
 use eddie_isa::RegionId;
 use eddie_rand::SplitMix64;
 use eddie_serve::{
-    load_snapshot, ClientConfig, ModelRegistry, ReplayClient, ReplayOutcome, ResilientClient,
-    ResilientOutcome, Server, ServerConfig, ServerConfigBuilder, ServerHandle, ServerReport,
+    load_snapshot, ModelRegistry, ReplayClient, ReplayOutcome, ResilientClient, ResilientOutcome,
+    Server, ServerConfig, ServerConfigBuilder, ServerHandle, ServerReport,
 };
 use eddie_sim::{InjectionHook, SimConfig};
 use eddie_store::{LedgerSnapshot, SessionStore, StoreConfig};
@@ -729,20 +729,6 @@ pub fn loopback(
     Ok(outcomes)
 }
 
-/// The self-healing client the chaos and cluster runners drive.
-fn resilient_config(seed: u64, max_reconnects: u32) -> Result<ClientConfig, Failure> {
-    ClientConfig::builder()
-        // A dropped frame produces silence, never an error: the read
-        // timeout is what converts it into a reconnect.
-        .with_read_timeout(Duration::from_millis(150))
-        .with_backoff(Duration::from_millis(2), 2.0, Duration::from_millis(50))
-        .with_jitter(0.1, seed)
-        .with_max_reconnects(max_reconnects)
-        .with_max_redirects(8)
-        .build()
-        .map_err(Failure::from)
-}
-
 /// The server the chaos and cluster runners host: sessions are parked
 /// by idleness rather than evicted, so a client mid-backoff can come
 /// back.
@@ -792,7 +778,7 @@ pub fn chaos(
     let server = LocalServer::start(model.clone(), config.build()?)?;
     let mut proxy = ChaosProxy::start(server.addr(), plan.clone())
         .map_err(|e| Failure(format!("[{path}] proxy: {e}")))?;
-    let client = ResilientClient::new(proxy.addr(), resilient_config(plan.seed, 10)?);
+    let client = ResilientClient::new(proxy.addr(), plan.seed);
 
     // Sequential replays keep the proxy's global fault schedule — and
     // so the outcome — reproducible for a given plan.
@@ -931,7 +917,7 @@ pub fn cluster(
         .enumerate()
         .map(|(i, run)| {
             let (signal, rate) = (run.signal.clone(), run.rate);
-            let client = ResilientClient::new(router, resilient_config(1000 + i as u64, 12)?);
+            let client = ResilientClient::new(router, 1000 + i as u64);
             Ok(std::thread::spawn(move || {
                 client
                     .replay(MODEL_ID, rate, &signal, chunk)

@@ -17,7 +17,6 @@
 //! how curves move with the swept parameter — is what reproduces the
 //! paper; `EXPERIMENTS.md` records paper-vs-measured for each artifact.
 
-pub mod benchjson;
 pub mod clustercli;
 pub mod diff;
 pub mod exps;

@@ -8,14 +8,13 @@
 //! eddie-experiments stats --addr HOST:PORT [--raw]
 //! eddie-experiments chaos [--plan GRAMMAR] [--chunk N] [--scale quick|full]
 //! eddie-experiments cluster [--shards N] [--clients N] [--chunk N] [--plan GRAMMAR] [--scale quick|full]
-//! eddie-experiments bench-json [--out FILE] [--check FILE] [--passes N]
 //! eddie-experiments soak [--devices N] [--programs P] [--budget N] [--chunk N] [--rounds N]
 //! eddie-experiments --list
 //! ```
 
 use std::process::ExitCode;
 
-use eddie_experiments::{benchjson, clustercli, exps, servecli, soakcli, Scale};
+use eddie_experiments::{clustercli, exps, servecli, soakcli, Scale};
 
 fn usage() -> String {
     format!(
@@ -25,7 +24,6 @@ fn usage() -> String {
          \x20      eddie-experiments stats --addr HOST:PORT [--raw]\n\
          \x20      eddie-experiments chaos [--plan GRAMMAR] [--chunk N] [--scale quick|full]\n\
          \x20      eddie-experiments cluster [--shards N] [--clients N] [--chunk N] [--plan GRAMMAR] [--scale quick|full]\n\
-         \x20      eddie-experiments bench-json [--out FILE] [--check FILE] [--passes N]\n\
          \x20      eddie-experiments soak [--devices N] [--programs P] [--budget N] [--chunk N] [--rounds N]\n\
          ids: {} | all\n\
          default scale: quick\n\
@@ -45,7 +43,6 @@ fn run_servecli(cmd: &str, rest: &[String]) -> ExitCode {
         "stats" => servecli::stats(rest),
         "chaos" => servecli::chaos(rest),
         "cluster" => clustercli::cluster(rest),
-        "bench-json" => benchjson::bench_json(rest),
         "soak" => soakcli::soak(rest),
         _ => unreachable!(),
     };
@@ -79,13 +76,13 @@ fn main() -> ExitCode {
         println!("replay-client");
         println!("stats");
         println!("chaos");
-        println!("bench-json");
+        println!("cluster");
         println!("soak");
         return ExitCode::SUCCESS;
     }
     if matches!(
         args[0].as_str(),
-        "serve" | "replay-client" | "stats" | "chaos" | "cluster" | "bench-json" | "soak"
+        "serve" | "replay-client" | "stats" | "chaos" | "cluster" | "soak"
     ) {
         return run_servecli(&args[0], &args[1..]);
     }

@@ -14,9 +14,9 @@
 //!   `resident + parked == added - evicted`, and no park or thaw
 //!   failures accumulate.
 //! * **Bytes-per-session budget** — the ledger's resident footprint
-//!   estimate never exceeds `--max-bytes-per-session` (default 256 KiB,
-//!   `EDDIE_SOAK_MAX_BYTES` overrides). The measured figure for the
-//!   committed 100k run is recorded in `EXPERIMENTS.md`.
+//!   estimate never exceeds `--max-bytes-per-session` (default 256 KiB).
+//!   The measured figure for the committed 100k run is recorded in
+//!   `EXPERIMENTS.md`.
 //! * **Park → thaw → replay byte-identity** — a tracked set of devices
 //!   is force-parked every round and must still emit exactly the event
 //!   stream a never-parked batch `MonitorSession` produces for the same
@@ -87,18 +87,13 @@ impl SoakConfig {
             chunk: 2048,
             rounds: 6,
             spill_dir: spill_dir.into(),
-            max_bytes_per_session: default_max_bytes(),
+            max_bytes_per_session: DEFAULT_MAX_BYTES,
         }
     }
 }
 
-fn default_max_bytes() -> f64 {
-    std::env::var("EDDIE_SOAK_MAX_BYTES")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|&v| v > 0.0)
-        .unwrap_or(256.0 * 1024.0)
-}
+/// Default `--max-bytes-per-session` ceiling: 256 KiB.
+const DEFAULT_MAX_BYTES: f64 = 256.0 * 1024.0;
 
 /// What a completed soak measured; [`render`](SoakReport::render) turns
 /// it into the CLI table.
@@ -411,7 +406,7 @@ pub fn soak(args: &[String]) -> Result<String, String> {
             || std::env::temp_dir().join(format!("eddie-soak-{}", std::process::id())),
             PathBuf::from,
         ),
-        max_bytes_per_session: default_max_bytes(),
+        max_bytes_per_session: DEFAULT_MAX_BYTES,
     };
     if let Some(raw) = flag("--max-bytes-per-session") {
         cfg.max_bytes_per_session =

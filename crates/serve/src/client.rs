@@ -48,11 +48,10 @@ pub enum ClientError {
     /// EOF while replies were still owed).
     Protocol(&'static str),
     /// Every handshake kept answering [`Frame::Moved`]: the client
-    /// followed more consecutive redirects than
-    /// [`ClientConfig::max_redirects`] allows without ever reaching a
-    /// shard that owned the session — a redirect loop or a cluster
-    /// whose ownership never settles. Not recoverable: retrying would
-    /// just walk the same loop again.
+    /// followed more consecutive redirects than its bound (8) allows
+    /// without ever reaching a shard that owned the session — a
+    /// redirect loop or a cluster whose ownership never settles. Not
+    /// recoverable: retrying would just walk the same loop again.
     TooManyRedirects,
 }
 
@@ -358,174 +357,53 @@ impl GoBackN {
     }
 }
 
-/// Tunables of a [`ResilientClient`]. Construct via
-/// [`ClientConfig::builder`]; `#[non_exhaustive]` so new knobs are not
-/// breaking changes.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct ClientConfig {
-    /// Socket read timeout. **Required for fault tolerance**: a
-    /// dropped frame means a reply that never comes, and only a read
-    /// timeout turns that silence into a reconnect. `None` (the
-    /// default) trusts the transport, like [`ReplayClient`] does.
-    pub read_timeout: Option<Duration>,
-    /// First reconnect delay.
-    pub backoff_base: Duration,
-    /// Multiplier applied per consecutive failed attempt (≥ 1).
-    pub backoff_factor: f64,
-    /// Ceiling on the un-jittered delay.
-    pub backoff_max: Duration,
-    /// Jitter fraction in `[0, 1]`: each delay is scaled by a uniform
-    /// factor in `[1 − jitter, 1 + jitter]`.
-    pub jitter: f64,
-    /// Seed of the jitter stream — equal seeds give equal backoff
-    /// schedules, which is what lets chaos tests replay a recovery.
-    pub backoff_seed: u64,
-    /// Consecutive failed reconnect attempts tolerated before the
-    /// replay gives up with the underlying error.
-    pub max_reconnects: u32,
-    /// Consecutive [`Frame::Moved`] redirects the client will follow
-    /// without an intervening successful handshake, before refusing
-    /// with [`ClientError::TooManyRedirects`]. A successful `Session`
-    /// handshake resets the hop count; 0 refuses every redirect.
-    pub max_redirects: u32,
-}
-
-impl Default for ClientConfig {
-    fn default() -> ClientConfig {
-        ClientConfig {
-            read_timeout: None,
-            backoff_base: Duration::from_millis(10),
-            backoff_factor: 2.0,
-            backoff_max: Duration::from_secs(1),
-            jitter: 0.1,
-            backoff_seed: 0,
-            max_reconnects: 8,
-            max_redirects: 4,
-        }
-    }
-}
-
-impl ClientConfig {
-    /// Starts a builder from the defaults.
-    pub fn builder() -> ClientConfigBuilder {
-        ClientConfigBuilder {
-            config: ClientConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`ClientConfig`]: `with_*` setters, then a validated
-/// [`build`](ClientConfigBuilder::build).
-#[derive(Debug, Clone)]
-pub struct ClientConfigBuilder {
-    config: ClientConfig,
-}
-
-impl ClientConfigBuilder {
-    /// Socket read timeout (turns dropped replies into reconnects).
-    pub fn with_read_timeout(mut self, timeout: Duration) -> ClientConfigBuilder {
-        self.config.read_timeout = Some(timeout);
-        self
-    }
-
-    /// Backoff schedule: first delay, per-attempt multiplier, ceiling.
-    pub fn with_backoff(
-        mut self,
-        base: Duration,
-        factor: f64,
-        max: Duration,
-    ) -> ClientConfigBuilder {
-        self.config.backoff_base = base;
-        self.config.backoff_factor = factor;
-        self.config.backoff_max = max;
-        self
-    }
-
-    /// Jitter fraction and the seed of its deterministic stream.
-    pub fn with_jitter(mut self, jitter: f64, seed: u64) -> ClientConfigBuilder {
-        self.config.jitter = jitter;
-        self.config.backoff_seed = seed;
-        self
-    }
-
-    /// Consecutive failed reconnects tolerated before giving up.
-    pub fn with_max_reconnects(mut self, max: u32) -> ClientConfigBuilder {
-        self.config.max_reconnects = max;
-        self
-    }
-
-    /// Consecutive `Moved` redirects followed before refusing.
-    pub fn with_max_redirects(mut self, max: u32) -> ClientConfigBuilder {
-        self.config.max_redirects = max;
-        self
-    }
-
-    /// Validates and returns the config.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error of kind [`ErrorKind::InvalidConfig`] when the
-    /// backoff would not grow (factor < 1, zero base) or the jitter
-    /// fraction leaves `[0, 1]`.
-    pub fn build(self) -> Result<ClientConfig, CoreError> {
-        let c = &self.config;
-        let invalid =
-            |msg: &str| CoreError::new(ErrorKind::InvalidConfig, "eddie-serve", msg.to_string());
-        if c.backoff_base.is_zero() {
-            return Err(invalid("backoff_base must be positive"));
-        }
-        // Written to refuse NaN too.
-        if c.backoff_factor.is_nan() || c.backoff_factor < 1.0 {
-            return Err(invalid("backoff_factor must be at least 1"));
-        }
-        if c.backoff_max < c.backoff_base {
-            return Err(invalid("backoff_max must be at least backoff_base"));
-        }
-        if !(0.0..=1.0).contains(&c.jitter) {
-            return Err(invalid("jitter must be in [0, 1]"));
-        }
-        if c.read_timeout.is_some_and(|t| t.is_zero()) {
-            return Err(invalid("read_timeout must be positive when set"));
-        }
-        Ok(self.config)
-    }
-}
+/// Socket read timeout of a [`ResilientClient`]. A dropped frame means
+/// a reply that never comes, and only a read timeout turns that silence
+/// into a reconnect.
+const READ_TIMEOUT: Duration = Duration::from_millis(150);
+/// First reconnect delay.
+const BACKOFF_BASE: Duration = Duration::from_millis(2);
+/// Multiplier applied per consecutive failed attempt.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Ceiling on the un-jittered delay.
+const BACKOFF_MAX: Duration = Duration::from_millis(50);
+/// Jitter fraction: each delay is scaled by a uniform factor in
+/// `[1 − JITTER, 1 + JITTER]`.
+const JITTER: f64 = 0.1;
+/// Consecutive failed reconnect attempts tolerated before a replay
+/// gives up with the underlying error.
+const MAX_RECONNECTS: u32 = 12;
+/// Consecutive [`Frame::Moved`] redirects followed without an
+/// intervening successful handshake before refusing with
+/// [`ClientError::TooManyRedirects`]. A successful `Session` handshake
+/// resets the hop count.
+const MAX_REDIRECTS: u32 = 8;
 
 /// Deterministic exponential backoff with seeded jitter:
-/// `min(base · factor^attempt, max)` scaled by a uniform factor in
-/// `[1 − jitter, 1 + jitter]` drawn from a [`ChaosRng`]. Equal seeds
-/// produce equal schedules, so a chaos run's recovery timing replays
-/// exactly.
+/// `min(2 ms · 2^attempt, 50 ms)` scaled by a uniform factor in
+/// `[0.9, 1.1]` drawn from a [`ChaosRng`]. Equal seeds produce equal
+/// schedules, so a chaos run's recovery timing replays exactly.
 #[derive(Debug, Clone)]
 pub struct Backoff {
-    base: Duration,
-    factor: f64,
-    max: Duration,
-    jitter: f64,
     rng: ChaosRng,
     attempt: u32,
 }
 
 impl Backoff {
-    /// A backoff following `config`'s schedule, starting at attempt 0.
-    pub fn new(config: &ClientConfig) -> Backoff {
+    /// A backoff whose jitter stream starts from `seed`, at attempt 0.
+    pub fn new(seed: u64) -> Backoff {
         Backoff {
-            base: config.backoff_base,
-            factor: config.backoff_factor,
-            max: config.backoff_max,
-            jitter: config.jitter,
-            rng: ChaosRng::new(config.backoff_seed),
+            rng: ChaosRng::new(seed),
             attempt: 0,
         }
     }
 
     /// The next delay; each call advances the attempt counter.
     pub fn next_delay(&mut self) -> Duration {
-        let raw = self.base.as_secs_f64() * self.factor.powi(self.attempt as i32);
+        let raw = BACKOFF_BASE.as_secs_f64() * BACKOFF_FACTOR.powi(self.attempt as i32);
         self.attempt = self.attempt.saturating_add(1);
-        let capped = raw.min(self.max.as_secs_f64());
-        let scale = 1.0 + self.jitter * (2.0 * self.rng.next_f64() - 1.0);
+        let capped = raw.min(BACKOFF_MAX.as_secs_f64());
+        let scale = 1.0 + JITTER * (2.0 * self.rng.next_f64() - 1.0);
         Duration::from_secs_f64(capped * scale)
     }
 
@@ -630,17 +508,21 @@ impl EventLog {
 /// has been migrated away mid-stream — makes it reconnect to the named
 /// shard (adopting the carried resume token when nonzero) and continue
 /// there. Consecutive redirects without a successful handshake are
-/// bounded by [`ClientConfig::max_redirects`], so a redirect loop is
-/// refused instead of walked forever.
+/// bounded (8), so a redirect loop is refused instead of walked
+/// forever.
+///
+/// The reconnect policy is fixed: a 150 ms read timeout, [`Backoff`]
+/// delays, and up to 12 consecutive failed reconnects per replay.
 pub struct ResilientClient {
     addr: SocketAddr,
-    config: ClientConfig,
+    seed: u64,
 }
 
 impl ResilientClient {
-    /// A client that will connect (and reconnect) to `addr`.
-    pub fn new(addr: SocketAddr, config: ClientConfig) -> ResilientClient {
-        ResilientClient { addr, config }
+    /// A client that will connect (and reconnect) to `addr`, with its
+    /// backoff jitter seeded by `seed`.
+    pub fn new(addr: SocketAddr, seed: u64) -> ResilientClient {
+        ResilientClient { addr, seed }
     }
 
     /// Streams `signal` to the server, surviving transport faults, and
@@ -648,8 +530,8 @@ impl ResilientClient {
     ///
     /// # Errors
     ///
-    /// Returns the last error once `max_reconnects` consecutive
-    /// recoverable failures are exhausted, or immediately on an
+    /// Returns the last error once 12 consecutive recoverable failures
+    /// have exhausted the reconnect budget, or immediately on an
     /// unrecoverable one (see [`ClientError::is_recoverable`]).
     pub fn replay(
         &self,
@@ -670,7 +552,7 @@ impl ResilientClient {
             sender: GoBackN::default(),
             redirects: 0,
         };
-        let mut backoff = Backoff::new(&self.config);
+        let mut backoff = Backoff::new(self.seed);
         let mut reconnects = 0u64;
         let mut addr = self.addr;
         let mut hops = 0u32;
@@ -700,7 +582,7 @@ impl ResilientClient {
                 // a `Moved` is routing, not a failure, so it costs
                 // neither a backoff delay nor a reconnect budget slot.
                 Ok(None) => {}
-                Err(e) if e.is_recoverable() && backoff.attempt() < self.config.max_reconnects => {
+                Err(e) if e.is_recoverable() && backoff.attempt() < MAX_RECONNECTS => {
                     reconnects += 1;
                     std::thread::sleep(backoff.next_delay());
                 }
@@ -721,7 +603,7 @@ impl ResilientClient {
         token: u64,
     ) -> Result<(), ClientError> {
         *hops += 1;
-        if *hops > self.config.max_redirects {
+        if *hops > MAX_REDIRECTS {
             return Err(ClientError::TooManyRedirects);
         }
         *addr = shard_addr
@@ -750,7 +632,7 @@ impl ResilientClient {
     ) -> Result<Option<u64>, ClientError> {
         let stream = TcpStream::connect(*addr)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(self.config.read_timeout)?;
+        stream.set_read_timeout(Some(READ_TIMEOUT))?;
         let mut reader = BufReader::new(stream.try_clone()?);
         let mut writer = BufWriter::new(stream);
 
@@ -851,102 +733,34 @@ impl ResilientClient {
 mod tests {
     use super::*;
 
-    #[test]
-    fn client_config_builder_validates() {
-        let c = ClientConfig::builder()
-            .with_read_timeout(Duration::from_millis(150))
-            .with_backoff(Duration::from_millis(5), 3.0, Duration::from_millis(500))
-            .with_jitter(0.2, 42)
-            .with_max_reconnects(3)
-            .with_max_redirects(7)
-            .build()
-            .expect("valid config");
-        assert_eq!(c.backoff_seed, 42);
-        assert_eq!(c.max_redirects, 7);
-
-        for (broken, what) in [
-            (
-                ClientConfig::builder().with_backoff(Duration::ZERO, 2.0, Duration::from_secs(1)),
-                "base",
-            ),
-            (
-                ClientConfig::builder().with_backoff(
-                    Duration::from_millis(10),
-                    0.5,
-                    Duration::from_secs(1),
-                ),
-                "factor",
-            ),
-            (
-                ClientConfig::builder().with_backoff(
-                    Duration::from_millis(10),
-                    2.0,
-                    Duration::from_millis(1),
-                ),
-                "max below base",
-            ),
-            (ClientConfig::builder().with_jitter(1.5, 0), "jitter"),
-            (
-                ClientConfig::builder().with_read_timeout(Duration::ZERO),
-                "timeout",
-            ),
-        ] {
-            let err = broken.build().expect_err(what);
-            assert_eq!(err.kind(), ErrorKind::InvalidConfig, "{what}");
-        }
-    }
-
     /// The chaos-gate prerequisite: the whole recovery schedule must
     /// replay exactly from the seed.
     #[test]
     fn backoff_schedule_is_deterministic_per_seed() {
-        let config = ClientConfig::builder()
-            .with_backoff(Duration::from_millis(10), 2.0, Duration::from_millis(400))
-            .with_jitter(0.25, 7)
-            .build()
-            .unwrap();
-        let schedule = |cfg: &ClientConfig| {
-            let mut b = Backoff::new(cfg);
+        let schedule = |seed: u64| {
+            let mut b = Backoff::new(seed);
             (0..12).map(|_| b.next_delay()).collect::<Vec<_>>()
         };
-        assert_eq!(
-            schedule(&config),
-            schedule(&config),
-            "equal seeds, equal schedules"
-        );
-
-        let other = ClientConfig::builder()
-            .with_backoff(Duration::from_millis(10), 2.0, Duration::from_millis(400))
-            .with_jitter(0.25, 8)
-            .build()
-            .unwrap();
-        assert_ne!(
-            schedule(&config),
-            schedule(&other),
-            "different seed, different jitter"
-        );
+        assert_eq!(schedule(7), schedule(7), "equal seeds, equal schedules");
+        assert_ne!(schedule(7), schedule(8), "different seed, different jitter");
     }
 
     #[test]
     fn backoff_grows_exponentially_within_jitter_and_caps() {
-        let config = ClientConfig::builder()
-            .with_backoff(Duration::from_millis(10), 2.0, Duration::from_millis(200))
-            .with_jitter(0.1, 3)
-            .build()
-            .unwrap();
-        let mut b = Backoff::new(&config);
+        let mut b = Backoff::new(3);
         let mut prev = Duration::ZERO;
         for attempt in 0..10u32 {
             let d = b.next_delay();
-            let nominal =
-                Duration::from_millis(10 * 2u64.pow(attempt)).min(Duration::from_millis(200));
-            let lo = nominal.mul_f64(0.9);
-            let hi = nominal.mul_f64(1.1);
+            let nominal = BACKOFF_BASE
+                .mul_f64(BACKOFF_FACTOR.powi(attempt as i32))
+                .min(BACKOFF_MAX);
+            let lo = nominal.mul_f64(1.0 - JITTER);
+            let hi = nominal.mul_f64(1.0 + JITTER);
             assert!(
                 (lo..=hi).contains(&d),
                 "attempt {attempt}: {d:?} outside [{lo:?}, {hi:?}]"
             );
-            if nominal < Duration::from_millis(200) {
+            if nominal < BACKOFF_MAX {
                 assert!(d > prev.mul_f64(1.5), "attempt {attempt} grew");
             }
             prev = d;
@@ -955,21 +769,9 @@ mod tests {
         b.reset();
         let after_reset = b.next_delay();
         assert!(
-            after_reset <= Duration::from_millis(11),
+            after_reset <= BACKOFF_BASE.mul_f64(1.0 + JITTER),
             "reset returns to the base delay, got {after_reset:?}"
         );
-    }
-
-    #[test]
-    fn zero_jitter_backoff_is_exact() {
-        let config = ClientConfig::builder()
-            .with_backoff(Duration::from_millis(10), 2.0, Duration::from_millis(80))
-            .with_jitter(0.0, 0)
-            .build()
-            .unwrap();
-        let mut b = Backoff::new(&config);
-        let delays: Vec<u64> = (0..5).map(|_| b.next_delay().as_millis() as u64).collect();
-        assert_eq!(delays, [10, 20, 40, 80, 80], "exact doubling, capped");
     }
 
     #[test]
@@ -997,7 +799,7 @@ mod tests {
     }
 
     /// A "cluster" whose only answer is `Moved` back to itself: the
-    /// client must refuse the loop after `max_redirects` hops instead
+    /// client must refuse the loop after `MAX_REDIRECTS` hops instead
     /// of bouncing forever.
     #[test]
     fn redirect_loops_are_refused_after_the_hop_bound() {
@@ -1028,12 +830,7 @@ mod tests {
             }
         });
 
-        let config = ClientConfig::builder()
-            .with_max_redirects(3)
-            .with_read_timeout(Duration::from_millis(500))
-            .build()
-            .unwrap();
-        let client = ResilientClient::new(addr, config);
+        let client = ResilientClient::new(addr, 0);
         let err = client
             .replay("m", 1e6, &[0.0; 64], 8)
             .expect_err("a redirect loop must be refused");
@@ -1041,8 +838,8 @@ mod tests {
             matches!(err, ClientError::TooManyRedirects),
             "got {err:?} instead of TooManyRedirects"
         );
-        // One initial connection plus the three allowed hops.
-        assert_eq!(accepted.load(Ordering::SeqCst), 4);
+        // One initial connection plus the allowed hops.
+        assert_eq!(accepted.load(Ordering::SeqCst), MAX_REDIRECTS + 1);
     }
 
     #[test]

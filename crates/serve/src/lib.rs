@@ -57,8 +57,8 @@ pub mod server;
 pub mod wire;
 
 pub use client::{
-    fetch_stats, Backoff, ClientConfig, ClientConfigBuilder, ClientError, ReplayClient,
-    ReplayOutcome, ResilientClient, ResilientOutcome, PIPELINE_WINDOW,
+    fetch_stats, Backoff, ClientError, ReplayClient, ReplayOutcome, ResilientClient,
+    ResilientOutcome, PIPELINE_WINDOW,
 };
 pub use server::{
     load_sessions, load_snapshot, persist_sessions_spill, resume_journal, ExportedSession,

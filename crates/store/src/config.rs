@@ -9,8 +9,7 @@ const LAYER: &str = "eddie-store";
 ///
 /// Build with [`StoreConfig::builder`]; the builder validates knob
 /// ranges the same way `FleetConfigBuilder` does, so a store can never
-/// be constructed with a zero resident budget or a nonsense compaction
-/// ratio.
+/// be constructed with a zero resident budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct StoreConfig {
@@ -19,23 +18,15 @@ pub struct StoreConfig {
     /// Maximum sessions kept resident; beyond it the fleet parks the
     /// least-recently-active idle sessions after each drain.
     pub resident_budget: usize,
-    /// Spill files smaller than this are never compacted (compaction
-    /// below it costs more than the bytes it frees).
-    pub compact_min_bytes: u64,
-    /// Compact when dead bytes reach this percentage of the file.
-    pub compact_dead_ratio_pct: u32,
 }
 
 impl StoreConfig {
-    /// Starts a builder over the given spill directory with defaults:
-    /// resident budget 1024 sessions, compaction at ≥ 64 KiB file size
-    /// and ≥ 50 % dead bytes.
+    /// Starts a builder over the given spill directory with a resident
+    /// budget of 1024 sessions.
     pub fn builder(spill_dir: impl Into<PathBuf>) -> StoreConfigBuilder {
         StoreConfigBuilder {
             spill_dir: spill_dir.into(),
             resident_budget: 1024,
-            compact_min_bytes: 64 * 1024,
-            compact_dead_ratio_pct: 50,
         }
     }
 }
@@ -45,8 +36,6 @@ impl StoreConfig {
 pub struct StoreConfigBuilder {
     spill_dir: PathBuf,
     resident_budget: usize,
-    compact_min_bytes: u64,
-    compact_dead_ratio_pct: u32,
 }
 
 impl StoreConfigBuilder {
@@ -56,24 +45,11 @@ impl StoreConfigBuilder {
         self
     }
 
-    /// Sets the minimum spill-file size before compaction triggers.
-    pub fn compact_min_bytes(mut self, bytes: u64) -> Self {
-        self.compact_min_bytes = bytes;
-        self
-    }
-
-    /// Sets the dead-byte percentage that triggers compaction.
-    pub fn compact_dead_ratio_pct(mut self, pct: u32) -> Self {
-        self.compact_dead_ratio_pct = pct;
-        self
-    }
-
     /// Validates and produces the configuration.
     ///
     /// # Errors
     ///
-    /// [`ErrorKind::InvalidConfig`] when the resident budget is zero or
-    /// the compaction ratio is outside `1..=100`.
+    /// [`ErrorKind::InvalidConfig`] when the resident budget is zero.
     pub fn build(self) -> Result<StoreConfig, Error> {
         if self.resident_budget == 0 {
             return Err(Error::new(
@@ -82,21 +58,9 @@ impl StoreConfigBuilder {
                 "resident_budget must be at least 1",
             ));
         }
-        if self.compact_dead_ratio_pct == 0 || self.compact_dead_ratio_pct > 100 {
-            return Err(Error::new(
-                ErrorKind::InvalidConfig,
-                LAYER,
-                format!(
-                    "compact_dead_ratio_pct must be in 1..=100, got {}",
-                    self.compact_dead_ratio_pct
-                ),
-            ));
-        }
         Ok(StoreConfig {
             spill_dir: self.spill_dir,
             resident_budget: self.resident_budget,
-            compact_min_bytes: self.compact_min_bytes,
-            compact_dead_ratio_pct: self.compact_dead_ratio_pct,
         })
     }
 }
@@ -109,7 +73,6 @@ mod tests {
     fn defaults_build() {
         let cfg = StoreConfig::builder("/tmp/x").build().unwrap();
         assert_eq!(cfg.resident_budget, 1024);
-        assert_eq!(cfg.compact_dead_ratio_pct, 50);
     }
 
     #[test]
@@ -119,21 +82,5 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidConfig);
-    }
-
-    #[test]
-    fn ratio_bounds_are_enforced() {
-        assert!(StoreConfig::builder("/tmp/x")
-            .compact_dead_ratio_pct(0)
-            .build()
-            .is_err());
-        assert!(StoreConfig::builder("/tmp/x")
-            .compact_dead_ratio_pct(101)
-            .build()
-            .is_err());
-        assert!(StoreConfig::builder("/tmp/x")
-            .compact_dead_ratio_pct(100)
-            .build()
-            .is_ok());
     }
 }

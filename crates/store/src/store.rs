@@ -26,6 +26,11 @@ use crate::dedup::ModelStore;
 use crate::spill::SpillLog;
 
 const SPILL_FILE: &str = "sessions.spill";
+/// Spill files smaller than this are never compacted: compaction below
+/// it costs more than the bytes it frees.
+const COMPACT_MIN_BYTES: u64 = 64 * 1024;
+/// Compact once dead bytes reach this percentage of the file.
+const COMPACT_DEAD_RATIO_PCT: u32 = 50;
 
 /// Memory-bounded session storage: resident-byte accounting, cold
 /// parking to an append-compacted spill log, and model interning.
@@ -61,8 +66,8 @@ impl SessionStore {
         })?;
         let spill = SpillLog::open(
             config.spill_dir.join(SPILL_FILE),
-            config.compact_min_bytes,
-            config.compact_dead_ratio_pct,
+            COMPACT_MIN_BYTES,
+            COMPACT_DEAD_RATIO_PCT,
         )?;
         let ledger = MemoryBudget::new();
         ledger.adopt_parked(spill.len() as u64);

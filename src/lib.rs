@@ -81,8 +81,8 @@ pub mod prelude {
     };
     pub use eddie_dsp::{DspStage, SvdDenoiser, SvdDenoiserConfig};
     pub use eddie_serve::{
-        ClientConfig, ClientConfigBuilder, ModelRegistry, ReplayClient, ResilientClient,
-        ResilientOutcome, Server, ServerConfig, ServerConfigBuilder, ServerHandle,
+        ModelRegistry, ReplayClient, ResilientClient, ResilientOutcome, Server, ServerConfig,
+        ServerConfigBuilder, ServerHandle,
     };
     pub use eddie_stream::{
         DeviceId, Fleet, FleetConfig, FleetConfigBuilder, MonitorSession, PushResult, StreamEvent,
