@@ -19,8 +19,10 @@
 //! * [`from_bytes`] refuses trailing bytes.
 //!
 //! There is no self-description and no versioning inside a value: the
-//! files that hold encoded values (`eddie-store`'s spill log and
-//! snapshot files) carry a format magic instead.
+//! files that hold encoded values carry a format magic instead.
+//! `eddie-serve`'s snapshot file is one value behind its magic line;
+//! `eddie-store`'s spill log holds bare session payloads that only the
+//! process that wrote them reads back.
 //!
 //! # Examples
 //!

@@ -17,13 +17,15 @@
 //!   allocation.
 //! * [`server`] — a `std::net` TCP server multiplexing many capture
 //!   connections onto one [`eddie_stream::Fleet`], with periodic
-//!   session snapshots in the store's spill framing and graceful
-//!   shutdown. No async runtime and no thread hand-offs: one
+//!   session snapshots and graceful shutdown. No async runtime and no thread hand-offs: one
 //!   nonblocking [`eddie_net`] event-loop thread owns the listener and
 //!   every socket, drains the fleet itself (sharding the devices with
 //!   queued chunks across the `eddie-exec` worker pool, taking a share
 //!   itself) and writes every reply and event, and fleet backpressure
 //!   becomes an epoll interest-set flip instead of a blocked reader.
+//! * [`snapshot`] — the snapshot file: every live session's state as
+//!   one `eddie-codec` value behind an `eddie-snap v4` magic line,
+//!   written atomically and refused whole when truncated or padded.
 //! * [`client`] — a blocking replay client with go-back-N
 //!   retransmission on `Busy`, used by the `replay-client` experiment
 //!   and the loopback CI gates; plus [`ResilientClient`], a
@@ -54,6 +56,7 @@
 pub mod client;
 mod reactor;
 pub mod server;
+pub mod snapshot;
 pub mod wire;
 
 pub use client::{
@@ -61,9 +64,11 @@ pub use client::{
     ResilientOutcome, PIPELINE_WINDOW,
 };
 pub use server::{
-    load_sessions, load_snapshot, persist_sessions_spill, resume_journal, ExportedSession,
-    ModelRegistry, PersistedSession, Server, ServerConfig, ServerConfigBuilder, ServerHandle,
-    ServerReport, SnapshotFile,
+    ExportedSession, ModelRegistry, Server, ServerConfig, ServerConfigBuilder, ServerHandle,
+    ServerReport,
+};
+pub use snapshot::{
+    load_snapshot, persist_sessions, resume_journal, PersistedSession, SnapshotFile,
 };
 pub use wire::{
     read_frame, write_frame, ErrCode, EventKind, Frame, ReadError, WireError, MAX_CHUNK_SAMPLES,

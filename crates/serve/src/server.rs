@@ -43,9 +43,10 @@
 //!
 //! # Snapshots
 //!
-//! Session snapshot files use the store's spill framing
-//! ([`eddie_store::snapshot`]): [`persist_sessions_spill`] writes a
-//! generation atomically and [`load_snapshot`] reads it back.
+//! With a snapshot path configured, the serving thread writes every
+//! live session, cold-parked ones included, to one snapshot file
+//! ([`crate::snapshot`]) every `snapshot_every`, when a client asks
+//! with a `Snapshot` frame, and once more at shutdown.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -59,12 +60,10 @@ use eddie_chaos::{ServerFaults, SnapshotFate};
 use eddie_core::{Error as CoreError, ErrorKind, TrainedModel};
 use eddie_net::{BufferedConn, Reactor, Token, Waker};
 use eddie_obs::{Counter, Gauge, Histogram, JournalEvent, Timer};
-use eddie_store::snapshot::{parse_spill_snapshot, SpillSnapshotRecord};
 use eddie_store::{SessionStore, StoreConfig};
-use eddie_stream::{
-    DeviceId, Fleet, FleetConfig, FleetStats, MonitorSession, PushResult, SessionSnapshot,
-};
+use eddie_stream::{DeviceId, Fleet, FleetConfig, FleetStats, MonitorSession, PushResult};
 
+use crate::snapshot::{self, PersistedSession};
 use crate::wire::{ErrCode, Frame, MAX_FRAME_LEN};
 
 /// The trained models a server hosts, keyed by the id clients name in
@@ -261,105 +260,6 @@ impl ServerConfigBuilder {
         }
         Ok(self.config)
     }
-}
-
-/// One session's persisted runtime state inside a snapshot file. The
-/// model itself is not embedded — it rides separately via
-/// [`TrainedModel::to_bytes`], exactly as live migrations do.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PersistedSession {
-    /// The device's fleet index at snapshot time.
-    pub device: usize,
-    /// Which hosted model the session monitors against.
-    pub model_id: String,
-    /// The session's complete runtime state.
-    pub snapshot: eddie_stream::SessionSnapshot,
-}
-
-/// One generation of the server's snapshot file: every live session's
-/// runtime state plus the observability journal's next sequence
-/// number, so a restored server continues — not restarts — the
-/// journal numbering (see [`resume_journal`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotFile {
-    /// `Journal::next_seq()` at snapshot time (0 when observability
-    /// was not installed).
-    pub journal_seq: u64,
-    /// One entry per live session at snapshot time.
-    pub sessions: Vec<PersistedSession>,
-}
-
-/// Loads a snapshot file written by [`persist_sessions_spill`].
-///
-/// # Errors
-///
-/// I/O errors reading the file, or [`io::ErrorKind::InvalidData`] when
-/// it is not a complete spill-format snapshot.
-pub fn load_snapshot(path: &Path) -> io::Result<SnapshotFile> {
-    let bytes = std::fs::read(path)?;
-    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let (journal_seq, records) =
-        parse_spill_snapshot(&bytes).map_err(|e| invalid(e.to_string()))?;
-    let mut sessions = Vec::with_capacity(records.len());
-    for r in records {
-        let snapshot =
-            SessionSnapshot::from_bytes(&r.payload).map_err(|e| invalid(e.to_string()))?;
-        sessions.push(PersistedSession {
-            device: r.slot as usize,
-            model_id: r.tag,
-            snapshot,
-        });
-    }
-    Ok(SnapshotFile {
-        journal_seq,
-        sessions,
-    })
-}
-
-/// Converts persisted sessions to the spill-snapshot record form: the
-/// device index is the slot, the model id the tag, the encoded session
-/// snapshot the payload.
-fn spill_records(sessions: &[PersistedSession]) -> Vec<SpillSnapshotRecord> {
-    sessions
-        .iter()
-        .map(|s| SpillSnapshotRecord {
-            slot: s.device as u64,
-            tag: s.model_id.clone(),
-            payload: s.snapshot.to_bytes(),
-        })
-        .collect()
-}
-
-/// Atomically persists a snapshot generation in the store's spill
-/// framing (write to a sibling temp file, then rename), stamping the
-/// current journal sequence, so a crash mid-write never corrupts the
-/// previous generation. [`load_snapshot`] reads it back.
-///
-/// # Errors
-///
-/// I/O errors writing or renaming the temp file.
-pub fn persist_sessions_spill(path: &Path, sessions: &[PersistedSession]) -> io::Result<()> {
-    let journal_seq = eddie_obs::global().map_or(0, |o| o.journal().next_seq());
-    eddie_store::snapshot::write_spill_snapshot(path, journal_seq, &spill_records(sessions))
-        .map_err(|e| io::Error::other(e.to_string()))
-}
-
-/// Continues the installed journal's sequence numbering from a
-/// restored snapshot: sequence numbers recorded after this call are
-/// `>= file.journal_seq`, keeping the journal monotonic across a
-/// snapshot/restore cycle. A no-op when observability is off.
-pub fn resume_journal(file: &SnapshotFile) {
-    if let Some(o) = eddie_obs::global() {
-        o.journal().advance_to(file.journal_seq);
-    }
-}
-
-/// Loads the sessions of a snapshot file. Restore each entry with
-/// [`MonitorSession::restore`] against the model its `model_id` names;
-/// use [`load_snapshot`] + [`resume_journal`] to also continue the
-/// journal numbering.
-pub fn load_sessions(path: &Path) -> io::Result<Vec<PersistedSession>> {
-    Ok(load_snapshot(path)?.sessions)
 }
 
 /// A live resumable session captured by [`ServerHandle::export_session`]
@@ -641,11 +541,6 @@ impl ServerHandle {
         // The serving thread may be parked in a poll; wake it so the
         // flag is observed immediately.
         self.shared.waker.wake();
-    }
-
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// A point-in-time snapshot of fleet load (queue depths, shed
@@ -1126,7 +1021,8 @@ fn collect_persisted(core: &mut Core) -> Vec<PersistedSession> {
 /// On an injected [`SnapshotFate::Truncate`] this mimics a crash mid
 /// write: roughly half the file image is left in the sibling temp file and
 /// the rename never happens — the previous good generation must
-/// survive, which the chaos tests verify via [`load_snapshot`].
+/// survive, which the chaos tests verify via
+/// [`load_snapshot`](crate::load_snapshot).
 fn write_snapshot_with_faults(
     path: &Path,
     sessions: &[PersistedSession],
@@ -1140,15 +1036,13 @@ fn write_snapshot_with_faults(
     let ok = match fate {
         SnapshotFate::Fail => false,
         SnapshotFate::Truncate => {
-            let journal_seq = eddie_obs::global().map_or(0, |o| o.journal().next_seq());
-            let bytes =
-                eddie_store::snapshot::render_spill_snapshot(journal_seq, &spill_records(sessions));
+            let bytes = snapshot::image(sessions);
             let _ = std::fs::write(path.with_extension("tmp"), &bytes[..bytes.len() / 2]);
             false
         }
         // `Write`, and any fate added later (`SnapshotFate` is
         // #[non_exhaustive]), writes.
-        _ => persist_sessions_spill(path, sessions).is_ok(),
+        _ => snapshot::persist_sessions(path, sessions).is_ok(),
     };
     if ok {
         shared.counters.snapshots_written.inc();
@@ -1685,6 +1579,8 @@ fn clamp_stats_text(text: String) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::tests::{persisted, tiny_model};
+    use crate::snapshot::{load_snapshot, persist_sessions};
 
     #[test]
     fn registry_lookup() {
@@ -1745,58 +1641,7 @@ mod tests {
         }
     }
 
-    fn tiny_model() -> std::sync::Arc<eddie_core::TrainedModel> {
-        use eddie_isa::{ProgramBuilder, Reg, RegionId};
-        let mut b = ProgramBuilder::new();
-        let (i, n) = (Reg::R1, Reg::R2);
-        b.li(n, 8).li(i, 0);
-        b.region_enter(RegionId::new(0));
-        let top = b.label_here("t");
-        b.addi(i, i, 1).blt_label(i, n, top);
-        b.region_exit(RegionId::new(0));
-        b.halt();
-        let graph = eddie_cfg::RegionGraph::from_program(&b.build().unwrap()).unwrap();
-        let run = eddie_core::LabeledRun {
-            stss: (0..60)
-                .map(|w| eddie_core::Sts {
-                    index: w,
-                    start_sample: w,
-                    peaks: vec![eddie_dsp::Peak {
-                        bin: 1,
-                        freq_hz: 100.0 + ((w * 7) % 5) as f64 * 0.5,
-                        power: 1.0,
-                        fraction: 0.5,
-                    }],
-                    centroid_hz: 100.0,
-                    spread_hz: 1.0,
-                })
-                .collect(),
-            labels: vec![RegionId::new(0); 60],
-        };
-        std::sync::Arc::new(
-            eddie_core::train_from_labeled(&[run], &graph, &eddie_core::EddieConfig::quick())
-                .unwrap(),
-        )
-    }
-
-    /// One live session's snapshot per device index, all on the tiny
-    /// model, each having seen a different amount of signal.
-    fn persisted(devices: &[usize]) -> Vec<PersistedSession> {
-        devices
-            .iter()
-            .map(|&device| {
-                let mut session = eddie_stream::MonitorSession::new(tiny_model(), 1000.0).unwrap();
-                let _ = session.push(&vec![0.25; 300 + 100 * device]);
-                PersistedSession {
-                    device,
-                    model_id: "bitcount".to_string(),
-                    snapshot: session.snapshot(),
-                }
-            })
-            .collect()
-    }
-
-    /// The crash-safety contract of `persist_sessions_spill`: a temp
+    /// The crash-safety contract of `persist_sessions`: a temp
     /// file truncated mid-write (as an injected `SnapshotFate::Truncate`
     /// leaves behind) must never clobber the previous good generation,
     /// and the next successful write must replace it cleanly.
@@ -1808,13 +1653,13 @@ mod tests {
         let path = dir.join("sessions.snap");
 
         let gen_a = persisted(&[3]);
-        persist_sessions_spill(&path, &gen_a).expect("write generation A");
+        persist_sessions(&path, &gen_a).expect("write generation A");
 
         // Simulate a crash mid-write of the next generation: half the
         // file image lands in the sibling temp file, the rename never
         // runs.
         let gen_b = persisted(&[3, 5]);
-        let image = eddie_store::snapshot::render_spill_snapshot(99, &spill_records(&gen_b));
+        let image = snapshot::image(&gen_b);
         std::fs::write(path.with_extension("tmp"), &image[..image.len() / 2])
             .expect("write truncated tmp");
 
@@ -1825,14 +1670,14 @@ mod tests {
         );
 
         // A later successful write replaces it cleanly, stale tmp and all.
-        persist_sessions_spill(&path, &gen_b).expect("write generation B");
+        persist_sessions(&path, &gen_b).expect("write generation B");
         assert_eq!(load_snapshot(&path).expect("load B").sessions, gen_b);
 
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The spill-format snapshot file must round-trip a live session's
-    /// state byte-for-byte through `persist_sessions_spill`.
+    /// The snapshot file must round-trip a live session's state
+    /// byte-for-byte through `persist_sessions`.
     #[test]
     fn spill_snapshot_round_trips() {
         let dir = std::env::temp_dir().join(format!("eddie-spillsnap-{}", std::process::id()));
@@ -1849,15 +1694,15 @@ mod tests {
             snapshot: snapshot.clone(),
         }];
 
-        persist_sessions_spill(&path, &sessions).expect("write spill snapshot");
-        let loaded = load_snapshot(&path).expect("load spill snapshot");
+        persist_sessions(&path, &sessions).expect("write snapshot");
+        let loaded = load_snapshot(&path).expect("load snapshot");
         assert_eq!(loaded.sessions.len(), 1);
         assert_eq!(loaded.sessions[0].device, 3);
         assert_eq!(loaded.sessions[0].model_id, "bitcount");
         assert_eq!(
             loaded.sessions[0].snapshot.to_bytes(),
             snapshot.to_bytes(),
-            "spill round trip must be byte-identical"
+            "snapshot round trip must be byte-identical"
         );
 
         let _ = std::fs::remove_dir_all(&dir);
@@ -1888,7 +1733,7 @@ mod tests {
             },
         );
 
-        persist_sessions_spill(&path, &sessions).expect("write snapshot");
+        persist_sessions(&path, &sessions).expect("write snapshot");
         let loaded = load_snapshot(&path).expect("a NaN-fed session must not poison the file");
         assert_eq!(loaded.sessions.len(), sessions.len());
         for (got, want) in loaded.sessions.iter().zip(&sessions) {

@@ -118,14 +118,6 @@ impl MemoryBudget {
         self.resident.add(1);
     }
 
-    /// `n` sessions recovered from an existing spill file enter the
-    /// books as added-and-parked (no park operation is counted — the
-    /// parks happened in a previous life).
-    pub fn adopt_parked(&self, n: u64) {
-        self.added.add(n);
-        self.parked.add(n as i64);
-    }
-
     /// A resident session was spilled.
     pub fn on_park(&self) {
         self.parks.inc();
@@ -236,17 +228,6 @@ mod tests {
         assert_eq!(snap.evicted, 2);
         assert_eq!(snap.resident, 6);
         assert_eq!(snap.parked, 2);
-        assert!(snap.conserved());
-    }
-
-    #[test]
-    fn adoption_counts_as_added_and_parked() {
-        let ledger = MemoryBudget::new();
-        ledger.adopt_parked(3);
-        let snap = ledger.snapshot();
-        assert_eq!(snap.added, 3);
-        assert_eq!(snap.parked, 3);
-        assert_eq!(snap.parks, 0, "recovered sessions are not new parks");
         assert!(snap.conserved());
     }
 

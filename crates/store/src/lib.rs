@@ -15,7 +15,8 @@
 //!   allocation. The content key hashes the model's `eddie-codec`
 //!   encoding, which is exact to the bit.
 //! * **Cold parking** — [`SessionStore::park`] spills an idle session's
-//!   serialized snapshot to an append-compacted [`SpillLog`];
+//!   serialized snapshot to an append-compacted spill log, scratch
+//!   space that only the open store reads back;
 //!   [`SessionStore::read_parked`] + [`SessionStore::confirm_thaw`]
 //!   bring it back on the next chunk or a `Resume`. The kernel cache is
 //!   not spilled — it rebuilds on first use after thaw — and a
@@ -29,8 +30,7 @@
 //! session itself. `eddie-stream` owns the session types and drives
 //! park/thaw policy (LRU by last-chunk activity against
 //! [`StoreConfig::resident_budget`]); this crate owns bytes, files, and
-//! arithmetic. [`snapshot`] additionally gives serve whole-file session
-//! snapshots in the same self-describing framing as the spill log.
+//! arithmetic.
 //!
 //! # Example
 //!
@@ -47,7 +47,7 @@
 //!
 //! let payload = store.read_parked(0).unwrap().unwrap();
 //! assert_eq!(payload, b"snapshot-bytes");
-//! store.confirm_thaw(0, 1_000).unwrap();
+//! store.confirm_thaw(0, 1_000);
 //!
 //! let ledger = store.ledger_snapshot();
 //! assert!(ledger.conserved());
@@ -62,13 +62,10 @@
 mod budget;
 mod config;
 mod dedup;
-pub mod snapshot;
 mod spill;
 mod store;
 
 pub use budget::{LedgerSnapshot, MemoryBudget};
 pub use config::{StoreConfig, StoreConfigBuilder};
 pub use dedup::ModelStore;
-pub use snapshot::SpillSnapshotRecord;
-pub use spill::SpillLog;
 pub use store::SessionStore;

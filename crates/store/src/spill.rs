@@ -1,27 +1,26 @@
-//! The append-compacted spill log cold parking writes to.
+//! The append-compacted spill log cold parking writes to: scratch space
+//! for one open store.
 //!
-//! One flat file per store, text-framed so a truncated tail is
-//! recoverable by inspection:
+//! One flat file per store, a format line followed by bare payloads:
 //!
 //! ```text
-//! eddie-spill v2\n
-//! P <slot> <gen> <len>\n<len payload bytes>\n      park record
-//! E <slot> <gen> 0\n\n                             eviction tombstone
+//! eddie-spill v3\n
+//! <payload bytes><payload bytes>...
 //! ```
 //!
-//! Parks and evictions only ever *append*; a slot's previous record
-//! becomes dead weight in place. `gen` is a per-file monotonic
-//! sequence, so replaying the log front to back (last record per slot
-//! wins) reconstructs the live set — that is exactly what
-//! [`SpillLog::open`] does, truncating a torn tail at the last whole
-//! record instead of failing. When the dead fraction crosses the
-//! configured ratio (and the file is big enough to care), the log
-//! compacts: live records are rewritten slot-ordered to a temp file
-//! which atomically replaces the log.
+//! Nothing in the file names a slot: the in-memory index holds each
+//! live slot's offset and length, so a record is read back only by the
+//! process that wrote it, and [`SpillLog::open`] starts the file empty.
+//! Sessions outlive the process through serve's snapshot files, which
+//! carry parked sessions too. Parks only ever *append*; a slot's
+//! previous record, and the record a thaw or an eviction retires,
+//! become dead weight in place without a write. When a park takes the
+//! dead fraction across the configured ratio (and the file is big
+//! enough to care), the log compacts: live records are rewritten
+//! slot-ordered to a temp file which atomically replaces the log.
 //!
 //! Durability stance: the log is an overflow tier for *resident* state,
-//! not a write-ahead log — records are flushed but not fsynced, the
-//! same stance the serve snapshots take.
+//! not a write-ahead log — records are flushed but not fsynced.
 
 use eddie_core::{Error, ErrorKind};
 use std::collections::HashMap;
@@ -30,29 +29,23 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
 const LAYER: &str = "eddie-store";
-const HEADER: &[u8] = b"eddie-spill v2\n";
+const HEADER: &[u8] = b"eddie-spill v3\n";
 
 /// A live record's location in the file.
 #[derive(Debug, Clone, Copy)]
-struct IndexEntry {
-    /// Offset of the payload bytes (just past the record's header line).
-    payload_at: u64,
-    len: u32,
-    gen: u64,
-    /// Whole-record size including header line and trailing newline.
-    frame: u64,
+struct Record {
+    at: u64,
+    len: u64,
 }
 
 /// Append-only spill file with an in-memory slot index and
 /// threshold-triggered compaction.
 #[derive(Debug)]
-pub struct SpillLog {
+pub(crate) struct SpillLog {
     path: PathBuf,
     file: File,
-    index: HashMap<u64, IndexEntry>,
-    next_gen: u64,
+    index: HashMap<u64, Record>,
     file_bytes: u64,
-    live_bytes: u64,
     dead_bytes: u64,
     compactions: u64,
     compact_min_bytes: u64,
@@ -64,16 +57,15 @@ fn io_err(msg: &str, e: std::io::Error) -> Error {
 }
 
 impl SpillLog {
-    /// Opens (or creates) the spill log at `path`, replaying existing
-    /// records to rebuild the live index. A torn tail — a crash mid
-    /// append — is truncated at the last whole record. A file that does
-    /// not start with the spill magic is refused rather than clobbered.
+    /// Opens (or creates) the spill log at `path` and starts it empty.
+    /// A file that does not start with the spill magic is refused and
+    /// left untouched rather than clobbered.
     ///
     /// # Errors
     ///
     /// [`ErrorKind::Io`] on filesystem failures, or
     /// [`ErrorKind::Serialization`] when `path` holds non-spill data.
-    pub fn open(
+    pub(crate) fn open(
         path: impl Into<PathBuf>,
         compact_min_bytes: u64,
         compact_dead_ratio_pct: u32,
@@ -85,97 +77,66 @@ impl SpillLog {
             .create(true)
             .open(&path)
             .map_err(|e| io_err("open spill log", e))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)
-            .map_err(|e| io_err("read spill log", e))?;
-
-        if bytes.is_empty() {
-            file.write_all(HEADER)
-                .map_err(|e| io_err("write spill header", e))?;
-            bytes.extend_from_slice(HEADER);
-        } else if !bytes.starts_with(HEADER) {
+        let mut head = Vec::with_capacity(HEADER.len());
+        (&mut file)
+            .take(HEADER.len() as u64)
+            .read_to_end(&mut head)
+            .map_err(|e| io_err("read spill header", e))?;
+        if !head.is_empty() && head != HEADER {
             return Err(Error::new(
                 ErrorKind::Serialization,
                 LAYER,
-                format!("{} is not an eddie-spill v2 file", path.display()),
+                format!("{} is not an eddie-spill v3 file", path.display()),
             ));
         }
-
-        let (index, next_gen, good) = replay(&bytes);
-        if good < bytes.len() as u64 {
-            // Torn tail from a crash mid-append: drop it.
-            file.set_len(good)
-                .map_err(|e| io_err("truncate torn spill tail", e))?;
-        }
-        let live_bytes: u64 = index.values().map(|e| e.frame).sum();
+        file.set_len(0)
+            .map_err(|e| io_err("truncate spill log", e))?;
+        file.write_all(HEADER)
+            .map_err(|e| io_err("write spill header", e))?;
         Ok(SpillLog {
             path,
             file,
-            index,
-            next_gen,
-            file_bytes: good,
-            live_bytes,
-            dead_bytes: good - HEADER.len() as u64 - live_bytes,
+            index: HashMap::new(),
+            file_bytes: HEADER.len() as u64,
+            dead_bytes: 0,
             compactions: 0,
             compact_min_bytes,
             compact_dead_ratio_pct,
         })
     }
 
-    /// Appends a park record for `slot`, superseding any previous one.
+    /// Appends `payload` as `slot`'s record, superseding any previous
+    /// one, then compacts if the dead fraction calls for it.
     ///
     /// # Errors
     ///
     /// [`ErrorKind::Io`] on write failure; the in-memory index is only
     /// updated after the bytes are fully written.
-    pub fn append(&mut self, slot: u64, payload: &[u8]) -> Result<(), Error> {
-        let gen = self.next_gen;
-        let line = format!("P {slot} {gen} {len}\n", len = payload.len());
-        let mut record = Vec::with_capacity(line.len() + payload.len() + 1);
-        record.extend_from_slice(line.as_bytes());
-        record.extend_from_slice(payload);
-        record.push(b'\n');
+    pub(crate) fn append(&mut self, slot: u64, payload: &[u8]) -> Result<(), Error> {
         self.file
-            .write_all(&record)
+            .write_all(payload)
             .map_err(|e| io_err("append park record", e))?;
-        self.next_gen += 1;
-        let frame = record.len() as u64;
-        let entry = IndexEntry {
-            payload_at: self.file_bytes + line.len() as u64,
-            len: payload.len() as u32,
-            gen,
-            frame,
+        let len = payload.len() as u64;
+        let record = Record {
+            at: self.file_bytes,
+            len,
         };
-        if let Some(old) = self.index.insert(slot, entry) {
-            self.live_bytes -= old.frame;
-            self.dead_bytes += old.frame;
+        if let Some(old) = self.index.insert(slot, record) {
+            self.dead_bytes += old.len;
         }
-        self.file_bytes += frame;
-        self.live_bytes += frame;
+        self.file_bytes += len;
         self.maybe_compact()
     }
 
-    /// Appends an eviction tombstone for `slot` if it is live. Returns
-    /// whether a record was actually retired.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Io`] on write failure.
-    pub fn remove(&mut self, slot: u64) -> Result<bool, Error> {
+    /// Retires `slot`'s record, if it has one. Writes nothing: the
+    /// bytes stay in the file as dead weight until a compaction.
+    /// Returns whether a record was retired.
+    pub(crate) fn remove(&mut self, slot: u64) -> bool {
         let Some(old) = self.index.remove(&slot) else {
-            return Ok(false);
+            return false;
         };
-        let gen = self.next_gen;
-        let record = format!("E {slot} {gen} 0\n\n");
-        self.file
-            .write_all(record.as_bytes())
-            .map_err(|e| io_err("append eviction tombstone", e))?;
-        self.next_gen += 1;
-        self.live_bytes -= old.frame;
-        self.dead_bytes += old.frame + record.len() as u64;
-        self.file_bytes += record.len() as u64;
-        self.maybe_compact()?;
-        Ok(true)
+        self.dead_bytes += old.len;
+        true
     }
 
     /// Reads the live payload for `slot`, or `None` when it is not
@@ -184,14 +145,14 @@ impl SpillLog {
     /// # Errors
     ///
     /// [`ErrorKind::Io`] on read failure.
-    pub fn read(&mut self, slot: u64) -> Result<Option<Vec<u8>>, Error> {
-        let Some(entry) = self.index.get(&slot).copied() else {
+    pub(crate) fn read(&mut self, slot: u64) -> Result<Option<Vec<u8>>, Error> {
+        let Some(record) = self.index.get(&slot).copied() else {
             return Ok(None);
         };
         self.file
-            .seek(SeekFrom::Start(entry.payload_at))
+            .seek(SeekFrom::Start(record.at))
             .map_err(|e| io_err("seek park record", e))?;
-        let mut payload = vec![0u8; entry.len as usize];
+        let mut payload = vec![0u8; record.len as usize];
         self.file
             .read_exact(&mut payload)
             .map_err(|e| io_err("read park record", e))?;
@@ -199,44 +160,17 @@ impl SpillLog {
     }
 
     /// Whether `slot` has a live record.
-    pub fn contains(&self, slot: u64) -> bool {
+    pub(crate) fn contains(&self, slot: u64) -> bool {
         self.index.contains_key(&slot)
     }
 
-    /// Live slots, sorted ascending.
-    pub fn slots(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self.index.keys().copied().collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Number of live records.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether no records are live.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Current on-disk size of the log, framing included.
-    pub fn file_bytes(&self) -> u64 {
+    /// Current on-disk size of the log, header included.
+    pub(crate) fn file_bytes(&self) -> u64 {
         self.file_bytes
     }
 
-    /// Bytes occupied by live records.
-    pub fn live_bytes(&self) -> u64 {
-        self.live_bytes
-    }
-
-    /// Bytes occupied by superseded records and tombstones.
-    pub fn dead_bytes(&self) -> u64 {
-        self.dead_bytes
-    }
-
     /// Compactions performed over this handle's lifetime.
-    pub fn compactions(&self) -> u64 {
+    pub(crate) fn compactions(&self) -> u64 {
         self.compactions
     }
 
@@ -249,49 +183,27 @@ impl SpillLog {
         Ok(())
     }
 
-    /// Rewrites the log with live records only (slot order, generations
-    /// preserved) and atomically replaces the file.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::Io`] on read/write/rename failure; the original log
-    /// is untouched until the final rename.
-    pub fn compact(&mut self) -> Result<(), Error> {
-        let slots = self.slots();
-        let mut records: Vec<(u64, u64, Vec<u8>)> = Vec::with_capacity(slots.len());
-        for slot in slots {
-            let gen = self.index[&slot].gen;
-            let payload = self
-                .read(slot)?
-                .expect("indexed slot must read back during compaction");
-            records.push((slot, gen, payload));
-        }
-
+    /// Rewrites the log with live records only (slot order) and
+    /// atomically replaces the file. The original log is untouched
+    /// until the final rename.
+    fn compact(&mut self) -> Result<(), Error> {
+        let mut slots: Vec<u64> = self.index.keys().copied().collect();
+        slots.sort_unstable();
         let tmp = self.path.with_extension("tmp");
         let mut out = File::create(&tmp).map_err(|e| io_err("create compaction temp", e))?;
         out.write_all(HEADER)
             .map_err(|e| io_err("write compacted header", e))?;
-        let mut index = HashMap::with_capacity(records.len());
-        let mut offset = HEADER.len() as u64;
-        for (slot, gen, payload) in &records {
-            let line = format!("P {slot} {gen} {len}\n", len = payload.len());
-            out.write_all(line.as_bytes())
+        let mut index = HashMap::with_capacity(slots.len());
+        let mut at = HEADER.len() as u64;
+        for slot in slots {
+            let payload = self
+                .read(slot)?
+                .expect("indexed slot must read back during compaction");
+            out.write_all(&payload)
                 .map_err(|e| io_err("write compacted record", e))?;
-            out.write_all(payload)
-                .map_err(|e| io_err("write compacted record", e))?;
-            out.write_all(b"\n")
-                .map_err(|e| io_err("write compacted record", e))?;
-            let frame = line.len() as u64 + payload.len() as u64 + 1;
-            index.insert(
-                *slot,
-                IndexEntry {
-                    payload_at: offset + line.len() as u64,
-                    len: payload.len() as u32,
-                    gen: *gen,
-                    frame,
-                },
-            );
-            offset += frame;
+            let len = payload.len() as u64;
+            index.insert(slot, Record { at, len });
+            at += len;
         }
         drop(out);
         std::fs::rename(&tmp, &self.path).map_err(|e| io_err("swap compacted spill log", e))?;
@@ -302,74 +214,11 @@ impl SpillLog {
             .open(&self.path)
             .map_err(|e| io_err("reopen compacted spill log", e))?;
         self.index = index;
-        self.file_bytes = offset;
-        self.live_bytes = offset - HEADER.len() as u64;
+        self.file_bytes = at;
         self.dead_bytes = 0;
         self.compactions += 1;
         Ok(())
     }
-}
-
-/// Replays `bytes` (which start with the header) into the live index.
-/// Returns `(index, next_gen, good_bytes)` where `good_bytes` is the
-/// offset just past the last whole record.
-fn replay(bytes: &[u8]) -> (HashMap<u64, IndexEntry>, u64, u64) {
-    let mut index: HashMap<u64, IndexEntry> = HashMap::new();
-    let mut pos = HEADER.len();
-    let mut max_gen = 0u64;
-    while pos < bytes.len() {
-        let Some((kind, slot, gen, len, line_len)) = parse_record_line(&bytes[pos..]) else {
-            break;
-        };
-        let frame = line_len + len + 1;
-        if pos + frame > bytes.len() || bytes[pos + frame - 1] != b'\n' {
-            break; // torn tail
-        }
-        max_gen = max_gen.max(gen);
-        match kind {
-            b'P' => {
-                let entry = IndexEntry {
-                    payload_at: (pos + line_len) as u64,
-                    len: len as u32,
-                    gen,
-                    frame: frame as u64,
-                };
-                let stale = index.get(&slot).is_some_and(|e| e.gen > gen);
-                if !stale {
-                    index.insert(slot, entry);
-                }
-            }
-            _ => {
-                if index.get(&slot).is_some_and(|e| e.gen < gen) {
-                    index.remove(&slot);
-                }
-            }
-        }
-        pos += frame;
-    }
-    (index, max_gen + 1, pos as u64)
-}
-
-/// Parses one record header line: `<kind> <slot> <gen> <len>\n`.
-/// Returns `(kind, slot, gen, len, line_len)`, or `None` when the line
-/// is incomplete or malformed (treated as a torn tail by the caller).
-fn parse_record_line(bytes: &[u8]) -> Option<(u8, u64, u64, usize, usize)> {
-    // A header line is short; cap the newline scan so a corrupt blob
-    // cannot make recovery quadratic.
-    let nl = bytes.iter().take(96).position(|&b| b == b'\n')?;
-    let line = std::str::from_utf8(&bytes[..nl]).ok()?;
-    let mut parts = line.split(' ');
-    let kind = parts.next()?;
-    if kind != "P" && kind != "E" {
-        return None;
-    }
-    let slot: u64 = parts.next()?.parse().ok()?;
-    let gen: u64 = parts.next()?.parse().ok()?;
-    let len: usize = parts.next()?.parse().ok()?;
-    if parts.next().is_some() {
-        return None;
-    }
-    Some((kind.as_bytes()[0], slot, gen, len, nl + 1))
 }
 
 #[cfg(test)]
@@ -384,20 +233,27 @@ mod tests {
         dir
     }
 
+    fn file_len(path: &std::path::Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
     #[test]
     fn append_read_remove_round_trip() {
         let dir = tmpdir("rw");
-        let mut log = SpillLog::open(dir.join("s.spill"), u64::MAX, 50).unwrap();
+        let path = dir.join("s.spill");
+        let mut log = SpillLog::open(&path, u64::MAX, 50).unwrap();
         log.append(3, b"hello").unwrap();
         log.append(9, b"world!").unwrap();
         assert_eq!(log.read(3).unwrap().as_deref(), Some(&b"hello"[..]));
         assert_eq!(log.read(9).unwrap().as_deref(), Some(&b"world!"[..]));
         assert_eq!(log.read(4).unwrap(), None);
-        assert_eq!(log.slots(), vec![3, 9]);
-        assert!(log.remove(3).unwrap());
-        assert!(!log.remove(3).unwrap());
+        // A thaw or an eviction retires the record without a write.
+        let len = file_len(&path);
+        assert!(log.remove(3));
+        assert!(!log.remove(3));
+        assert_eq!(file_len(&path), len);
         assert_eq!(log.read(3).unwrap(), None);
-        assert_eq!(log.len(), 1);
+        assert!(log.contains(9) && !log.contains(3));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -406,57 +262,32 @@ mod tests {
         let dir = tmpdir("supersede");
         let mut log = SpillLog::open(dir.join("s.spill"), u64::MAX, 50).unwrap();
         log.append(1, b"old-old-old").unwrap();
-        assert_eq!(log.dead_bytes(), 0);
+        assert_eq!(log.dead_bytes, 0);
         log.append(1, b"new").unwrap();
-        assert!(log.dead_bytes() > 0);
+        assert_eq!(log.dead_bytes, 11);
         assert_eq!(log.read(1).unwrap().as_deref(), Some(&b"new"[..]));
-        assert_eq!(log.len(), 1);
+        assert_eq!(log.index.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Records are read back only by the handle that wrote them: a
+    /// reopened log starts empty, over the previous handle's file.
     #[test]
-    fn reopen_replays_live_records() {
+    fn reopen_starts_empty() {
         let dir = tmpdir("reopen");
         let path = dir.join("s.spill");
         {
             let mut log = SpillLog::open(&path, u64::MAX, 50).unwrap();
             log.append(1, b"one").unwrap();
             log.append(2, b"two").unwrap();
-            log.append(1, b"uno").unwrap();
-            log.remove(2).unwrap();
-            log.append(7, b"seven").unwrap();
         }
         let mut log = SpillLog::open(&path, u64::MAX, 50).unwrap();
-        assert_eq!(log.slots(), vec![1, 7]);
+        assert!(log.index.is_empty());
+        assert_eq!(log.read(1).unwrap(), None);
+        assert_eq!(file_len(&path), HEADER.len() as u64);
+        assert_eq!(log.file_bytes(), HEADER.len() as u64);
+        log.append(1, b"uno").unwrap();
         assert_eq!(log.read(1).unwrap().as_deref(), Some(&b"uno"[..]));
-        assert_eq!(log.read(7).unwrap().as_deref(), Some(&b"seven"[..]));
-        // New generations continue past the replayed maximum.
-        log.append(8, b"eight").unwrap();
-        assert_eq!(log.read(8).unwrap().as_deref(), Some(&b"eight"[..]));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_not_fatal() {
-        let dir = tmpdir("torn");
-        let path = dir.join("s.spill");
-        {
-            let mut log = SpillLog::open(&path, u64::MAX, 50).unwrap();
-            log.append(1, b"keep-me").unwrap();
-        }
-        // Simulate a crash mid-append: a header line promising more
-        // payload than the file holds.
-        {
-            use std::io::Write as _;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(b"P 2 99 4096\npartial").unwrap();
-        }
-        let mut log = SpillLog::open(&path, u64::MAX, 50).unwrap();
-        assert_eq!(log.slots(), vec![1]);
-        assert_eq!(log.read(1).unwrap().as_deref(), Some(&b"keep-me"[..]));
-        // The torn bytes are gone from disk too.
-        let len = std::fs::metadata(&path).unwrap().len();
-        assert_eq!(len, log.file_bytes());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -464,22 +295,24 @@ mod tests {
     fn foreign_file_is_refused() {
         let dir = tmpdir("foreign");
         let path = dir.join("s.spill");
-        std::fs::write(&path, b"definitely not a spill log").unwrap();
+        let foreign = b"definitely not a spill log";
+        std::fs::write(&path, foreign).unwrap();
         let err = SpillLog::open(&path, u64::MAX, 50).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Serialization);
+        assert_eq!(std::fs::read(&path).unwrap(), foreign, "left untouched");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// v1 logs hold JSON payloads; they are refused, not mis-decoded.
+    /// Logs of an older format are refused and left as they are.
     #[test]
     fn older_version_is_refused() {
-        let dir = tmpdir("v1");
+        let dir = tmpdir("v2");
         let path = dir.join("s.spill");
-        let v1 = b"eddie-spill v1\nP 0 0 2\n{}\n";
-        std::fs::write(&path, v1).unwrap();
+        let v2 = b"eddie-spill v2\nP 0 0 2\nab\n";
+        std::fs::write(&path, v2).unwrap();
         let err = SpillLog::open(&path, u64::MAX, 50).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Serialization);
-        assert_eq!(std::fs::read(&path).unwrap(), v1, "left untouched");
+        assert_eq!(std::fs::read(&path).unwrap(), v2, "left untouched");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -495,17 +328,14 @@ mod tests {
             }
         }
         assert!(log.compactions() > 0, "threshold compaction must fire");
-        assert_eq!(log.len(), 5);
+        assert_eq!(log.index.len(), 5);
         for slot in 0..5u64 {
             assert_eq!(log.read(slot).unwrap().as_deref(), Some(&[9u8; 64][..]));
         }
-        // The file holds only the live frames.
-        assert_eq!(log.dead_bytes(), 0);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), log.file_bytes());
-        // And a reopen agrees.
-        let mut reopened = SpillLog::open(&path, u64::MAX, 50).unwrap();
-        assert_eq!(reopened.slots(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(reopened.read(2).unwrap().as_deref(), Some(&[9u8; 64][..]));
+        // The file holds only the live records.
+        assert_eq!(log.dead_bytes, 0);
+        assert_eq!(log.file_bytes(), HEADER.len() as u64 + 5 * 64);
+        assert_eq!(file_len(&path), log.file_bytes());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -513,9 +343,11 @@ mod tests {
     fn payload_with_newlines_survives() {
         let dir = tmpdir("binary");
         let mut log = SpillLog::open(dir.join("s.spill"), u64::MAX, 50).unwrap();
-        let payload = b"line1\nline2\nP 9 9 9\n";
+        let payload = b"line1\nline2\neddie-spill v3\n";
         log.append(1, payload).unwrap();
+        log.append(2, b"").unwrap();
         assert_eq!(log.read(1).unwrap().as_deref(), Some(&payload[..]));
+        assert_eq!(log.read(2).unwrap().as_deref(), Some(&b""[..]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

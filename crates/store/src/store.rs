@@ -46,15 +46,16 @@ pub struct SessionStore {
 }
 
 impl SessionStore {
-    /// Opens the store: creates the spill directory, replays any
-    /// existing spill log (recovered sessions enter the ledger as
-    /// added-and-parked), and publishes the ledger metrics when an
-    /// observer is installed.
+    /// Opens the store: creates the spill directory, starts an empty
+    /// spill log in it, and publishes the ledger metrics when an
+    /// observer is installed. A spill log left by an earlier store is
+    /// emptied; nothing in it is read back.
     ///
     /// # Errors
     ///
-    /// I/O or corrupt-spill errors from
-    /// [`SpillLog::open`](crate::SpillLog::open).
+    /// I/O errors, or [`ErrorKind::Serialization`](eddie_core::ErrorKind)
+    /// when the spill file exists and is not a spill log (it is left
+    /// untouched).
     pub fn open(config: StoreConfig) -> Result<SessionStore, Error> {
         std::fs::create_dir_all(&config.spill_dir).map_err(|e| {
             Error::with_source(
@@ -70,7 +71,6 @@ impl SessionStore {
             COMPACT_DEAD_RATIO_PCT,
         )?;
         let ledger = MemoryBudget::new();
-        ledger.adopt_parked(spill.len() as u64);
         ledger.set_spill_bytes(spill.file_bytes());
         ledger.install_metrics();
         let models = ModelStore::new();
@@ -125,23 +125,14 @@ impl SessionStore {
     }
 
     /// The session at `slot` left the store for good (device eviction).
-    /// Works on both resident and parked sessions; a parked one gets a
-    /// spill tombstone.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors writing the tombstone; the ledger still records the
-    /// eviction so the books stay balanced.
-    pub fn note_evicted(&mut self, slot: u64) -> Result<(), Error> {
-        if self.spill.contains(slot) {
+    /// Works on both resident and parked sessions; a parked one's spill
+    /// record is retired.
+    pub fn note_evicted(&mut self, slot: u64) {
+        if self.spill.remove(slot) {
             self.ledger.on_evict_parked();
-            let result = self.spill.remove(slot).map(|_| ());
-            self.sync_spill_gauges();
-            result
         } else {
             self.ledger.on_evict_resident();
             self.clear_bytes(slot);
-            Ok(())
         }
     }
 
@@ -187,18 +178,10 @@ impl SessionStore {
     /// Phase two of a thaw, after the payload deserialized and the
     /// session is resident again: retires the spill record and flips
     /// the ledger. `bytes` is the restored session's resident estimate.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors writing the tombstone (the thaw itself has already
-    /// happened; the ledger is flipped regardless so it keeps matching
-    /// the owner's view).
-    pub fn confirm_thaw(&mut self, slot: u64, bytes: u64) -> Result<(), Error> {
+    pub fn confirm_thaw(&mut self, slot: u64, bytes: u64) {
         self.ledger.on_thaw();
         self.set_bytes(slot, bytes);
-        let result = self.spill.remove(slot).map(|_| ());
-        self.sync_spill_gauges();
-        result
+        self.spill.remove(slot);
     }
 
     /// The owner's thaw attempt failed after
@@ -211,21 +194,6 @@ impl SessionStore {
     /// Whether `slot` currently has a parked payload.
     pub fn is_parked(&self, slot: u64) -> bool {
         self.spill.contains(slot)
-    }
-
-    /// Parked slots, sorted ascending.
-    pub fn parked_slots(&self) -> Vec<u64> {
-        self.spill.slots()
-    }
-
-    /// Number of parked sessions.
-    pub fn parked_count(&self) -> usize {
-        self.spill.len()
-    }
-
-    /// Current spill-file size on disk, framing included.
-    pub fn spill_file_bytes(&self) -> u64 {
-        self.spill.file_bytes()
     }
 
     /// Estimated total bytes of resident session state.
@@ -296,12 +264,12 @@ mod tests {
 
         let payload = store.read_parked(0).unwrap().expect("parked");
         assert_eq!(payload, b"payload-0");
-        store.confirm_thaw(0, 1200).unwrap();
+        store.confirm_thaw(0, 1200);
         assert!(!store.is_parked(0));
         assert_eq!(store.resident_bytes(), 5200);
 
-        store.note_evicted(1).unwrap(); // parked eviction
-        store.note_evicted(5).unwrap(); // resident eviction
+        store.note_evicted(1); // parked eviction
+        store.note_evicted(5); // resident eviction
         let snap = store.ledger_snapshot();
         assert!(snap.conserved());
         assert_eq!(snap.added, 6);
@@ -311,9 +279,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A store reopened on a used spill dir starts with empty books and
+    /// nothing parked: a record of the earlier store is never adopted.
     #[test]
-    fn reopen_adopts_parked_sessions() {
-        let dir = tmpdir("adopt");
+    fn reopen_starts_empty() {
+        let dir = tmpdir("reopen");
         {
             let mut store = open(&dir);
             store.note_added(3, 500);
@@ -321,13 +291,9 @@ mod tests {
         }
         let mut store = open(&dir);
         let snap = store.ledger_snapshot();
-        assert_eq!(snap.added, 1, "recovered spill entries are adopted");
-        assert_eq!(snap.parked, 1);
-        assert!(snap.conserved());
-        assert_eq!(
-            store.read_parked(3).unwrap().as_deref(),
-            Some(&b"sleeper"[..])
-        );
+        assert_eq!((snap.added, snap.parked, snap.resident), (0, 0, 0));
+        assert!(!store.is_parked(3));
+        assert_eq!(store.read_parked(3).unwrap(), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -339,7 +305,7 @@ mod tests {
         store.note_resident_bytes(0, 250);
         assert_eq!(store.resident_bytes(), 250);
         assert_eq!(store.ledger_snapshot().resident_bytes, 250);
-        store.note_evicted(0).unwrap();
+        store.note_evicted(0);
         assert_eq!(store.resident_bytes(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }

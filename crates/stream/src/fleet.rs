@@ -410,7 +410,7 @@ impl Fleet {
     ///
     /// A cold-parked device is thawed first so the caller still gets
     /// the session back; if that restore fails the device is evicted
-    /// anyway (its spill record tombstoned, the failure counted in the
+    /// anyway (its spill record retired, the failure counted in the
     /// store ledger) and `None` is returned.
     pub fn remove_session(&mut self, device: DeviceId) -> Option<MonitorSession> {
         if self.is_parked(device) {
@@ -418,7 +418,7 @@ impl Fleet {
         }
         let removed = self.devices.get_mut(device.0).and_then(Option::take)?;
         if let Some(store) = self.store.as_mut() {
-            let _ = store.note_evicted(device.0 as u64);
+            store.note_evicted(device.0 as u64);
         }
         self.free_slots.push(device.0);
         self.free_slots.sort_unstable_by(|a, b| b.cmp(a));
@@ -727,11 +727,6 @@ impl Fleet {
         self.store.as_ref()
     }
 
-    /// Mutable access to the cold-storage tier, if one was attached.
-    pub fn store_mut(&mut self) -> Option<&mut SessionStore> {
-        self.store.as_mut()
-    }
-
     /// A point-in-time copy of the store ledger, if a store is
     /// attached.
     pub fn ledger_snapshot(&self) -> Option<eddie_store::LedgerSnapshot> {
@@ -818,13 +813,9 @@ impl Fleet {
                 return Err(e);
             }
         };
-        // The session is resident again from here on: flip the state
-        // first, then retire the spill record. A tombstone-write error
-        // is reported but leaves the fleet consistent (the stale
-        // record is superseded by any later park of the same slot).
         let bytes = session.approx_bytes() as u64;
         d.state = SessionState::Resident(Box::new(session));
-        let confirm = store.confirm_thaw(index as u64, bytes);
+        store.confirm_thaw(index as u64, bytes);
         store
             .ledger()
             .record_thaw_ns(started.elapsed().as_nanos() as u64);
@@ -833,7 +824,7 @@ impl Fleet {
                 device: index as u64,
             });
         }
-        confirm
+        Ok(())
     }
 
     /// Reads and returns the spill payload of the parked device at
@@ -1373,6 +1364,31 @@ mod tests {
         let ledger = fleet.ledger_snapshot().unwrap();
         assert!(ledger.conserved());
         assert_eq!(ledger.resident + ledger.parked, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store reopened on a used spill dir must not hold the earlier
+    /// store's record for slot 0 against the new session there: its
+    /// eviction is a resident one, and the books come back to zero.
+    #[test]
+    fn reopened_store_books_evictions_correctly() {
+        let model = tiny_model();
+        let dir = tmpdir("reopen");
+        {
+            let mut store = store_in(&dir, 8);
+            store.note_added(0, 100);
+            store.park(0, b"earlier store's session").unwrap();
+        }
+        let mut fleet = Fleet::with_store(FleetConfig::default(), store_in(&dir, 8));
+        let dev = fleet.add_session(session(&model));
+        assert_eq!(dev.index(), 0);
+        assert!(fleet.remove_session(dev).is_some());
+        let ledger = fleet.ledger_snapshot().unwrap();
+        assert!(ledger.conserved());
+        assert_eq!(
+            (ledger.resident, ledger.parked, ledger.resident_bytes),
+            (0, 0, 0)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

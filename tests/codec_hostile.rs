@@ -1,6 +1,7 @@
-//! Hostile-input sweep over the two persisted artifacts: a trained
-//! model and a session snapshot that carries an STFT tail, a monitor
-//! history and a denoiser's buffered block.
+//! Hostile-input sweep over the three persisted artifacts: a trained
+//! model, a session snapshot that carries an STFT tail, a monitor
+//! history and a denoiser's buffered block, and the value of a
+//! two-session server snapshot file.
 //!
 //! Exhaustive, not by example:
 //!
@@ -19,6 +20,7 @@ use eddie_codec::Decode;
 use eddie_core::{train_from_labeled, EddieConfig, LabeledRun, Sts, TrainedModel};
 use eddie_dsp::{Peak, SvdDenoiserConfig};
 use eddie_isa::{ProgramBuilder, Reg, RegionId};
+use eddie_serve::{PersistedSession, SnapshotFile};
 use eddie_stream::{MonitorSession, SessionSnapshot};
 
 /// The system allocator, recording the largest single request made on
@@ -163,4 +165,30 @@ fn trained_model_refuses_truncation_and_forged_lengths() {
 fn session_snapshot_refuses_truncation_and_forged_lengths() {
     let bytes = snapshot(model()).to_bytes();
     assert_hostile_input_refused::<SessionSnapshot>("snapshot", &bytes);
+}
+
+/// The value after a snapshot file's magic line: the denoised session
+/// above beside a plain one.
+#[test]
+fn snapshot_file_refuses_truncation_and_forged_lengths() {
+    let model = Arc::new(model());
+    let mut plain = MonitorSession::new(model.clone(), 1000.0).unwrap();
+    let _ = plain.push(&vec![0.25; 900]);
+    let file = SnapshotFile {
+        journal_seq: 17,
+        sessions: vec![
+            PersistedSession {
+                device: 0,
+                model_id: "bitcount".to_string(),
+                snapshot: snapshot((*model).clone()),
+            },
+            PersistedSession {
+                device: 5,
+                model_id: "sha".to_string(),
+                snapshot: plain.snapshot(),
+            },
+        ],
+    };
+    let bytes = eddie_codec::to_bytes(&file);
+    assert_hostile_input_refused::<SnapshotFile>("snapshot file", &bytes);
 }

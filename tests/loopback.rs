@@ -14,7 +14,7 @@ use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 use eddie::core::MonitorEvent;
-use eddie::serve::{load_sessions, read_frame, write_frame, ErrCode, Frame, ServerConfig};
+use eddie::serve::{load_snapshot, read_frame, write_frame, ErrCode, Frame, ServerConfig};
 use eddie::stream::{FleetConfig, MonitorSession, StreamEvent};
 use eddie_experiments::diff::{self, wait_for, Fixture, LocalServer, MODEL_ID};
 
@@ -332,7 +332,9 @@ fn snapshot_persists_and_restores_mid_stream() {
     }
 
     // Restore from the persisted file and continue locally.
-    let persisted = load_sessions(&snap_path).expect("snapshot file readable");
+    let persisted = load_snapshot(&snap_path)
+        .expect("snapshot file readable")
+        .sessions;
     assert_eq!(persisted.len(), 1);
     assert_eq!(persisted[0].model_id, MODEL_ID);
     let mut resumed =
