@@ -35,7 +35,6 @@ use std::thread::JoinHandle;
 
 use eddie_chaos::{ChaosProxy, FaultPlan};
 use eddie_core::Error as CoreError;
-use eddie_obs::Gauge;
 use eddie_serve::{ModelRegistry, Server, ServerConfig, ServerHandle, ServerReport};
 
 use crate::ring::{HashRing, Membership, RingConfig};
@@ -204,22 +203,14 @@ pub fn plan_rebalance(ring: &HashRing, owned: &[(u64, usize)]) -> Vec<Migration>
         .collect()
 }
 
-/// A running in-process cluster: shards, proxies, router, and the obs
-/// gauges tracking per-shard placement.
+/// A running in-process cluster: shards, proxies and the router, whose
+/// `Stats` reply renders per-shard placement and migration counts.
 pub struct Cluster {
     shards: Vec<Shard>,
     membership: Membership,
     ring: HashRing,
     router_handle: RouterHandle,
     router_join: JoinHandle<io::Result<RouterReport>>,
-    gauges: Option<ClusterGauges>,
-}
-
-struct ClusterGauges {
-    sessions_owned: Vec<Arc<Gauge>>,
-    migrations_in: Vec<Arc<Gauge>>,
-    migrations_out: Vec<Arc<Gauge>>,
-    ring_generation: Arc<Gauge>,
 }
 
 impl Cluster {
@@ -271,31 +262,12 @@ impl Cluster {
         let router_handle = router.handle();
         let router_join = std::thread::spawn(move || router.run());
 
-        let gauges = eddie_obs::global().map(|o| {
-            let reg = o.registry();
-            let per_shard = |stem: &str| -> Vec<Arc<Gauge>> {
-                names
-                    .iter()
-                    .map(|n| reg.gauge(&format!("{stem}{{shard=\"{n}\"}}")))
-                    .collect()
-            };
-            let g = ClusterGauges {
-                sessions_owned: per_shard("eddie_cluster_sessions_owned"),
-                migrations_in: per_shard("eddie_cluster_migrations_in"),
-                migrations_out: per_shard("eddie_cluster_migrations_out"),
-                ring_generation: reg.gauge("eddie_cluster_ring_generation"),
-            };
-            g.ring_generation.set(1);
-            g
-        });
-
         Ok(Cluster {
             shards,
             membership,
             ring,
             router_handle,
             router_join,
-            gauges,
         })
     }
 
@@ -352,10 +324,6 @@ impl Cluster {
             .finish_export(m.token, &self.shards[m.to].advertised_addr);
         self.router_handle.set_token_owner(m.token, m.to);
         self.router_handle.note_migration(m.from, m.to);
-        if let Some(g) = &self.gauges {
-            g.migrations_out[m.from].add(1);
-            g.migrations_in[m.to].add(1);
-        }
         Ok(())
     }
 
@@ -373,7 +341,6 @@ impl Cluster {
                 Err(e) => return Err(e),
             }
         }
-        self.refresh_gauges();
         Ok(report)
     }
 
@@ -385,20 +352,7 @@ impl Cluster {
         self.membership.ring.seed = seed;
         self.ring = HashRing::build(&self.membership);
         self.router_handle.set_ring(&self.membership);
-        if let Some(g) = &self.gauges {
-            g.ring_generation
-                .set(self.router_handle.ring_generation() as i64);
-        }
         self.rebalance()
-    }
-
-    /// Pushes current per-shard session counts into the obs gauges.
-    pub fn refresh_gauges(&self) {
-        if let Some(g) = &self.gauges {
-            for (i, shard) in self.shards.iter().enumerate() {
-                g.sessions_owned[i].set(shard.handle.fleet_stats().active_sessions as i64);
-            }
-        }
     }
 
     /// Shuts everything down — router first, then shards and proxies —

@@ -13,14 +13,14 @@
 //!   computed once per region and rank for every reachable monitored
 //!   sample size — the hot loop does one array load instead of
 //!   `ln`/`sqrt` work, and the p-value series is skipped entirely.
-//! * **Quantized references** ([`DimGrid`]): peak frequencies live on
+//! * **Quantized references** (`DimGrid`): peak frequencies live on
 //!   the STFT bin lattice `k · bin_hz`, so each test dimension gets a
 //!   global `u16` grid built from the union of every region's
 //!   reference values. Quantization is *checked*: a value joins the
 //!   grid only if `offset + q · step` reproduces its exact bits, and
 //!   anything off-grid falls back to the float path for that
 //!   dimension — exactness is never assumed.
-//! * **SoA window lanes** ([`KernelCache`]): the monitor state keeps a
+//! * **SoA window lanes** (`KernelCache`): the monitor state keeps a
 //!   per-dimension `Vec<u16>` parallel to its STS history, so the K-S
 //!   inner loop walks one contiguous `u16` lane per rank instead of
 //!   chasing `Vec<Peak>` pointers window by window.

@@ -154,8 +154,9 @@ impl SyntheticTrainConfig {
     }
 }
 
-/// CFG-derived synthetic training source — see the [module
-/// docs](self).
+/// CFG-derived synthetic training source: each loop region's training
+/// signal is replayed from its control-flow paths through the timing
+/// and power model, with no instrumented run of the target.
 #[derive(Debug, Clone, Default)]
 pub struct Synthetic {
     config: SyntheticTrainConfig,

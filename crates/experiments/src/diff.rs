@@ -639,6 +639,24 @@ impl LocalServer {
     }
 }
 
+/// Reads one unlabeled series from a `Stats` scrape (Prometheus text).
+///
+/// # Panics
+///
+/// When the series is missing or not an integer: a gate must not read
+/// a dropped name as 0.
+pub fn metric(text: &str, name: &str) -> u64 {
+    for line in text.lines() {
+        if let Some(v) = line.strip_prefix(name).and_then(|v| v.strip_prefix(' ')) {
+            return v
+                .trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("series `{name}` has a non-integer value: {v:?}"));
+        }
+    }
+    panic!("series `{name}` missing from exposition:\n{text}");
+}
+
 /// Audits a server's books: every chunk frame it read was accepted,
 /// refused busy or acknowledged as a duplicate, and the serve and
 /// stream layers agree on what was accepted.

@@ -7,9 +7,9 @@
 //! thaws a cold slice of the fleet and reparks the previous one. Along
 //! the way it asserts the store tier's whole contract:
 //!
-//! * **Dedup** — N sessions over P programs intern exactly P
-//!   `TrainedModel` allocations (`distinct() == P`, every same-program
-//!   resident pair is `Arc::ptr_eq`).
+//! * **One model per program** — sessions of the same program hold one
+//!   `TrainedModel` allocation (a same-program resident pair is
+//!   `Arc::ptr_eq`).
 //! * **Ledger conservation** — after every drain,
 //!   `resident + parked == added - evicted`, and no park or thaw
 //!   failures accumulate.
@@ -20,7 +20,9 @@
 //! * **Park → thaw → replay byte-identity** — a tracked set of devices
 //!   is force-parked every round and must still emit exactly the event
 //!   stream a never-parked batch `MonitorSession` produces for the same
-//!   chunk sequence.
+//!   chunk sequence, checked with the gates' comparator
+//!   ([`crate::diff::compare`]), which names the first window and field
+//!   that differ.
 //!
 //! The run is deterministic: rotation order, park victims (LRU by
 //! logical tick), and every emitted event are pure functions of the
@@ -63,7 +65,7 @@ const PROGRAMS: &[Benchmark] = &[
 pub struct SoakConfig {
     /// Fleet size.
     pub devices: usize,
-    /// Distinct programs (and therefore distinct interned models).
+    /// Distinct programs (one trained model each).
     pub programs: usize,
     /// Store resident budget (sessions kept in RAM).
     pub budget: usize,
@@ -103,10 +105,6 @@ pub struct SoakReport {
     pub devices: usize,
     /// Distinct programs requested.
     pub programs: usize,
-    /// Distinct models the store interned (must equal `programs`).
-    pub distinct_models: u64,
-    /// Model intern requests served (must equal `devices`).
-    pub model_requests: u64,
     /// Total park operations over the run.
     pub parks: u64,
     /// Total thaw operations over the run.
@@ -130,13 +128,6 @@ impl SoakReport {
         let rows = vec![
             vec!["devices".to_string(), self.devices.to_string()],
             vec!["programs".to_string(), self.programs.to_string()],
-            vec![
-                "models interned".to_string(),
-                format!(
-                    "{} ({} requests)",
-                    self.distinct_models, self.model_requests
-                ),
-            ],
             vec!["parks".to_string(), self.parks.to_string()],
             vec!["thaws".to_string(), self.thaws.to_string()],
             vec!["compactions".to_string(), self.compactions.to_string()],
@@ -160,7 +151,7 @@ impl SoakReport {
 ///
 /// # Errors
 ///
-/// Any failed assertion — dedup, ledger conservation, the
+/// Any failed assertion — shared models, ledger conservation, the
 /// bytes-per-session ceiling, park/thaw failures, or a tracked device
 /// whose replayed events diverge from its batch twin.
 pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
@@ -227,16 +218,6 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
     let _ = fleet.drain();
     check_ledger(&fleet, "admission complete")?;
 
-    // Dedup: N sessions, P allocations.
-    let m = fleet.store().expect("store attached").models();
-    let (distinct, requests) = (m.distinct() as u64, m.requests());
-    if distinct != cfg.programs as u64 || requests != cfg.devices as u64 {
-        return Err(format!(
-            "dedup violated: {distinct} distinct models over {requests} requests, \
-             expected {} over {}",
-            cfg.programs, cfg.devices
-        ));
-    }
     assert_resident_pair_shares(&mut fleet, &devs, cfg.programs)?;
 
     // Streaming: tracked devices are force-parked then fed every round
@@ -300,14 +281,8 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
         for &c in &fed {
             batch.extend(twin.push(chunks[c]));
         }
-        if streamed != &batch {
-            return Err(format!(
-                "tracked device {t} diverged from its batch twin: \
-                 {} streamed events vs {} batch",
-                streamed.len(),
-                batch.len()
-            ));
-        }
+        crate::diff::compare("soak", t, MONITOR_SEED, &batch, streamed)
+            .map_err(|d| d.to_string())?;
     }
 
     let ledger = fleet.ledger_snapshot().expect("store attached");
@@ -321,8 +296,6 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
     let report = SoakReport {
         devices: cfg.devices,
         programs: cfg.programs,
-        distinct_models: distinct,
-        model_requests: requests,
         parks: ledger.parks,
         thaws: ledger.thaws,
         compactions: ledger.compactions,
@@ -440,8 +413,6 @@ mod tests {
             max_bytes_per_session: 1024.0 * 1024.0,
         };
         let report = run_soak(&cfg).expect("mini soak");
-        assert_eq!(report.distinct_models, 2);
-        assert_eq!(report.model_requests, 48);
         assert!(report.parks > 0, "budget must force parking");
         assert!(report.thaws > 0, "rotation must force thawing");
         assert!(report.tracked_events > 0, "tracked devices must emit");

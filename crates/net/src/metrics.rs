@@ -3,9 +3,10 @@
 //! The handles are process-global (one [`NetMetrics`] per process via
 //! `OnceLock`) so that multiple reactors — and multiple servers inside
 //! one test binary — aggregate into a single set of counters instead
-//! of shadowing each other. [`NetMetrics::ensure_registered`] is
-//! idempotent: `Registry::register_*` replaces any prior registration
-//! of the same name with the same shared handle.
+//! of shadowing each other. They live in a [`Registry`] this crate
+//! owns and are always on, whether or not an `eddie-obs` observer is
+//! installed; a server's `Stats` scrape renders
+//! [`NetMetrics::registry`].
 
 use std::sync::{Arc, OnceLock};
 
@@ -13,6 +14,7 @@ use eddie_obs::{Counter, Gauge, Histogram, Registry};
 
 /// Shared handles for the `eddie_net_*` metric family.
 pub struct NetMetrics {
+    registry: Registry,
     /// `eddie_net_connections_registered` — descriptors currently
     /// registered across all reactors in the process (listener and
     /// wakeup pipes excluded).
@@ -33,45 +35,20 @@ static GLOBAL: OnceLock<NetMetrics> = OnceLock::new();
 impl NetMetrics {
     /// The process-wide handles.
     pub fn global() -> &'static NetMetrics {
-        GLOBAL.get_or_init(|| NetMetrics {
-            connections_registered: Arc::new(Gauge::new()),
-            poll_wakeups: Arc::new(Counter::new()),
-            readiness_events: Arc::new(Counter::new()),
-            dispatch_ns: Arc::new(Histogram::new()),
+        GLOBAL.get_or_init(|| {
+            let registry = Registry::new();
+            NetMetrics {
+                connections_registered: registry.gauge("eddie_net_connections_registered"),
+                poll_wakeups: registry.counter("eddie_net_poll_wakeups_total"),
+                readiness_events: registry.counter("eddie_net_readiness_events_total"),
+                dispatch_ns: registry.histogram("eddie_net_dispatch_ns"),
+                registry,
+            }
         })
     }
 
-    /// Registers (or re-registers — harmless) the family in
-    /// `registry`. Called by every `Reactor::new` so whichever
-    /// registry serves `/stats` sees the reactor tier.
-    pub fn ensure_registered(registry: &Registry) -> &'static NetMetrics {
-        let m = NetMetrics::global();
-        registry.register_gauge(
-            "eddie_net_connections_registered",
-            m.connections_registered.clone(),
-        );
-        registry.register_counter("eddie_net_poll_wakeups_total", m.poll_wakeups.clone());
-        registry.register_counter(
-            "eddie_net_readiness_events_total",
-            m.readiness_events.clone(),
-        );
-        registry.register_histogram("eddie_net_dispatch_ns", m.dispatch_ns.clone());
-        m
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registration_is_idempotent_and_global() {
-        let registry = Registry::new();
-        let a = NetMetrics::ensure_registered(&registry);
-        let before = a.poll_wakeups.value();
-        a.poll_wakeups.inc();
-        // Re-registering binds the same global handles, not fresh ones.
-        let b = NetMetrics::ensure_registered(&registry);
-        assert_eq!(b.poll_wakeups.value(), before + 1);
+    /// The registry holding the `eddie_net_*` family.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 }

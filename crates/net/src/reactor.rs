@@ -24,8 +24,6 @@ use std::io;
 use std::os::unix::io::RawFd;
 use std::time::{Duration, Instant};
 
-use eddie_obs::Registry;
-
 use crate::metrics::NetMetrics;
 use crate::poller::{Event, Interest, Poller};
 use crate::waker::{wake_pair, WakeReader, Waker};
@@ -45,9 +43,9 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Builds a reactor, registers the wakeup pipe, and binds the
-    /// `eddie_net_*` metrics into `registry`.
-    pub fn new(registry: &Registry) -> io::Result<Reactor> {
+    /// Builds a reactor and registers the wakeup pipe. Every reactor
+    /// records into the process-wide [`NetMetrics`].
+    pub fn new() -> io::Result<Reactor> {
         let poller = Poller::new()?;
         let (wake_reader, waker) = wake_pair()?;
         poller.register(wake_reader.raw_fd(), WAKE_DATA, Interest::READABLE)?;
@@ -55,7 +53,7 @@ impl Reactor {
             poller,
             wake_reader,
             waker,
-            metrics: NetMetrics::ensure_registered(registry),
+            metrics: NetMetrics::global(),
             dispatch_started: None,
         })
     }
@@ -144,8 +142,7 @@ mod tests {
 
     #[test]
     fn wakeup_pipe_self_event_interrupts_a_blocked_poll() {
-        let registry = Registry::new();
-        let mut reactor = Reactor::new(&registry).expect("reactor");
+        let mut reactor = Reactor::new().expect("reactor");
         let waker = reactor.waker();
         // Wake from another thread after the reactor is (very likely)
         // parked in wait().
@@ -174,8 +171,7 @@ mod tests {
 
     #[test]
     fn connection_events_and_gauge_flow_through() {
-        let registry = Registry::new();
-        let mut reactor = Reactor::new(&registry).expect("reactor");
+        let mut reactor = Reactor::new().expect("reactor");
         let gauge_before = NetMetrics::global().connections_registered.value();
         let (r, w) = sys::nonblocking_pipe().expect("pipe");
         reactor
@@ -184,6 +180,13 @@ mod tests {
         assert_eq!(
             NetMetrics::global().connections_registered.value(),
             gauge_before + 1
+        );
+        assert_eq!(
+            NetMetrics::global()
+                .registry()
+                .value("eddie_net_connections_registered"),
+            Some(eddie_obs::MetricValue::Gauge(gauge_before + 1)),
+            "the handle is the one eddie-net's registry renders"
         );
         sys::write_fd(w, b"go").expect("write");
         let mut events = Vec::new();

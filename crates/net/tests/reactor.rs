@@ -12,7 +12,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eddie_net::{sys, BufferedConn, Event, FlushPass, Interest, Reactor, Slab, Token};
-use eddie_obs::Registry;
 
 const MAX_FRAME: usize = 1 << 20;
 
@@ -53,14 +52,13 @@ struct EchoServer {
 const LISTENER_DATA: u64 = u64::MAX - 1;
 
 impl EchoServer {
-    fn bind(stop: Arc<AtomicBool>) -> (EchoServer, std::net::SocketAddr, Registry) {
-        let registry = Registry::new();
+    fn bind(stop: Arc<AtomicBool>) -> (EchoServer, std::net::SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         listener
             .set_nonblocking(true)
             .expect("nonblocking listener");
         let addr = listener.local_addr().expect("addr");
-        let reactor = Reactor::new(&registry).expect("reactor");
+        let reactor = Reactor::new().expect("reactor");
         reactor
             .register(listener.as_raw_fd(), LISTENER_DATA, Interest::READABLE)
             .expect("register listener");
@@ -72,7 +70,6 @@ impl EchoServer {
                 stop,
             },
             addr,
-            registry,
         )
     }
 
@@ -185,7 +182,7 @@ fn spawn_echo() -> (
     std::thread::JoinHandle<()>,
 ) {
     let stop = Arc::new(AtomicBool::new(false));
-    let (mut server, addr, _registry) = EchoServer::bind(stop.clone());
+    let (mut server, addr) = EchoServer::bind(stop.clone());
     let handle = std::thread::spawn(move || server.run());
     (addr, stop, handle)
 }
@@ -222,7 +219,7 @@ fn echo_server_round_trips_frames() {
 fn token_slab_reuses_slots_across_connection_churn() {
     let _serial = serial();
     let stop = Arc::new(AtomicBool::new(false));
-    let (server, addr, _registry) = EchoServer::bind(stop.clone());
+    let (server, addr) = EchoServer::bind(stop.clone());
     let gauge = eddie_net::NetMetrics::global()
         .connections_registered
         .clone();
@@ -276,8 +273,7 @@ fn token_slab_reuses_slots_across_connection_churn() {
 #[test]
 fn wakeup_self_event_reaches_a_parked_reactor() {
     let _serial = serial();
-    let registry = Registry::new();
-    let mut reactor = Reactor::new(&registry).expect("reactor");
+    let mut reactor = Reactor::new().expect("reactor");
     let waker = reactor.waker();
     let hits = Arc::new(AtomicBool::new(false));
     let hits2 = hits.clone();

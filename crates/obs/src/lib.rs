@@ -16,7 +16,9 @@
 //!   [`HistogramSnapshot`]s;
 //! * [`Registry`] — a name → metric map behind one lock, rendering
 //!   [Prometheus text](Registry::render_prometheus) straight from the
-//!   map;
+//!   map. Each metric has one owner: a per-instance owner (a server, a
+//!   fleet, a store ledger) holds its own registry, and process-wide
+//!   layers record into the installed [`Observer`]'s;
 //! * [`Journal`] — a bounded ring buffer of typed [`JournalEvent`]s
 //!   (decisions and lifecycle changes, not per-window records) with
 //!   monotonic sequence numbers and JSON rendering;
@@ -77,8 +79,8 @@ use std::sync::OnceLock;
 pub const JOURNAL_CAPACITY: usize = 4096;
 
 /// The process-wide observer [`install`] creates: one metric
-/// [`Registry`] plus one event [`Journal`], shared by every
-/// instrumented layer.
+/// [`Registry`] for the process-wide layers (the DSP and monitor
+/// kernels) plus one event [`Journal`] every layer appends to.
 #[derive(Debug)]
 pub struct Observer {
     registry: Registry,

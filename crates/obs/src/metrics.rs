@@ -44,10 +44,10 @@ fn stripe_index() -> usize {
 ///
 /// `inc`/`add` are a single relaxed `fetch_add` on the calling
 /// thread's stripe; [`value`](Counter::value) sums the stripes.
-/// Counters are meaningful standalone (the fleet owns its shed
-/// counters whether or not observability is installed) and can be
-/// shared into a [`Registry`](crate::Registry) via
-/// [`register_counter`](crate::Registry::register_counter).
+/// An owner whose counters should show up in a scrape creates them
+/// from its own [`Registry`](crate::Registry) with
+/// [`Registry::counter`](crate::Registry::counter) and keeps the
+/// handle.
 #[derive(Debug, Default)]
 pub struct Counter {
     stripes: [PaddedU64; STRIPES],

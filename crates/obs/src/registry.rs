@@ -42,6 +42,12 @@ pub enum MetricValue {
 /// Handles are `Arc`s — instrumented code registers once, caches the
 /// handle, and records lock-free thereafter, so the lock is only taken
 /// to register and to render.
+///
+/// A metric has one owner, and the owner's registry is where it lives:
+/// a server, a fleet or a store ledger creates its books in a registry
+/// it holds, so two instances in one process never share or shadow a
+/// name. Process-wide layers record into the installed
+/// [`Observer`](crate::Observer)'s registry.
 #[derive(Debug, Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Slot>>,
@@ -57,11 +63,6 @@ impl Registry {
     fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Slot) -> Slot {
         let mut metrics = self.metrics.lock().expect("registry lock");
         metrics.entry(name.to_owned()).or_insert_with(make).clone()
-    }
-
-    fn insert(&self, name: &str, slot: Slot) {
-        let mut metrics = self.metrics.lock().expect("registry lock");
-        metrics.insert(name.to_owned(), slot);
     }
 
     /// The counter registered under `name`, created on first use.
@@ -99,28 +100,6 @@ impl Registry {
             Slot::Histogram(h) => h,
             _ => panic!("metric `{name}` is registered as a different kind"),
         }
-    }
-
-    /// Exposes an *existing* counter under `name`, replacing any
-    /// previous registration. This is how owners of authoritative
-    /// counters (e.g. the fleet's shed counters, which exist whether
-    /// or not observability is installed) surface them: the registry
-    /// holds a second handle to the same atomic stripes, so the
-    /// exposed value *is* the owner's value.
-    pub fn register_counter(&self, name: &str, counter: Arc<Counter>) {
-        self.insert(name, Slot::Counter(counter));
-    }
-
-    /// Exposes an existing gauge under `name`, replacing any previous
-    /// registration.
-    pub fn register_gauge(&self, name: &str, gauge: Arc<Gauge>) {
-        self.insert(name, Slot::Gauge(gauge));
-    }
-
-    /// Exposes an existing histogram under `name`, replacing any
-    /// previous registration.
-    pub fn register_histogram(&self, name: &str, histogram: Arc<Histogram>) {
-        self.insert(name, Slot::Histogram(histogram));
     }
 
     /// Number of registered metrics.
@@ -257,20 +236,6 @@ mod tests {
         let r = Registry::new();
         let _ = r.counter("m");
         let _ = r.gauge("m");
-    }
-
-    #[test]
-    fn register_exposes_an_external_counter() {
-        let r = Registry::new();
-        let owned = Arc::new(Counter::new());
-        owned.add(7);
-        r.register_counter("fleet_shed_total", owned.clone());
-        assert_eq!(r.value("fleet_shed_total"), Some(MetricValue::Counter(7)));
-        owned.inc();
-        assert_eq!(r.value("fleet_shed_total"), Some(MetricValue::Counter(8)));
-        // Re-registration replaces.
-        r.register_counter("fleet_shed_total", Arc::new(Counter::new()));
-        assert_eq!(r.value("fleet_shed_total"), Some(MetricValue::Counter(0)));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! * [`wire`] — a dependency-free binary framing protocol. Capture
 //!   devices send `Hello` / `Chunk` / `Snapshot` / `Close` / `Stats`;
 //!   the server answers `Ack` / `Busy` / `Event` / `Err` /
-//!   `StatsReply` (a Prometheus-text scrape of the [`eddie_obs`]
-//!   registry). `Busy` is
+//!   `StatsReply` (a Prometheus-text scrape: the server's own books,
+//!   its fleet's and store's, the reactor's `eddie_net_*`, and the
+//!   installed [`eddie_obs`] observer's registry, if any). `Busy` is
 //!   [`eddie_stream::PushResult::Full`] made visible on the wire —
 //!   fleet backpressure propagated to the device instead of silent
 //!   sample loss. The decoder is fuzz-resistant: arbitrary bytes

@@ -58,8 +58,8 @@ use std::time::{Duration, Instant};
 
 use eddie_chaos::{ServerFaults, SnapshotFate};
 use eddie_core::{Error as CoreError, ErrorKind, TrainedModel};
-use eddie_net::{BufferedConn, Reactor, Token, Waker};
-use eddie_obs::{Counter, Gauge, Histogram, JournalEvent, Timer};
+use eddie_net::{BufferedConn, NetMetrics, Reactor, Token, Waker};
+use eddie_obs::{Counter, Gauge, Histogram, JournalEvent, Registry, Timer};
 use eddie_store::{SessionStore, StoreConfig};
 use eddie_stream::{DeviceId, Fleet, FleetConfig, FleetStats, MonitorSession, PushResult};
 
@@ -136,10 +136,9 @@ pub struct ServerConfig {
     /// Server-side failpoints (`Busy` storms, snapshot-write failures,
     /// slow drains) for chaos testing; `None` in production.
     pub faults: Option<Arc<ServerFaults>>,
-    /// Cold-storage tier for the fleet: when set, registered sessions'
-    /// models are deduplicated and idle sessions beyond the store's
-    /// resident budget are parked to its spill log between drains.
-    /// `None` keeps every session resident.
+    /// Cold-storage tier for the fleet: when set, idle sessions beyond
+    /// the store's resident budget are parked to its spill log between
+    /// drains. `None` keeps every session resident.
     pub session_store: Option<StoreConfig>,
 }
 
@@ -225,8 +224,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Attaches a cold-storage tier: model dedup and budgeted parking
-    /// of idle sessions.
+    /// Attaches a cold-storage tier: budgeted parking of idle sessions.
     pub fn with_session_store(mut self, store: StoreConfig) -> ServerConfigBuilder {
         self.config.session_store = Some(store);
         self
@@ -288,13 +286,14 @@ pub struct ExportedSession {
     pub tail: Vec<eddie_stream::StreamEvent>,
 }
 
-/// Counters the server accumulates over its lifetime. These are
-/// `eddie-obs` counters whether or not observability is installed;
-/// installation registers the same handles under `eddie_serve_*`, so
-/// the Prometheus exposition and [`ServerReport`] are views of one set
-/// of books.
+/// Counters the server accumulates over its lifetime, kept whether or
+/// not observability is installed. The server owns them: they live in
+/// its own [`Registry`], which a `Stats` reply renders, so the
+/// Prometheus exposition and [`ServerReport`] are views of one set of
+/// books, and two servers in one process never share a series.
 #[derive(Debug)]
 pub(crate) struct Counters {
+    registry: Registry,
     pub(crate) connections: Arc<Counter>,
     pub(crate) bad_frames: Arc<Counter>,
     events_sent: Arc<Counter>,
@@ -323,84 +322,30 @@ pub(crate) struct Counters {
 
 impl Counters {
     fn new() -> Counters {
-        let c = Counters {
-            connections: Arc::new(Counter::new()),
-            bad_frames: Arc::new(Counter::new()),
-            events_sent: Arc::new(Counter::new()),
-            chunks_received: Arc::new(Counter::new()),
-            chunks_accepted: Arc::new(Counter::new()),
-            chunks_busy: Arc::new(Counter::new()),
-            duplicate_acks: Arc::new(Counter::new()),
-            snapshots_written: Arc::new(Counter::new()),
-            snapshots_failed: Arc::new(Counter::new()),
-            frames_decoded: Arc::new(Counter::new()),
-            sessions_parked: Arc::new(Counter::new()),
-            sessions_resumed: Arc::new(Counter::new()),
-            events_replayed: Arc::new(Counter::new()),
-            sessions_migrated_out: Arc::new(Counter::new()),
-            sessions_migrated_in: Arc::new(Counter::new()),
-            idle_disconnects: Arc::new(Counter::new()),
-            backpressure_pauses: Arc::new(Counter::new()),
-            open_connections: Arc::new(Gauge::new()),
-            ingest_lag_ns: Arc::new(Histogram::new()),
+        let registry = Registry::new();
+        Counters {
+            connections: registry.counter("eddie_serve_connections_total"),
+            bad_frames: registry.counter("eddie_serve_bad_frames_total"),
+            events_sent: registry.counter("eddie_serve_events_sent_total"),
+            chunks_received: registry.counter("eddie_serve_chunks_received_total"),
+            chunks_accepted: registry.counter("eddie_serve_chunks_accepted_total"),
+            chunks_busy: registry.counter("eddie_serve_chunks_busy_total"),
+            duplicate_acks: registry.counter("eddie_serve_duplicate_acks_total"),
+            snapshots_written: registry.counter("eddie_serve_snapshots_written_total"),
+            snapshots_failed: registry.counter("eddie_serve_snapshots_failed_total"),
+            frames_decoded: registry.counter("eddie_serve_frames_decoded_total"),
+            sessions_parked: registry.counter("eddie_serve_sessions_parked_total"),
+            sessions_resumed: registry.counter("eddie_serve_sessions_resumed_total"),
+            events_replayed: registry.counter("eddie_serve_events_replayed_total"),
+            sessions_migrated_out: registry.counter("eddie_serve_sessions_migrated_out_total"),
+            sessions_migrated_in: registry.counter("eddie_serve_sessions_migrated_in_total"),
+            idle_disconnects: registry.counter("eddie_serve_idle_disconnects_total"),
+            backpressure_pauses: registry.counter("eddie_serve_backpressure_pauses_total"),
+            open_connections: registry.gauge("eddie_serve_open_connections"),
+            ingest_lag_ns: registry.histogram("eddie_serve_ingest_lag_ns"),
             next_conn_id: AtomicU64::new(0),
-        };
-        if let Some(o) = eddie_obs::global() {
-            let r = o.registry();
-            r.register_counter("eddie_serve_connections_total", c.connections.clone());
-            r.register_counter("eddie_serve_bad_frames_total", c.bad_frames.clone());
-            r.register_counter("eddie_serve_events_sent_total", c.events_sent.clone());
-            r.register_counter(
-                "eddie_serve_chunks_received_total",
-                c.chunks_received.clone(),
-            );
-            r.register_counter(
-                "eddie_serve_chunks_accepted_total",
-                c.chunks_accepted.clone(),
-            );
-            r.register_counter("eddie_serve_chunks_busy_total", c.chunks_busy.clone());
-            r.register_counter("eddie_serve_duplicate_acks_total", c.duplicate_acks.clone());
-            r.register_counter(
-                "eddie_serve_snapshots_written_total",
-                c.snapshots_written.clone(),
-            );
-            r.register_counter(
-                "eddie_serve_snapshots_failed_total",
-                c.snapshots_failed.clone(),
-            );
-            r.register_counter("eddie_serve_frames_decoded_total", c.frames_decoded.clone());
-            r.register_counter(
-                "eddie_serve_sessions_parked_total",
-                c.sessions_parked.clone(),
-            );
-            r.register_counter(
-                "eddie_serve_sessions_resumed_total",
-                c.sessions_resumed.clone(),
-            );
-            r.register_counter(
-                "eddie_serve_events_replayed_total",
-                c.events_replayed.clone(),
-            );
-            r.register_counter(
-                "eddie_serve_sessions_migrated_out_total",
-                c.sessions_migrated_out.clone(),
-            );
-            r.register_counter(
-                "eddie_serve_sessions_migrated_in_total",
-                c.sessions_migrated_in.clone(),
-            );
-            r.register_counter(
-                "eddie_serve_idle_disconnects_total",
-                c.idle_disconnects.clone(),
-            );
-            r.register_counter(
-                "eddie_serve_backpressure_pauses_total",
-                c.backpressure_pauses.clone(),
-            );
-            r.register_gauge("eddie_serve_open_connections", c.open_connections.clone());
-            r.register_histogram("eddie_serve_ingest_lag_ns", c.ingest_lag_ns.clone());
+            registry,
         }
-        c
     }
 }
 
@@ -767,10 +712,7 @@ impl Server {
             }
             None => Fleet::new(config.fleet),
         };
-        let reactor = match eddie_obs::global() {
-            Some(o) => Reactor::new(o.registry())?,
-            None => Reactor::new(&eddie_obs::Registry::new())?,
-        };
+        let reactor = Reactor::new()?;
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
@@ -1518,14 +1460,10 @@ pub(crate) fn handle_frame(
         Frame::Stats => {
             // Allowed in any state, including before Hello, so an
             // operator can scrape a server without a session.
-            let text = match eddie_obs::global() {
-                Some(o) => o.registry().render_prometheus(),
-                None => String::from("# eddie-obs not installed\n"),
-            };
             send(
                 out,
                 &Frame::StatsReply {
-                    text: clamp_stats_text(text),
+                    text: clamp_stats_text(render_stats(shared)),
                 },
             );
             Step::Continue
@@ -1560,6 +1498,22 @@ fn persist_device(dev: DeviceId, shared: &Shared, config: &ServerConfig) -> bool
         collect_persisted(&mut core)
     };
     write_snapshot_with_faults(path, &sessions, shared, config)
+}
+
+/// The `Stats` reply: this server's `eddie_serve_*` books, its fleet's
+/// `eddie_stream_*` and its store's `eddie_store_*`, the process-wide
+/// `eddie_net_*`, and then the installed observer's registry, if any.
+fn render_stats(shared: &Shared) -> String {
+    let mut text = shared.counters.registry.render_prometheus();
+    {
+        let core = shared.core.lock().expect("core lock");
+        text.push_str(&core.fleet.render_metrics());
+    }
+    text.push_str(&NetMetrics::global().registry().render_prometheus());
+    if let Some(o) = eddie_obs::global() {
+        text.push_str(&o.registry().render_prometheus());
+    }
+    text
 }
 
 /// Bounds a Prometheus rendering to what fits in one wire frame,

@@ -243,10 +243,10 @@ pub enum Frame {
         code: ErrCode,
     },
     /// Reply to [`Frame::Stats`]: the server's metrics in the
-    /// Prometheus text exposition format (UTF-8). Empty-comment body
-    /// when no observer is installed on the server.
+    /// Prometheus text exposition format (UTF-8). The server's own
+    /// books are there whether or not an observer is installed.
     StatsReply {
-        /// Prometheus-text rendering of the server's registry.
+        /// Prometheus-text rendering of the server's metrics.
         text: String,
     },
     /// Reply to [`Frame::HelloResumable`] and [`Frame::Resume`]: the

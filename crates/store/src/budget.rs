@@ -1,23 +1,23 @@
 //! The `MemoryBudget` ledger: every session the store has ever seen is
 //! accounted for, and the books must balance.
 //!
-//! Pillar three of the store is bookkeeping you can assert on:
+//! The store's second pillar is bookkeeping you can assert on:
 //! `resident + parked == added − evicted` at every quiescent point (the
 //! conservation law the `store_gate` CI job checks), plus byte gauges
-//! and park/thaw latency histograms for capacity planning. All handles
-//! are owner-held `Arc`s in the [`eddie-obs`](eddie_obs) style — the
-//! ledger works standalone, and [`MemoryBudget::install_metrics`]
-//! publishes the same atomics through the process registry so they show
-//! up in `Stats` wire frames and Prometheus scrapes with no extra
-//! bookkeeping writes.
+//! and park/thaw latency histograms for capacity planning. The ledger
+//! owns its `eddie_store_*` metrics: it creates them in a
+//! [`Registry`] it holds, so two stores in one process keep separate
+//! books, and a server's `Stats` scrape renders
+//! [`MemoryBudget::registry`] for the store behind its fleet.
 
-use eddie_obs::{Counter, Gauge, Histogram};
+use eddie_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 
 /// Owner-held metric bundle accounting for the store's sessions and
 /// bytes. Cheap to clone handles out of; all methods take `&self`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MemoryBudget {
+    registry: Registry,
     added: Arc<Counter>,
     evicted: Arc<Counter>,
     parks: Arc<Counter>,
@@ -81,35 +81,28 @@ impl LedgerSnapshot {
 impl MemoryBudget {
     /// Creates a zeroed ledger.
     pub fn new() -> MemoryBudget {
-        MemoryBudget::default()
+        let registry = Registry::new();
+        MemoryBudget {
+            added: registry.counter("eddie_store_sessions_added_total"),
+            evicted: registry.counter("eddie_store_sessions_evicted_total"),
+            parks: registry.counter("eddie_store_parks_total"),
+            thaws: registry.counter("eddie_store_thaws_total"),
+            park_failures: registry.counter("eddie_store_park_failures_total"),
+            thaw_failures: registry.counter("eddie_store_thaw_failures_total"),
+            compactions: registry.counter("eddie_store_compactions_total"),
+            resident: registry.gauge("eddie_store_resident_sessions"),
+            parked: registry.gauge("eddie_store_parked_sessions"),
+            resident_bytes: registry.gauge("eddie_store_resident_bytes"),
+            spill_bytes: registry.gauge("eddie_store_spill_bytes"),
+            park_ns: registry.histogram("eddie_store_park_ns"),
+            thaw_ns: registry.histogram("eddie_store_thaw_ns"),
+            registry,
+        }
     }
 
-    /// Publishes the ledger's handles through the global registry, if
-    /// one is installed. Idempotent; pre-install values are preserved.
-    pub fn install_metrics(&self) {
-        let Some(obs) = eddie_obs::global() else {
-            return;
-        };
-        let r = obs.registry();
-        r.register_counter("eddie_store_sessions_added_total", self.added.clone());
-        r.register_counter("eddie_store_sessions_evicted_total", self.evicted.clone());
-        r.register_counter("eddie_store_parks_total", self.parks.clone());
-        r.register_counter("eddie_store_thaws_total", self.thaws.clone());
-        r.register_counter(
-            "eddie_store_park_failures_total",
-            self.park_failures.clone(),
-        );
-        r.register_counter(
-            "eddie_store_thaw_failures_total",
-            self.thaw_failures.clone(),
-        );
-        r.register_counter("eddie_store_compactions_total", self.compactions.clone());
-        r.register_gauge("eddie_store_resident_sessions", self.resident.clone());
-        r.register_gauge("eddie_store_parked_sessions", self.parked.clone());
-        r.register_gauge("eddie_store_resident_bytes", self.resident_bytes.clone());
-        r.register_gauge("eddie_store_spill_bytes", self.spill_bytes.clone());
-        r.register_histogram("eddie_store_park_ns", self.park_ns.clone());
-        r.register_histogram("eddie_store_thaw_ns", self.thaw_ns.clone());
+    /// The registry holding the ledger's `eddie_store_*` metrics.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     /// A session entered the store (resident).
@@ -204,6 +197,12 @@ impl MemoryBudget {
             resident_bytes: self.resident_bytes.value(),
             spill_bytes: self.spill_bytes.value(),
         }
+    }
+}
+
+impl Default for MemoryBudget {
+    fn default() -> MemoryBudget {
+        MemoryBudget::new()
     }
 }
 

@@ -1,19 +1,14 @@
-//! Memory-bounded model/session storage for the EDDIE reproduction:
-//! the tier that lets the fleet scale past what RAM holds.
+//! Memory-bounded session storage for the EDDIE reproduction: the
+//! tier that lets the fleet scale past what RAM holds.
 //!
 //! EDDIE (Sehatbakhsh et al., ISCA 2017) monitors one program per
-//! device; a fleet deployment monitors *many* devices, and the naive
-//! runtime pays for each one twice — every `MonitorSession` duplicates
-//! its program's `TrainedModel` reference sets, and every idle session
-//! keeps its full window history and kernel cache resident. This crate
-//! is the storage tier beneath `eddie-stream`'s `Fleet` that removes
-//! both costs, in three pillars:
+//! device; a fleet deployment monitors *many* devices, and every idle
+//! session keeps its full window history and kernel cache resident.
+//! Sessions of one program already share its `TrainedModel` through
+//! the `Arc` their caller hands out, so what grows with the fleet is
+//! the per-session state. This crate is the storage tier beneath
+//! `eddie-stream`'s `Fleet` that bounds it, in two pillars:
 //!
-//! * **Model dedup** — [`ModelStore`] interns `TrainedModel`s by
-//!   content hash behind shared `Arc`s (copy-on-write: mutation means
-//!   clone-out), so N sessions of the same program hold one model
-//!   allocation. The content key hashes the model's `eddie-codec`
-//!   encoding, which is exact to the bit.
 //! * **Cold parking** — [`SessionStore::park`] spills an idle session's
 //!   serialized snapshot to an append-compacted spill log, scratch
 //!   space that only the open store reads back;
@@ -23,8 +18,9 @@
 //!   park→thaw→replay stream is byte-identical to never having parked.
 //! * **Accounting** — the [`MemoryBudget`] ledger keeps the books
 //!   (`resident + parked == added − evicted`), byte gauges, and
-//!   park/thaw latency histograms, published through the `eddie-obs`
-//!   registry and therefore the serve `Stats` frames.
+//!   park/thaw latency histograms in a registry of its own, which the
+//!   serve `Stats` frame renders for the store behind the server's
+//!   fleet.
 //!
 //! The store handles **opaque payloads**: it never deserialises a
 //! session itself. `eddie-stream` owns the session types and drives
@@ -61,11 +57,9 @@
 
 mod budget;
 mod config;
-mod dedup;
 mod spill;
 mod store;
 
 pub use budget::{LedgerSnapshot, MemoryBudget};
 pub use config::{StoreConfig, StoreConfigBuilder};
-pub use dedup::ModelStore;
 pub use store::SessionStore;

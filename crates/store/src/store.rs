@@ -1,5 +1,5 @@
-//! The [`SessionStore`] facade the fleet plugs in: spill log + model
-//! interner + ledger behind one handle.
+//! The [`SessionStore`] facade the fleet plugs in: spill log + ledger
+//! behind one handle.
 //!
 //! The store deliberately sits *below* the session layer: it parks and
 //! thaws opaque serialized payloads keyed by device slot, and never
@@ -22,7 +22,6 @@ use std::collections::HashMap;
 
 use crate::budget::{LedgerSnapshot, MemoryBudget};
 use crate::config::StoreConfig;
-use crate::dedup::ModelStore;
 use crate::spill::SpillLog;
 
 const SPILL_FILE: &str = "sessions.spill";
@@ -32,13 +31,12 @@ const COMPACT_MIN_BYTES: u64 = 64 * 1024;
 /// Compact once dead bytes reach this percentage of the file.
 const COMPACT_DEAD_RATIO_PCT: u32 = 50;
 
-/// Memory-bounded session storage: resident-byte accounting, cold
-/// parking to an append-compacted spill log, and model interning.
+/// Memory-bounded session storage: resident-byte accounting and cold
+/// parking to an append-compacted spill log.
 #[derive(Debug)]
 pub struct SessionStore {
     config: StoreConfig,
     spill: SpillLog,
-    models: ModelStore,
     ledger: MemoryBudget,
     resident_bytes: HashMap<u64, u64>,
     resident_total: u64,
@@ -46,9 +44,8 @@ pub struct SessionStore {
 }
 
 impl SessionStore {
-    /// Opens the store: creates the spill directory, starts an empty
-    /// spill log in it, and publishes the ledger metrics when an
-    /// observer is installed. A spill log left by an earlier store is
+    /// Opens the store: creates the spill directory and starts an
+    /// empty spill log in it. A spill log left by an earlier store is
     /// emptied; nothing in it is read back.
     ///
     /// # Errors
@@ -72,13 +69,9 @@ impl SessionStore {
         )?;
         let ledger = MemoryBudget::new();
         ledger.set_spill_bytes(spill.file_bytes());
-        ledger.install_metrics();
-        let models = ModelStore::new();
-        models.install_metrics();
         Ok(SessionStore {
             config,
             spill,
-            models,
             ledger,
             resident_bytes: HashMap::new(),
             resident_total: 0,
@@ -94,11 +87,6 @@ impl SessionStore {
     /// Maximum sessions the owner should keep resident.
     pub fn resident_budget(&self) -> usize {
         self.config.resident_budget
-    }
-
-    /// The model interner (shared `Arc` per distinct model content).
-    pub fn models(&self) -> &ModelStore {
-        &self.models
     }
 
     /// The accounting ledger.

@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use eddie_core::{Error, ErrorKind, MonitorEvent, TrainedModel};
 use eddie_isa::RegionId;
-use eddie_obs::{Counter, Gauge, Histogram, JournalEvent, Timer};
+use eddie_obs::{Counter, Histogram, JournalEvent, Registry, Timer};
 use eddie_store::SessionStore;
 
 use crate::{MonitorSession, SessionSnapshot, StreamEvent};
@@ -173,18 +173,6 @@ pub struct FleetStats {
     pub shed_samples: u64,
 }
 
-/// Fleet-wide instrumentation handles, created when observability is
-/// installed at [`Fleet::new`] time. `None` costs one branch per
-/// operation.
-#[derive(Debug)]
-struct FleetObs {
-    drain_ns: Arc<Histogram>,
-    events_emitted: Arc<Counter>,
-    queued_chunks: Arc<Gauge>,
-    queued_samples: Arc<Gauge>,
-    active_sessions: Arc<Gauge>,
-}
-
 /// What a parked session leaves behind in memory: the shared model
 /// handle (needed to restore) plus the few scalars `stats()` and the
 /// serve layer's `Finish` path read without forcing a thaw.
@@ -275,16 +263,19 @@ pub struct Fleet {
     /// lowest index to the next registration.
     free_slots: Vec<usize>,
     config: FleetConfig,
-    // Lifetime counters are `eddie_obs` counters whether or not
-    // observability is installed — the fleet is their owner and
-    // `stats()` their authoritative reader. Installation merely
-    // *registers* the same handles, making `FleetStats` a view over
-    // the registry rather than a second set of books.
+    /// The fleet's `eddie_stream_*` books, kept whether or not
+    /// observability is installed: the fleet owns them, `stats()`
+    /// reads them and [`render_metrics`](Fleet::render_metrics)
+    /// renders them, so two fleets in one process never share a
+    /// series.
+    registry: Registry,
     shed_chunks: Arc<Counter>,
     shed_samples: Arc<Counter>,
     accepted_chunks: Arc<Counter>,
     accepted_samples: Arc<Counter>,
-    obs: Option<FleetObs>,
+    events_emitted: Arc<Counter>,
+    /// Drain latency, recorded only while `eddie_obs::enabled()`.
+    drain_ns: Arc<Histogram>,
     /// The optional cold-storage tier. `None` (plain [`Fleet::new`])
     /// keeps every session resident forever — bit-identical to the
     /// pre-store behaviour.
@@ -296,11 +287,6 @@ pub struct Fleet {
 
 impl Fleet {
     /// Creates an empty fleet with the given ingress bounds.
-    ///
-    /// When an `eddie-obs` observer is installed, the fleet's lifetime
-    /// counters are registered under `eddie_stream_*` (replacing any
-    /// previous fleet's registration) together with queue-depth gauges
-    /// and the drain-latency histogram.
     pub fn new(config: FleetConfig) -> Fleet {
         Fleet::build(config, None)
     }
@@ -308,57 +294,24 @@ impl Fleet {
     /// Creates a fleet backed by a cold-storage tier: sessions beyond
     /// the store's resident budget are parked (spilled to disk) at the
     /// end of each [`drain`](Fleet::drain), least-recently-active
-    /// first, and transparently thawed on their next chunk. Registered
-    /// sessions' models are interned through the store, so N sessions
-    /// of the same program share one `TrainedModel` allocation.
+    /// first, and transparently thawed on their next chunk.
     pub fn with_store(config: FleetConfig, store: SessionStore) -> Fleet {
         Fleet::build(config, Some(store))
     }
 
     fn build(config: FleetConfig, store: Option<SessionStore>) -> Fleet {
-        let shed_chunks = Arc::new(Counter::new());
-        let shed_samples = Arc::new(Counter::new());
-        let accepted_chunks = Arc::new(Counter::new());
-        let accepted_samples = Arc::new(Counter::new());
-        let obs = eddie_obs::global().map(|o| {
-            let r = o.registry();
-            r.register_counter("eddie_stream_chunks_shed_total", shed_chunks.clone());
-            r.register_counter("eddie_stream_samples_shed_total", shed_samples.clone());
-            r.register_counter(
-                "eddie_stream_chunks_accepted_total",
-                accepted_chunks.clone(),
-            );
-            r.register_counter(
-                "eddie_stream_samples_accepted_total",
-                accepted_samples.clone(),
-            );
-            let drain_ns = Arc::new(Histogram::new());
-            let events_emitted = Arc::new(Counter::new());
-            let queued_chunks = Arc::new(Gauge::new());
-            let queued_samples = Arc::new(Gauge::new());
-            let active_sessions = Arc::new(Gauge::new());
-            r.register_histogram("eddie_stream_drain_batch_ns", drain_ns.clone());
-            r.register_counter("eddie_stream_events_emitted_total", events_emitted.clone());
-            r.register_gauge("eddie_stream_queued_chunks", queued_chunks.clone());
-            r.register_gauge("eddie_stream_queued_samples", queued_samples.clone());
-            r.register_gauge("eddie_stream_active_sessions", active_sessions.clone());
-            FleetObs {
-                drain_ns,
-                events_emitted,
-                queued_chunks,
-                queued_samples,
-                active_sessions,
-            }
-        });
+        let registry = Registry::new();
         Fleet {
             devices: Vec::new(),
             free_slots: Vec::new(),
             config,
-            shed_chunks,
-            shed_samples,
-            accepted_chunks,
-            accepted_samples,
-            obs,
+            shed_chunks: registry.counter("eddie_stream_chunks_shed_total"),
+            shed_samples: registry.counter("eddie_stream_samples_shed_total"),
+            accepted_chunks: registry.counter("eddie_stream_chunks_accepted_total"),
+            accepted_samples: registry.counter("eddie_stream_samples_accepted_total"),
+            events_emitted: registry.counter("eddie_stream_events_emitted_total"),
+            drain_ns: registry.histogram("eddie_stream_drain_batch_ns"),
+            registry,
             store,
             tick: 0,
         }
@@ -367,13 +320,8 @@ impl Fleet {
     /// Registers a session and returns its device handle, reusing the
     /// lowest vacated slot if an earlier device was evicted.
     pub fn add_session(&mut self, session: MonitorSession) -> DeviceId {
-        let mut session = session;
         let index = self.free_slots.pop().unwrap_or(self.devices.len());
         if let Some(store) = self.store.as_mut() {
-            let shared = store.models().intern_arc(session.model().clone());
-            if !Arc::ptr_eq(session.model(), &shared) {
-                session.share_model(shared);
-            }
             store.note_added(index as u64, session.approx_bytes() as u64);
         }
         if let Some(o) = eddie_obs::global() {
@@ -394,9 +342,6 @@ impl Fleet {
             self.devices.push(Some(device));
         } else {
             self.devices[index] = Some(device);
-        }
-        if let Some(obs) = &self.obs {
-            obs.active_sessions.set(self.len() as i64);
         }
         DeviceId(index)
     }
@@ -422,13 +367,6 @@ impl Fleet {
         }
         self.free_slots.push(device.0);
         self.free_slots.sort_unstable_by(|a, b| b.cmp(a));
-        if let Some(fleet_obs) = &self.obs {
-            fleet_obs.queued_chunks.sub(removed.queue.len() as i64);
-            fleet_obs.queued_samples.sub(removed.queued_samples as i64);
-            fleet_obs
-                .active_sessions
-                .set(self.devices.iter().filter(|d| d.is_some()).count() as i64);
-        }
         if let Some(o) = eddie_obs::global() {
             o.journal().record(JournalEvent::SessionEvicted {
                 device: device.0 as u64,
@@ -528,6 +466,27 @@ impl Fleet {
         out
     }
 
+    /// The fleet's `eddie_stream_*` metrics in the Prometheus text
+    /// format, followed by the attached store's `eddie_store_*` ledger.
+    /// The queue-depth and session gauges are read from
+    /// [`stats`](Fleet::stats) here, at scrape time, so pushes, drains
+    /// and evictions do not pay to keep them current.
+    pub fn render_metrics(&self) -> String {
+        let stats = self.stats();
+        for (name, value) in [
+            ("eddie_stream_queued_chunks", stats.queued_chunks),
+            ("eddie_stream_queued_samples", stats.queued_samples),
+            ("eddie_stream_active_sessions", stats.active_sessions),
+        ] {
+            self.registry.gauge(name).set(value as i64);
+        }
+        let mut text = self.registry.render_prometheus();
+        if let Some(store) = &self.store {
+            text.push_str(&store.ledger().registry().render_prometheus());
+        }
+        text
+    }
+
     /// Live *resident* sessions in [`DeviceId`] order, without building
     /// [`DeviceStats`] rows — for callers (e.g. snapshot persistence)
     /// that only need the sessions themselves. Cold-parked devices are
@@ -595,10 +554,6 @@ impl Fleet {
         d.last_active = self.tick;
         self.accepted_chunks.inc();
         self.accepted_samples.add(chunk.len() as u64);
-        if let Some(obs) = &self.obs {
-            obs.queued_chunks.add(1);
-            obs.queued_samples.add(chunk.len() as i64);
-        }
         d.queue.push_back(chunk);
         PushResult::Accepted
     }
@@ -609,7 +564,7 @@ impl Fleet {
     /// the events it emitted (empty when its chunks completed no
     /// window). A drain with nothing queued returns an empty vector.
     pub fn drain(&mut self) -> Vec<(DeviceId, Vec<StreamEvent>)> {
-        let span = Timer::start(self.obs.as_ref().map(|o| o.drain_ns.as_ref()));
+        let span = Timer::start(eddie_obs::enabled().then_some(self.drain_ns.as_ref()));
         let mut ready: Vec<(usize, &mut Device)> = self
             .devices
             .iter_mut()
@@ -659,12 +614,8 @@ impl Fleet {
             }
             out.push((DeviceId(i), events));
         }
-        if let Some(obs) = &self.obs {
-            obs.queued_chunks.set(0);
-            obs.queued_samples.set(0);
-            obs.events_emitted
-                .add(out.iter().map(|(_, e)| e.len() as u64).sum());
-        }
+        self.events_emitted
+            .add(out.iter().map(|(_, e)| e.len() as u64).sum());
         drop(span);
         self.enforce_budget();
         out
@@ -720,11 +671,6 @@ impl Fleet {
     /// Live device ids in order — both resident and parked.
     pub fn live_devices(&self) -> Vec<DeviceId> {
         self.live().map(|(i, _)| DeviceId(i)).collect()
-    }
-
-    /// The cold-storage tier, if one was attached.
-    pub fn store(&self) -> Option<&SessionStore> {
-        self.store.as_ref()
     }
 
     /// A point-in-time copy of the store ledger, if a store is
@@ -1211,6 +1157,36 @@ mod tests {
         assert_eq!(after.accepted_samples, 12);
     }
 
+    /// Two fleets in one process keep separate books, and the queue
+    /// gauges are read when rendered.
+    #[test]
+    fn render_metrics_shows_this_fleets_books() {
+        let model = tiny_model();
+        let mut fed = Fleet::new(FleetConfig::default());
+        let idle = Fleet::new(FleetConfig::default());
+        let dev = fed.add_session(session(&model));
+        assert_eq!(fed.push_chunk(dev, vec![0.0; 10]), PushResult::Accepted);
+        let text = fed.render_metrics();
+        for series in [
+            "eddie_stream_chunks_accepted_total 1\n",
+            "eddie_stream_queued_chunks 1\n",
+            "eddie_stream_queued_samples 10\n",
+            "eddie_stream_active_sessions 1\n",
+        ] {
+            assert!(text.contains(series), "{series:?} in\n{text}");
+        }
+        let text = idle.render_metrics();
+        assert!(
+            text.contains("eddie_stream_chunks_accepted_total 0\n"),
+            "{text}"
+        );
+        assert!(!text.contains("eddie_store_"), "no store attached:\n{text}");
+        let _ = fed.drain();
+        assert!(fed
+            .render_metrics()
+            .contains("eddie_stream_queued_samples 0\n"));
+    }
+
     #[test]
     fn stats_queries_do_not_perturb_drain() {
         let model = tiny_model();
@@ -1306,6 +1282,8 @@ mod tests {
         let ledger = fleet.ledger_snapshot().unwrap();
         assert!(ledger.conserved());
         assert_eq!(ledger.parked, 2);
+        let text = fleet.render_metrics();
+        assert!(text.contains("eddie_store_parked_sessions 2\n"), "{text}");
 
         // Parked devices still report progress without a thaw.
         assert_eq!(
@@ -1324,26 +1302,6 @@ mod tests {
         let events = fleet.drain();
         assert_eq!(events_of(&events, devs[0]), events_of(&events, devs[3]));
         assert!(fleet.ledger_snapshot().unwrap().conserved());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn interned_models_share_one_allocation() {
-        let dir = tmpdir("dedup");
-        let mut fleet = Fleet::with_store(FleetConfig::default(), store_in(&dir, 1024));
-        // Each session gets its own freshly trained Arc — identical
-        // content, distinct allocations — and the fleet dedups them.
-        let devs: Vec<DeviceId> = (0..4)
-            .map(|_| fleet.add_session(session(&tiny_model())))
-            .collect();
-        let first = fleet.session(devs[0]).model().clone();
-        for &d in &devs[1..] {
-            assert!(
-                Arc::ptr_eq(fleet.session(d).model(), &first),
-                "same-content models must share one allocation"
-            );
-        }
-        assert_eq!(fleet.store().unwrap().models().distinct(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -24,10 +24,11 @@
 //!   and [`Fleet::drain`] shards the devices with queued chunks across
 //!   the [`eddie_exec`] worker pool, one device per worker at a time.
 //!   [`Fleet::with_store`] attaches an [`eddie_store::SessionStore`]
-//!   cold tier: models are interned (one allocation per distinct
-//!   program) and idle sessions beyond the resident budget are parked
-//!   to the spill log after each drain, thawing transparently on their
-//!   next chunk.
+//!   cold tier: idle sessions beyond the resident budget are parked to
+//!   the spill log after each drain, thawing transparently on their
+//!   next chunk. A fleet keeps its `eddie_stream_*` metrics in a
+//!   registry of its own; [`Fleet::render_metrics`] renders them, and
+//!   the store's, for a server's `Stats` scrape.
 //!
 //! # Equivalence guarantee
 //!

@@ -184,26 +184,15 @@ impl MonitorSession {
     }
 
     /// Estimated resident bytes of the session's *private* state: the
-    /// monitor history plus the STFT overlap tail. The shared model is
-    /// excluded — with the store's dedup it is amortised across every
-    /// session of the program and accounted once, not per device.
+    /// monitor history plus the STFT overlap tail. The model is
+    /// excluded: sessions of one program share it through their `Arc`,
+    /// so it is not a per-device cost.
     pub fn approx_bytes(&self) -> usize {
         let spectrum_bytes = (self.model.config.window_len / 2 + 1) * std::mem::size_of::<f64>();
         std::mem::size_of::<MonitorSession>()
             + self.monitor.approx_bytes()
             + self.stft.pending_samples() * std::mem::size_of::<f32>()
             + self.denoise.as_ref().map_or(0, |d| d.pending()) * spectrum_bytes
-    }
-
-    /// Replaces the session's model handle with a content-equal shared
-    /// one — the store tier's dedup hook. Monitoring behaviour is
-    /// unchanged by construction; only the allocation is shared.
-    pub(crate) fn share_model(&mut self, model: Arc<TrainedModel>) {
-        debug_assert!(
-            *self.model == *model,
-            "share_model requires a content-equal model"
-        );
-        self.model = model;
     }
 
     /// Consumes the next signal chunk (any size, including empty) and

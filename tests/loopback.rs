@@ -14,13 +14,17 @@ use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 use eddie::core::MonitorEvent;
-use eddie::serve::{load_snapshot, read_frame, write_frame, ErrCode, Frame, ServerConfig};
+use eddie::serve::{
+    fetch_stats, load_snapshot, read_frame, write_frame, ErrCode, Frame, ServerConfig,
+};
 use eddie::stream::{FleetConfig, MonitorSession, StreamEvent};
-use eddie_experiments::diff::{self, wait_for, Fixture, LocalServer, MODEL_ID};
+use eddie_experiments::diff::{self, metric, wait_for, Fixture, LocalServer, MODEL_ID};
 
 /// Clean + injected runs replayed concurrently over loopback TCP: each
 /// client's event stream must equal the batch path exactly, and the
-/// injected run must raise an anomaly through the wire.
+/// injected run must raise an anomaly through the wire. No observer is
+/// installed in this binary, and the server's `Stats` scrape must still
+/// carry its own books.
 #[test]
 fn loopback_replay_is_byte_identical_to_batch() {
     let fx = Fixture::gate();
@@ -44,8 +48,16 @@ fn loopback_replay_is_byte_identical_to_batch() {
         || server.handle().fleet_stats().active_sessions == 0,
         "sessions evicted after close",
     );
+    let text = fetch_stats(server.addr()).expect("scrape");
+    let acked: u64 = outcomes.iter().map(|o| o.acked_chunks).sum();
+    for name in [
+        "eddie_serve_chunks_accepted_total",
+        "eddie_stream_chunks_accepted_total",
+    ] {
+        assert_eq!(metric(&text, name), acked, "{name} == client acks");
+    }
     let report = server.stop().unwrap();
-    assert_eq!(report.connections, 2);
+    assert_eq!(report.connections, 3, "two clients and the scrape");
     assert_eq!(report.final_stats.active_sessions, 0);
     assert_eq!(report.bad_frames, 0);
     let total_events: usize = outcomes.iter().map(|o| o.events.len()).sum();

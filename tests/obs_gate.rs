@@ -12,6 +12,9 @@
 //!   streamed path could have incremented it);
 //! * the event stream stays byte-identical to the batch path with
 //!   instrumentation on — CI runs this at `EDDIE_THREADS=1` and `4`;
+//! * a scrape shows its own server's books: a second, idle server bound
+//!   after the audited one reads 0 accepted chunks, and the audited
+//!   server's scrape still balances;
 //! * journal sequence numbers are strictly increasing, and a snapshot
 //!   file carries the sequence forward (`resume_journal`);
 //! * the journal keeps decisions: an anomaly record survives a ring's
@@ -29,22 +32,7 @@ use eddie::serve::{
     fetch_stats, load_snapshot, read_frame, resume_journal, write_frame, Frame, ServerConfig,
 };
 use eddie::stream::{Fleet, FleetConfig, MonitorSession, PushResult};
-use eddie_experiments::diff::{self, wait_for, Fixture, LocalServer, TempDir, MODEL_ID};
-
-/// Reads one unlabeled series from a Prometheus text exposition.
-fn metric(text: &str, name: &str) -> u64 {
-    for line in text.lines() {
-        if let Some(value) = line.strip_prefix(name) {
-            if let Some(v) = value.strip_prefix(' ') {
-                return v
-                    .trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("series `{name}` has a non-integer value: {v:?}"));
-            }
-        }
-    }
-    panic!("series `{name}` missing from exposition:\n{text}");
-}
+use eddie_experiments::diff::{self, metric, wait_for, Fixture, LocalServer, TempDir, MODEL_ID};
 
 #[test]
 fn instrumented_loopback_counters_balance() {
@@ -77,6 +65,9 @@ fn instrumented_loopback_counters_balance() {
         .expect("server config");
     let server = LocalServer::start(fx.model.clone(), config).unwrap();
     let addr = server.addr();
+    // A second server in the same process, bound after the audited one
+    // and never fed: each scrape must show its own server's books.
+    let idle = LocalServer::start(fx.model.clone(), ServerConfig::default()).unwrap();
 
     // Clean + injected replays, concurrently, with instrumentation on.
     // Determinism with instrumentation on: the runner checks both
@@ -123,9 +114,11 @@ fn instrumented_loopback_counters_balance() {
         "sessions evicted after close",
     );
 
-    // Final scrape, then audit the books.
+    // Final scrapes, then audit the books.
     let text = fetch_stats(addr).expect("final scrape");
+    let idle_text = fetch_stats(idle.addr()).expect("idle scrape");
     let report = server.stop().unwrap();
+    idle.stop().unwrap();
 
     let accepted = metric(&text, "eddie_serve_chunks_accepted_total");
     let busy = metric(&text, "eddie_serve_chunks_busy_total");
@@ -195,6 +188,12 @@ fn instrumented_loopback_counters_balance() {
         "report reads the same counters"
     );
     assert_eq!(report.chunks_busy, busy);
+    for name in [
+        "eddie_serve_chunks_accepted_total",
+        "eddie_stream_chunks_accepted_total",
+    ] {
+        assert_eq!(metric(&idle_text, name), 0, "the idle server's own {name}");
+    }
 
     // Journal: sequence numbers strictly increase, in-order.
     let recent = obs.journal().recent();
