@@ -5,27 +5,19 @@
 //!
 //! # The migration sequence
 //!
-//! Moving a live session from shard A to shard B is four steps, each
-//! already part of the PR-5 resume machinery:
+//! Moving a live session from shard A to shard B is two steps, the
+//! second already part of the resume machinery:
 //!
-//! 1. **Park + freeze**: [`ServerHandle::export_session`] marks the
-//!    session migrating on A — further chunks get `Busy` (the client's
-//!    go-back-N absorbs this), queued chunks drain, and the session is
-//!    snapshotted and removed from A's fleet, leaving a tombstone.
-//! 2. **Restore**: [`ServerHandle::import_session`] rebuilds the
-//!    session on B from the snapshot — same token, same expected
-//!    sequence number, same replay tail.
-//! 3. **Redirect**: [`ServerHandle::finish_export`] swaps A's
-//!    tombstone for a forwarding stub; the client's next frame is
-//!    answered `Moved { B, token }`. Ordering matters: the stub goes
-//!    in only *after* B owns the session, so a client is never sent
-//!    somewhere that would refuse its token.
-//! 4. **Resume**: the client reconnects to B and `Resume`s with its
+//! 1. **Move**: [`ServerHandle::migrate`] locks both shards' cores,
+//!    waits until A's serving thread has drained the chunks the session
+//!    already accepted, restores the session on B from its snapshot —
+//!    same token, same expected sequence number, same replay tail —
+//!    and leaves a forwarding stub on A, all in one step. The client
+//!    keeps streaming throughout; its next frame on A is answered
+//!    `Moved { B, token }`. A refused move (e.g. B does not host the
+//!    model) changes nothing, so the client streams on at A.
+//! 2. **Resume**: the client reconnects to B and `Resume`s with its
 //!    token, exactly as it would after a dropped connection.
-//!
-//! If step 2 fails (e.g. B does not host the model), the export is
-//! rolled back by re-importing the capture into A — allowed because
-//! A still holds its own migrating tombstone.
 
 use std::io;
 use std::net::SocketAddr;
@@ -151,7 +143,7 @@ impl ClusterConfigBuilder {
 pub struct Shard {
     /// Ring member name (`s0`, `s1`, …).
     pub name: String,
-    /// Live handle (stats, shutdown, session export/import).
+    /// Live handle (stats, shutdown, session migration).
     pub handle: ServerHandle,
     /// The address clients reach this shard at — the chaos proxy when
     /// one is configured, the server itself otherwise.
@@ -177,7 +169,7 @@ pub struct RebalanceReport {
     /// Sessions moved.
     pub migrated: Vec<Migration>,
     /// Sessions that vanished mid-plan (finished or expired between
-    /// enumeration and export) — skipped, not errors.
+    /// enumeration and the move) — skipped, not errors.
     pub skipped: usize,
 }
 
@@ -303,25 +295,19 @@ impl Cluster {
         owned
     }
 
-    /// Moves one live session between shards (export → import →
-    /// redirect, with rollback on import failure).
+    /// Moves one live session between shards
+    /// ([`ServerHandle::migrate`]) and points the router at its new
+    /// owner.
     ///
     /// # Errors
     ///
-    /// Whatever [`export_session`](ServerHandle::export_session) or
-    /// [`import_session`](ServerHandle::import_session) refuse with;
-    /// on import failure the session is restored to `from` first.
+    /// Whatever [`migrate`](ServerHandle::migrate) refuses with; a
+    /// refused move changes nothing.
     pub fn migrate(&self, m: Migration) -> Result<(), CoreError> {
-        let exported = self.shards[m.from].handle.export_session(m.token)?;
-        if let Err(e) = self.shards[m.to].handle.import_session(exported.clone()) {
-            // Roll back: the source still holds its migrating
-            // tombstone, which re-import is allowed to replace.
-            let _ = self.shards[m.from].handle.import_session(exported);
-            return Err(e);
-        }
+        let to = &self.shards[m.to];
         self.shards[m.from]
             .handle
-            .finish_export(m.token, &self.shards[m.to].advertised_addr);
+            .migrate(m.token, &to.handle, &to.advertised_addr)?;
         self.router_handle.set_token_owner(m.token, m.to);
         self.router_handle.note_migration(m.from, m.to);
         Ok(())

@@ -7,7 +7,7 @@
 //! `eddie-serve` runs every socket on:
 //!
 //! * [`Poller`] — level-triggered readiness: `epoll(7)` on Linux,
-//!   portable `poll(2)` elsewhere (force with `EDDIE_NET_POLLER=poll`).
+//!   portable `poll(2)` elsewhere.
 //! * [`Slab`]/[`Token`] — generation-tagged connection registry; slot
 //!   reuse without stale-token aliasing.
 //! * [`Waker`] — self-pipe cross-thread wakeup with coalescing.

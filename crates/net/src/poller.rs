@@ -7,9 +7,9 @@
 //! connection whose ingress queue is full simply stops asking for
 //! readable), and [`Poller::wait`] for batches of [`Event`]s.
 //!
-//! On Linux the backend defaults to epoll; setting
-//! `EDDIE_NET_POLLER=poll` forces the portable `poll(2)`
-//! implementation so CI can exercise the fallback on the same host.
+//! The platform picks the backend: epoll on Linux, `poll(2)` elsewhere.
+//! [`Poller::with_poll_backend`] builds the portable one on any
+//! platform, so the unit tests run both backends on Linux.
 
 use std::collections::HashMap;
 use std::io;
@@ -75,25 +75,20 @@ pub struct Poller {
 }
 
 impl Poller {
-    /// Creates a poller with the platform's default backend (epoll on
-    /// Linux unless `EDDIE_NET_POLLER=poll`, `poll(2)` otherwise).
+    /// Creates a poller on the platform's backend: epoll on Linux,
+    /// `poll(2)` elsewhere.
     pub fn new() -> io::Result<Poller> {
         #[cfg(target_os = "linux")]
-        {
-            let force_poll = std::env::var("EDDIE_NET_POLLER")
-                .map(|v| v.eq_ignore_ascii_case("poll"))
-                .unwrap_or(false);
-            if !force_poll {
-                return Ok(Poller {
-                    backend: Backend::Epoll(sys::epoll::create()?),
-                });
-            }
-        }
-        Ok(Poller::with_poll_backend())
+        let poller = Poller {
+            backend: Backend::Epoll(sys::epoll::create()?),
+        };
+        #[cfg(not(target_os = "linux"))]
+        let poller = Poller::with_poll_backend();
+        Ok(poller)
     }
 
     /// A poller on the portable `poll(2)` backend, regardless of
-    /// platform — what `EDDIE_NET_POLLER=poll` selects.
+    /// platform: what [`new`](Poller::new) builds off Linux.
     pub fn with_poll_backend() -> Poller {
         Poller {
             backend: Backend::Poll(Mutex::new(HashMap::new())),

@@ -8,7 +8,7 @@
 //! ```text
 //! loop {
 //!     let woken = reactor.poll(&mut events, timeout)?;
-//!     if woken { /* drain cross-thread mailboxes */ }
+//!     if woken { /* a `Waker::wake`, e.g. a shutdown request */ }
 //!     for ev in &events { /* drive the connection for ev.data */ }
 //! }
 //! ```
@@ -61,11 +61,6 @@ impl Reactor {
     /// A cloneable handle that interrupts a blocked [`Reactor::poll`].
     pub fn waker(&self) -> Waker {
         self.waker.clone()
-    }
-
-    /// Which poller backend is active (`"epoll"` or `"poll"`).
-    pub fn backend_name(&self) -> &'static str {
-        self.poller.backend_name()
     }
 
     /// Registers a connection descriptor under `data`

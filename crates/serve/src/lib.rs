@@ -65,8 +65,7 @@ pub use client::{
     ResilientOutcome, PIPELINE_WINDOW,
 };
 pub use server::{
-    ExportedSession, ModelRegistry, Server, ServerConfig, ServerConfigBuilder, ServerHandle,
-    ServerReport,
+    ModelRegistry, Server, ServerConfig, ServerConfigBuilder, ServerHandle, ServerReport,
 };
 pub use snapshot::{
     load_snapshot, persist_sessions, resume_journal, PersistedSession, SnapshotFile,

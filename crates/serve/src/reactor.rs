@@ -50,8 +50,8 @@ use eddie_net::{BufferedConn, Event, FrameDefect, Interest, Reactor, Slab, Token
 use eddie_obs::JournalEvent;
 
 use crate::server::{
-    after_flush, chunks_queued, finish_connection, handle_frame, send, send_err, serve_fleet,
-    ConnState, ExitReason, ServerConfig, Shared, Step,
+    after_flush, chunks_queued, finish_connection, handle_frame, pending_chunks, send, send_err,
+    serve_fleet, ConnState, ExitReason, ServerConfig, Shared, Step,
 };
 use crate::wire::{ErrCode, Frame, MAX_FRAME_LEN};
 
@@ -443,18 +443,10 @@ fn check_flushing(rc: &mut RConn, shared: &Shared) {
     let ConnMode::Flushing(then) = rc.mode else {
         return;
     };
-    let Some(dev) = rc.state.device else {
-        begin_close(rc, ExitReason::Clean, shared);
-        return;
-    };
-    let drained = {
-        let core = shared.core.lock().expect("core lock");
-        !core.fleet.contains(dev) || core.fleet.pending_chunks(dev) == 0
-    };
-    if !drained {
+    if pending_chunks(&rc.state, shared) > 0 {
         return;
     }
-    match after_flush(then, dev, &mut rc.conn, shared) {
+    match after_flush(then, &rc.state, &mut rc.conn, shared) {
         Step::Continue => rc.mode = ConnMode::Open,
         Step::End(reason) => begin_close(rc, reason, shared),
         Step::BackpressurePause | Step::Flush(_) => {
@@ -544,16 +536,7 @@ fn tick(slab: &mut Slab<RConn>, reactor: &Reactor, shared: &Shared, config: &Ser
                         }
                     }
                     ConnMode::PausedFull => {
-                        let resume = match rc.state.device {
-                            Some(dev) => {
-                                let core = shared.core.lock().expect("core lock");
-                                !core.fleet.contains(dev)
-                                    || core.fleet.pending_chunks(dev)
-                                        < config.fleet.max_pending_chunks
-                            }
-                            None => true,
-                        };
-                        if resume {
+                        if pending_chunks(&rc.state, shared) < config.fleet.max_pending_chunks {
                             rc.mode = ConnMode::Open;
                             // Frames buffered while paused are live.
                             pump_frames(rc, shared, config);

@@ -17,25 +17,40 @@
 //! same thread drains the fleet ([`Fleet::drain`]: the devices with
 //! queued chunks, sharded across the `eddie-exec` worker pool with the
 //! serving thread taking a share) and writes each device's events into
-//! its connection's outbound buffer; the route is the connection's slab
-//! token. It also expires parked sessions and forwarding stubs and
-//! writes the periodic snapshot. Slow clients never stall it: unsent
-//! bytes wait in their connection's buffer.
+//! the outbound buffer of the connection carrying its session; the
+//! route is that connection's slab token. It also expires parked
+//! sessions and forwarding stubs and writes the periodic snapshot. Slow
+//! clients never stall it: unsent bytes wait in their connection's
+//! buffer.
 //!
-//! The fleet and its bookkeeping (event routes, model ids, resumable
-//! sessions) live behind one mutex, which the serving thread shares only
-//! with [`ServerHandle`] calls (stats, export, import). With one thread
-//! producing frames, the two invariants that matter hold by
-//! construction:
+//! # Sessions
+//!
+//! Every session has one record, keyed by a token drawn from the
+//! server's counter (only a `HelloResumable` client is told its token):
+//! its fleet slot and model, its link (the connection carrying it, or
+//! since when it has been parked), its chunk cursor and, if resumable,
+//! its replay tail. A connection remembers only its session's token and
+//! reaches the record only while the link names it, so a record that is
+//! gone (evicted, expired or migrated) is never mistaken for a later
+//! session in the same fleet slot.
+//!
+//! The fleet and the records live behind one mutex, which the serving
+//! thread shares only with [`ServerHandle`] calls (stats, migrate).
+//! With one thread producing frames, the two invariants that matter
+//! hold by construction:
 //!
 //! 1. a drain writes its events in the pass that processes their
 //!    chunks, so when a connection sees an empty queue for its device
 //!    (during `Finish` or a graceful `Close`) every event for its
 //!    accepted chunks is already queued ahead of the reply — none are
 //!    lost;
-//! 2. eviction (route removal + [`Fleet::remove_session`]) never
+//! 2. eviction (record removal + [`Fleet::remove_session`]) never
 //!    interleaves with a drain, so an abrupt disconnect can never leak
 //!    a session or route events to a dead connection.
+//!
+//! [`ServerHandle::migrate`] moves a session to another server in one
+//! step under both servers' locks, so no frame on either server ever
+//! sees a half-moved session.
 //!
 //! Per-device event order is the fleet's determinism contract, so the
 //! event stream a client receives is byte-identical to the batch
@@ -53,7 +68,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use eddie_chaos::{ServerFaults, SnapshotFate};
@@ -127,11 +142,12 @@ pub struct ServerConfig {
     /// reattach. A client further behind than this window gets
     /// [`ErrCode::ResumeGap`].
     pub resume_tail: usize,
-    /// First resume token this server issues. A cluster gives each
-    /// shard a disjoint base (e.g. `(shard + 1) << 48`) so a token
-    /// minted on one shard never collides with another's when a live
-    /// migration carries it across. Must be nonzero — token `0` is the
-    /// wire-level "no session" sentinel in [`Frame::Moved`].
+    /// First session token this server draws (every session draws
+    /// one; only a resumable session's client is told it). A cluster
+    /// gives each shard a disjoint base (e.g. `(shard + 1) << 48`) so a
+    /// token minted on one shard never collides with another's when a
+    /// live migration carries it across. Must be nonzero — token `0` is
+    /// the wire-level "no session" sentinel in [`Frame::Moved`].
     pub token_base: u64,
     /// Server-side failpoints (`Busy` storms, snapshot-write failures,
     /// slow drains) for chaos testing; `None` in production.
@@ -211,7 +227,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// First resume token this server issues (cluster shards use
+    /// First session token this server draws (cluster shards use
     /// disjoint bases so migrated tokens never collide).
     pub fn with_token_base(mut self, base: u64) -> ServerConfigBuilder {
         self.config.token_base = base;
@@ -260,32 +276,6 @@ impl ServerConfigBuilder {
     }
 }
 
-/// A live resumable session captured by [`ServerHandle::export_session`]
-/// for restoration on another shard via
-/// [`ServerHandle::import_session`] — the live-migration envelope. It
-/// is handed over in-process; the model itself rides separately by
-/// `model_id`, exactly as snapshots do.
-#[derive(Debug, Clone)]
-pub struct ExportedSession {
-    /// The resume token the client holds; preserved across the
-    /// migration so the client's `Resume` works unchanged on the
-    /// destination shard.
-    pub token: u64,
-    /// Which hosted model the session monitors against.
-    pub model_id: String,
-    /// The session's complete runtime state.
-    pub snapshot: eddie_stream::SessionSnapshot,
-    /// Next chunk seq the server expects.
-    pub expected_seq: u64,
-    /// Total event frames produced for this device.
-    pub windows_sent: u64,
-    /// Window index of `tail[0]`.
-    pub tail_base: u64,
-    /// Replay tail: recently-produced events the client may not have
-    /// received yet.
-    pub tail: Vec<eddie_stream::StreamEvent>,
-}
-
 /// Counters the server accumulates over its lifetime, kept whether or
 /// not observability is installed. The server owns them: they live in
 /// its own [`Registry`], which a `Stats` reply renders, so the
@@ -312,10 +302,12 @@ pub(crate) struct Counters {
     pub(crate) idle_disconnects: Arc<Counter>,
     pub(crate) backpressure_pauses: Arc<Counter>,
     pub(crate) open_connections: Arc<Gauge>,
-    /// `eddie_serve_ingest_lag_ns`: a chunk's wait for the core lock
-    /// plus its push. The serving thread runs the drain itself, so only
-    /// a [`ServerHandle`] call (stats, export, import) can hold the lock
-    /// then.
+    /// `eddie_serve_ingest_lag_ns`: a chunk frame's wait for the core
+    /// lock plus its sequence check and push. Every chunk frame is
+    /// sampled, in order or not, since the chunk cursor lives in the
+    /// session's record under that lock. The serving thread runs the
+    /// drain itself, so only a [`ServerHandle`] call (stats, migrate)
+    /// can hold the lock then.
     pub(crate) ingest_lag_ns: Arc<Histogram>,
     pub(crate) next_conn_id: AtomicU64,
 }
@@ -383,9 +375,9 @@ pub struct ServerReport {
     pub sessions_resumed: u64,
     /// Buffered event frames replayed to reattaching clients.
     pub events_replayed: u64,
-    /// Live sessions exported to another shard.
+    /// Sessions migrated to another server.
     pub sessions_migrated_out: u64,
-    /// Live sessions imported from another shard.
+    /// Sessions migrated here from another server.
     pub sessions_migrated_in: u64,
     /// Connections dropped by the idle timeout.
     pub idle_disconnects: u64,
@@ -407,26 +399,26 @@ pub(crate) struct Shared {
     pub(crate) waker: Waker,
 }
 
-/// The single-mutex heart of the server: the fleet plus the routing
-/// table from device index to connection (its slab token), plus the
-/// book of resumable sessions. A route to a connection torn down since
-/// drops the frame, and the connection's exit bookkeeping evicts or
-/// parks the session.
+/// The single-mutex heart of the server: the fleet plus one record per
+/// session, keyed by the session's token. A connection holds only its
+/// session's token, so a record that is gone (evicted, expired or
+/// migrated) cannot be mistaken for a later session that reuses its
+/// fleet slot.
 pub(crate) struct Core {
     pub(crate) fleet: Fleet,
-    pub(crate) routes: HashMap<usize, Token>,
-    model_ids: HashMap<usize, String>,
-    /// Resumable sessions by token. Entries persist across the
-    /// connections that carry them; the tail keeps filling while the
-    /// session is parked.
-    resumables: HashMap<u64, Resumable>,
-    /// Device index → resume token, for the drain's tail append.
-    device_tokens: HashMap<usize, u64>,
-    /// Forwarding stubs for sessions migrated to another shard: any
+    /// Every session on this server, by token. A resumable session's
+    /// record outlives the connections that carry it.
+    sessions: HashMap<u64, Session>,
+    /// Fleet slot → token of the session in it, for the drain.
+    tokens: HashMap<DeviceId, u64>,
+    /// Forwarding stubs for sessions migrated to another server: any
     /// frame arriving for one of these tokens is answered with
     /// [`Frame::Moved`] naming the new owner. Pruned after each drain
-    /// on the same linger schedule as parked sessions.
-    moved_tokens: HashMap<u64, MovedStub>,
+    /// on the same linger schedule as parked sessions. A token is in
+    /// `sessions` or here, never both.
+    moved: HashMap<u64, MovedStub>,
+    /// Every session draws its token here; only a `HelloResumable`
+    /// client is told it.
     next_token: u64,
 }
 
@@ -437,35 +429,65 @@ struct MovedStub {
     since: Instant,
 }
 
-/// The server-side half of a resumable session: where the chunk
-/// cursor stands and which already-sent events can be replayed.
-///
-/// The token is a reconnection *capability*, not authentication — it
-/// only lets a client continue the stream it started.
-struct Resumable {
+/// One session: its fleet slot, its model, who carries it and where
+/// its chunk cursor stands.
+struct Session {
     device: DeviceId,
-    /// Next chunk seq the server expects (mirrors the connection's
-    /// cursor so a resumed connection picks up mid-stream).
+    /// The hosted model the session monitors against.
+    model_id: String,
+    link: Link,
+    /// Next chunk seq the server expects.
     expected_seq: u64,
-    /// Recently-produced event frames, for replay on reattach.
-    tail: VecDeque<Frame>,
-    /// Window index of `tail.front()`.
-    tail_base: u64,
-    /// Total event frames produced for this device (== next window).
-    windows_sent: u64,
-    /// Whether a live connection currently owns this session.
-    attached: bool,
-    /// When the session was parked (`None` while attached).
-    parked_at: Option<Instant>,
-    /// Set while [`ServerHandle::export_session`] is capturing this
-    /// session: chunks are refused with `Busy` (go-back-N absorbs the
-    /// stall) and resumes are deferred until the destination shard
-    /// owns the session and the redirect stub is installed.
-    migrating: bool,
+    /// `Some` only for a resumable (`HelloResumable`) session.
+    tail: Option<Tail>,
 }
 
-/// Remote control for a running [`Server`]: request shutdown and read
-/// load statistics from other threads.
+/// Who carries a session.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Link {
+    /// The connection on this slab token: the route its events take.
+    Attached(Token),
+    /// No connection since this instant. A resumable session waits for
+    /// a `Resume` until the linger runs out.
+    Parked(Instant),
+}
+
+/// The already-sent events a resumable session can replay when its
+/// client reattaches. The token is a reconnection *capability*, not
+/// authentication — it only lets a client continue the stream it
+/// started.
+#[derive(Default)]
+struct Tail {
+    /// Recently produced event frames; they keep coming while the
+    /// session is parked.
+    frames: VecDeque<Frame>,
+    /// Window index of `frames.front()`.
+    base: u64,
+    /// Total event frames produced for this device (== next window).
+    windows_sent: u64,
+}
+
+impl Core {
+    /// Answers a frame for a session the connection no longer carries:
+    /// [`Frame::Moved`] when it migrated away (the client resumes at
+    /// the new owner with its token intact), `UnknownToken` otherwise.
+    fn answer_gone(&self, token: Option<u64>, out: &mut BufferedConn) {
+        match token.and_then(|t| self.moved.get(&t).map(|stub| (t, stub))) {
+            Some((token, stub)) => send(
+                out,
+                &Frame::Moved {
+                    shard_addr: stub.addr.clone(),
+                    token,
+                },
+            ),
+            None => send_err(out, ErrCode::UnknownToken),
+        }
+    }
+}
+
+/// Remote control for a running [`Server`]: request shutdown, read
+/// load statistics and move sessions between servers from other
+/// threads.
 #[derive(Clone)]
 pub struct ServerHandle {
     shared: Arc<Shared>,
@@ -494,191 +516,119 @@ impl ServerHandle {
         self.shared.core.lock().expect("core lock").fleet.stats()
     }
 
-    /// Tokens of the resumable sessions this server currently owns
-    /// (exports in flight excluded), sorted — what a rebalance planner
-    /// enumerates to decide who moves.
+    /// Tokens of the resumable sessions this server currently owns,
+    /// sorted — what a rebalance planner enumerates to decide who
+    /// moves.
     pub fn resumable_tokens(&self) -> Vec<u64> {
         let core = self.shared.core.lock().expect("core lock");
         let mut tokens: Vec<u64> = core
-            .resumables
+            .sessions
             .iter()
-            .filter(|(_, r)| !r.migrating)
+            .filter(|(_, s)| s.tail.is_some())
             .map(|(t, _)| *t)
             .collect();
         tokens.sort_unstable();
         tokens
     }
 
-    /// Captures a resumable session for live migration to another
-    /// shard: freezes its ingest (further chunks get `Busy`, which the
-    /// client's go-back-N absorbs), waits for the serving thread to
-    /// drain what was already accepted, then snapshots the session and
-    /// removes it from the fleet. A `migrating` tombstone keeps the
-    /// token answerable until [`finish_export`](Self::finish_export)
-    /// installs the redirect stub — call it once
-    /// [`import_session`](Self::import_session) has succeeded on the
-    /// destination, so a client is never redirected to a shard that
-    /// does not own its session yet.
+    /// Moves the resumable session `token` from this server to `to`,
+    /// whose clients reach it at `to_addr`, in one step under both
+    /// servers' core locks. The session keeps its token, chunk cursor
+    /// and replay tail and lands parked on `to`; this server keeps a
+    /// forwarding stub (aging out on the resume-linger schedule), so the
+    /// client's next frame here is answered [`Frame::Moved`] and its
+    /// `Resume` at `to_addr` reattaches the session as after a dropped
+    /// connection. While the session has chunks queued, both locks are
+    /// released and the move retries every 200 µs (the serving thread
+    /// drains every queue each pass); chunks keep flowing meanwhile.
     ///
     /// # Errors
     ///
-    /// [`ErrorKind::UnknownToken`] when no resumable session carries
-    /// `token` (or it expired while the export drained);
-    /// [`ErrorKind::ProtocolViolation`] when an export of the same
-    /// session is already in flight.
-    pub fn export_session(&self, token: u64) -> Result<ExportedSession, CoreError> {
-        let unknown =
-            |msg: &str| CoreError::new(ErrorKind::UnknownToken, "eddie-serve", msg.to_string());
-        // Phase 1: freeze ingest and unroute. Events drained from here
-        // on land only in the replay tail, which travels with the
-        // export; the client finds out via the redirect, not a
-        // dangling route.
-        let dev = {
-            let mut core = self.shared.core.lock().expect("core lock");
-            let core = &mut *core;
-            let Some(r) = core.resumables.get_mut(&token) else {
-                return Err(unknown("no resumable session for that token"));
-            };
-            if r.migrating {
-                return Err(CoreError::new(
-                    ErrorKind::ProtocolViolation,
-                    "eddie-serve",
-                    "an export of this session is already in flight".to_string(),
-                ));
-            }
-            r.migrating = true;
-            let dev = r.device;
-            core.routes.remove(&dev.index());
-            dev
-        };
-        // Phase 2: wait for the serving thread to drain every chunk that
-        // was accepted before the freeze, so the snapshot covers them.
-        loop {
-            let pending = {
-                let core = self.shared.core.lock().expect("core lock");
-                if core.fleet.contains(dev) {
-                    core.fleet.pending_chunks(dev)
-                } else {
-                    0
-                }
-            };
-            if pending == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        // Phase 3: capture and tombstone.
-        let mut core = self.shared.core.lock().expect("core lock");
-        let core = &mut *core;
-        let Some(r) = core.resumables.get_mut(&token) else {
-            return Err(unknown("session expired while the export drained"));
-        };
-        let Some(session) = core.fleet.remove_session(dev) else {
-            return Err(unknown("session evicted while the export drained"));
-        };
-        let exported = ExportedSession {
-            token,
-            model_id: core.model_ids.remove(&dev.index()).unwrap_or_default(),
-            snapshot: session.snapshot(),
-            expected_seq: r.expected_seq,
-            windows_sent: r.windows_sent,
-            tail_base: r.tail_base,
-            tail: r.tail.iter().filter_map(Frame::to_stream_event).collect(),
-        };
-        core.device_tokens.remove(&dev.index());
-        // The migrating tombstone stays in `resumables` so a client
-        // that reconnects before `finish_export` is told to retry
-        // rather than refused with `UnknownToken`.
-        r.attached = false;
-        r.parked_at = Some(Instant::now());
-        self.shared.counters.sessions_migrated_out.inc();
-        if let Some(o) = eddie_obs::global() {
-            o.journal().record(JournalEvent::SessionMigratedOut {
-                device: dev.index() as u64,
-            });
-        }
-        Ok(exported)
-    }
-
-    /// Completes a migration begun by
-    /// [`export_session`](Self::export_session): drops the migrating
-    /// tombstone and installs the forwarding stub, after which every
-    /// frame arriving for `token` — from the still-attached connection
-    /// or a later resume — is answered with [`Frame::Moved`] naming
-    /// `new_addr`. The stub ages out on the resume-linger schedule.
-    pub fn finish_export(&self, token: u64, new_addr: &str) {
-        let mut core = self.shared.core.lock().expect("core lock");
-        core.resumables.remove(&token);
-        core.moved_tokens.insert(
-            token,
-            MovedStub {
-                addr: new_addr.to_string(),
-                since: Instant::now(),
-            },
-        );
-    }
-
-    /// Restores a session exported from another shard, keeping its
-    /// token (shards use disjoint [`ServerConfig::token_base`]
-    /// namespaces, so imports never collide with locally-minted
-    /// tokens). The session lands parked; the client's `Resume`
-    /// reattaches it exactly as after a disconnect.
-    ///
-    /// # Errors
-    ///
-    /// [`ErrorKind::UnknownModel`] when this shard does not host the
-    /// session's model; [`ErrorKind::ProtocolViolation`] when a *live*
-    /// session with the same token already lives here (re-importing
-    /// over this shard's own migrating tombstone is allowed — that is
-    /// the rollback path when the destination refused the import);
-    /// restore errors (e.g. [`ErrorKind::CorruptSnapshot`]) pass
-    /// through.
-    pub fn import_session(&self, exported: ExportedSession) -> Result<(), CoreError> {
-        let Some(model) = self.shared.registry.get(&exported.model_id) else {
-            return Err(CoreError::new(
-                ErrorKind::UnknownModel,
-                "eddie-serve",
-                format!("shard does not host model {:?}", exported.model_id),
-            ));
-        };
-        let session = MonitorSession::restore(model.clone(), exported.snapshot)?;
-        let mut core = self.shared.core.lock().expect("core lock");
-        let core = &mut *core;
-        if core
-            .resumables
-            .get(&exported.token)
-            .is_some_and(|r| !r.migrating)
-        {
-            return Err(CoreError::new(
+    /// Refused before anything changes: [`ErrorKind::UnknownToken`]
+    /// when no resumable session carries `token` here;
+    /// [`ErrorKind::UnknownModel`] when `to` does not host the
+    /// session's model; [`ErrorKind::ProtocolViolation`] when `to` is
+    /// this server or a session with `token` already lives there.
+    /// Snapshot and restore errors (e.g.
+    /// [`ErrorKind::CorruptSnapshot`]) pass through and leave both
+    /// servers unchanged too.
+    pub fn migrate(&self, token: u64, to: &ServerHandle, to_addr: &str) -> Result<(), CoreError> {
+        let refuse = |kind, msg: String| Err(CoreError::new(kind, "eddie-serve", msg));
+        if Arc::ptr_eq(&self.shared, &to.shared) {
+            return refuse(
                 ErrorKind::ProtocolViolation,
-                "eddie-serve",
-                format!("token {} already lives on this shard", exported.token),
-            ));
+                "a session cannot migrate to the server it lives on".to_string(),
+            );
         }
-        let dev = core.fleet.add_session(session);
-        core.model_ids.insert(dev.index(), exported.model_id);
-        core.device_tokens.insert(dev.index(), exported.token);
-        core.moved_tokens.remove(&exported.token);
-        core.resumables.insert(
-            exported.token,
-            Resumable {
-                device: dev,
-                expected_seq: exported.expected_seq,
-                tail: exported.tail.iter().map(Frame::from_stream_event).collect(),
-                tail_base: exported.tail_base,
-                windows_sent: exported.windows_sent,
-                attached: false,
-                parked_at: Some(Instant::now()),
-                migrating: false,
-            },
-        );
-        self.shared.counters.sessions_migrated_in.inc();
-        if let Some(o) = eddie_obs::global() {
-            o.journal().record(JournalEvent::SessionMigratedIn {
-                device: dev.index() as u64,
-            });
+        loop {
+            let (mut src_guard, mut dst_guard) = lock_pair(&self.shared, &to.shared);
+            let (src, dst) = (&mut *src_guard, &mut *dst_guard);
+            let Some(s) = src.sessions.get(&token).filter(|s| s.tail.is_some()) else {
+                return refuse(
+                    ErrorKind::UnknownToken,
+                    "no resumable session for that token".to_string(),
+                );
+            };
+            let Some(model) = to.shared.registry.get(&s.model_id) else {
+                return refuse(
+                    ErrorKind::UnknownModel,
+                    format!("destination does not host model {:?}", s.model_id),
+                );
+            };
+            if dst.sessions.contains_key(&token) {
+                return refuse(
+                    ErrorKind::ProtocolViolation,
+                    format!("token {token} already lives on the destination"),
+                );
+            }
+            let from = s.device;
+            if src.fleet.pending_chunks(from) > 0 {
+                drop((src_guard, dst_guard));
+                std::thread::sleep(Duration::from_micros(200));
+                continue;
+            }
+            let session =
+                MonitorSession::restore(model.clone(), src.fleet.snapshot_session(from)?)?;
+            let mut s = src.sessions.remove(&token).expect("looked up above");
+            src.tokens.remove(&from);
+            let _ = src.fleet.remove_session(from);
+            src.moved.insert(
+                token,
+                MovedStub {
+                    addr: to_addr.to_string(),
+                    since: Instant::now(),
+                },
+            );
+            s.device = dst.fleet.add_session(session);
+            s.link = Link::Parked(Instant::now());
+            dst.tokens.insert(s.device, token);
+            dst.moved.remove(&token);
+            self.shared.counters.sessions_migrated_out.inc();
+            to.shared.counters.sessions_migrated_in.inc();
+            if let Some(o) = eddie_obs::global() {
+                o.journal().record(JournalEvent::SessionMigratedOut {
+                    device: from.index() as u64,
+                });
+                o.journal().record(JournalEvent::SessionMigratedIn {
+                    device: s.device.index() as u64,
+                });
+            }
+            dst.sessions.insert(token, s);
+            return Ok(());
         }
-        Ok(())
+    }
+}
+
+/// Locks two servers' cores, the lower address first, so two opposite
+/// migrations cannot deadlock. Returns the guards in argument order.
+fn lock_pair<'a>(a: &'a Shared, b: &'a Shared) -> (MutexGuard<'a, Core>, MutexGuard<'a, Core>) {
+    let lock = |s: &'a Shared| s.core.lock().expect("core lock");
+    if (a as *const Shared) < (b as *const Shared) {
+        let first = lock(a);
+        (first, lock(b))
+    } else {
+        let first = lock(b);
+        (lock(a), first)
     }
 }
 
@@ -718,11 +668,9 @@ impl Server {
             shared: Arc::new(Shared {
                 core: Mutex::new(Core {
                     fleet,
-                    routes: HashMap::new(),
-                    model_ids: HashMap::new(),
-                    resumables: HashMap::new(),
-                    device_tokens: HashMap::new(),
-                    moved_tokens: HashMap::new(),
+                    sessions: HashMap::new(),
+                    tokens: HashMap::new(),
+                    moved: HashMap::new(),
                     next_token: config.token_base,
                 }),
                 registry,
@@ -803,9 +751,9 @@ fn build_report(shared: &Shared) -> ServerReport {
 }
 
 /// One drain on the serving thread: processes every queued chunk
-/// (sharded across the worker pool), appends each resumable device's
+/// (sharded across the worker pool), appends each resumable session's
 /// events to its replay tail and hands them to `deliver` with the
-/// device's route, expires parked sessions and forwarding stubs whose
+/// route of the connection carrying the session, expires parked sessions and forwarding stubs whose
 /// linger ran out, and writes the periodic snapshot once
 /// `snapshot_every` has passed since `last_snapshot`. The slow-drain
 /// failpoint stalls the serving thread after a drain that processed
@@ -827,25 +775,23 @@ pub(crate) fn serve_fleet(
             Vec::new()
         };
         for (dev, evs) in &drained {
-            let idx = dev.index();
-            // Resumable bookkeeping first, route second: the tail keeps
-            // filling even while the session is parked (no route),
-            // which is what makes replay on reattach possible at all.
-            if let Some(r) = core
-                .device_tokens
-                .get(&idx)
-                .and_then(|t| core.resumables.get_mut(t))
-            {
+            let Some(s) = core.tokens.get(dev).and_then(|t| core.sessions.get_mut(t)) else {
+                continue;
+            };
+            // Tail first, route second: the tail keeps filling while
+            // the session is parked (no route), which is what makes
+            // replay on reattach possible at all.
+            if let Some(tail) = &mut s.tail {
                 for ev in evs {
-                    r.tail.push_back(Frame::from_stream_event(ev));
-                    r.windows_sent += 1;
-                    while r.tail.len() > config.resume_tail {
-                        r.tail.pop_front();
-                        r.tail_base += 1;
+                    tail.frames.push_back(Frame::from_stream_event(ev));
+                    tail.windows_sent += 1;
+                    while tail.frames.len() > config.resume_tail {
+                        tail.frames.pop_front();
+                        tail.base += 1;
                     }
                 }
             }
-            if let Some(&route) = core.routes.get(&idx) {
+            if let Link::Attached(route) = s.link {
                 for ev in evs {
                     // A route to a closed connection drops the frame;
                     // its exit bookkeeping evicts or parks.
@@ -857,34 +803,20 @@ pub(crate) fn serve_fleet(
         // Park expiry: a parked session whose client never came back
         // is evicted for good once the linger runs out.
         let now = Instant::now();
-        let (fleet, model_ids, device_tokens) = (
-            &mut core.fleet,
-            &mut core.model_ids,
-            &mut core.device_tokens,
-        );
-        core.resumables.retain(|token, r| {
-            let expired = !r.attached
-                && r.parked_at
-                    .is_some_and(|t| now.duration_since(t) >= config.resume_linger);
+        let (fleet, tokens) = (&mut core.fleet, &mut core.tokens);
+        core.sessions.retain(|_, s| {
+            let expired = matches!(s.link,
+                Link::Parked(since) if now.duration_since(since) >= config.resume_linger);
             if expired {
-                // Only tear down fleet/bookkeeping this token still
-                // owns: after a migration the device index may have
-                // been re-admitted to a different session.
-                let idx = r.device.index();
-                if device_tokens.get(&idx) == Some(token) {
-                    device_tokens.remove(&idx);
-                    model_ids.remove(&idx);
-                    if fleet.contains(r.device) {
-                        let _ = fleet.remove_session(r.device);
-                    }
-                }
+                tokens.remove(&s.device);
+                let _ = fleet.remove_session(s.device);
             }
             !expired
         });
         // Forwarding stubs age out on the same linger schedule; a
         // straggler asking afterwards gets `UnknownToken`, exactly as an
         // expired parked session would.
-        core.moved_tokens
+        core.moved
             .retain(|_, stub| now.duration_since(stub.since) < config.resume_linger);
         drained
     };
@@ -939,9 +871,10 @@ fn collect_persisted(core: &mut Core) -> Vec<PersistedSession> {
     let mut out = Vec::with_capacity(devices.len());
     for dev in devices {
         let model_id = core
-            .model_ids
-            .get(&dev.index())
-            .cloned()
+            .tokens
+            .get(&dev)
+            .and_then(|t| core.sessions.get(t))
+            .map(|s| s.model_id.clone())
             .unwrap_or_default();
         // A parked session whose spill record cannot be read is
         // skipped rather than failing the whole generation; its store
@@ -1006,25 +939,27 @@ fn write_snapshot_with_faults(
 
 /// Per-connection protocol state.
 pub(crate) struct ConnState {
-    /// The connection's slab token: the route its device's events
+    /// The connection's slab token: the route its session's events
     /// take.
     pub(crate) route: Token,
-    pub(crate) device: Option<DeviceId>,
-    /// Resume token when the session was opened with
-    /// `HelloResumable` or reclaimed with `Resume`.
+    /// The token of the session this connection opened (`Hello`,
+    /// `HelloResumable`) or reclaimed (`Resume`).
     pub(crate) token: Option<u64>,
-    pub(crate) expected_seq: u64,
 }
 
 impl ConnState {
     /// A fresh connection on slab slot `route`: no session yet.
     pub(crate) fn new(route: Token) -> ConnState {
-        ConnState {
-            route,
-            device: None,
-            token: None,
-            expected_seq: 0,
-        }
+        ConnState { route, token: None }
+    }
+
+    /// The record of the session this connection carries: its token's
+    /// record, while that record is attached to this connection.
+    fn session<'a>(&self, sessions: &'a mut HashMap<u64, Session>) -> Option<&'a mut Session> {
+        let route = self.route;
+        self.token
+            .and_then(|t| sessions.get_mut(&t))
+            .filter(|s| s.link == Link::Attached(route))
     }
 }
 
@@ -1072,23 +1007,41 @@ pub(crate) enum Step {
     End(ExitReason),
 }
 
+/// Chunks queued for the session the connection carries; 0 once the
+/// session no longer lives here attached to it.
+pub(crate) fn pending_chunks(state: &ConnState, shared: &Shared) -> usize {
+    let mut core = shared.core.lock().expect("core lock");
+    let core = &mut *core;
+    state
+        .session(&mut core.sessions)
+        .map_or(0, |s| core.fleet.pending_chunks(s.device))
+}
+
 /// Completes a [`Step::Flush`]: the queue is empty, so every event for
 /// accepted chunks is already queued on the connection (a drain writes
 /// its events in the pass that processes their chunks).
 pub(crate) fn after_flush(
     then: FlushThen,
-    dev: DeviceId,
+    state: &ConnState,
     out: &mut BufferedConn,
     shared: &Shared,
 ) -> Step {
     match then {
         FlushThen::Finished => {
-            let windows = {
-                let core = shared.core.lock().expect("core lock");
-                // Parked-aware: a cold-parked session reports its
-                // progress from resident metadata, no thaw needed.
-                core.fleet.windows_observed(dev).map_or(0, |n| n as u64)
+            let mut core = shared.core.lock().expect("core lock");
+            let core = &mut *core;
+            let Some(s) = state.session(&mut core.sessions) else {
+                // Migrated while the flush waited: the session
+                // finishes on the server that owns it now.
+                core.answer_gone(state.token, out);
+                return Step::End(ExitReason::Clean);
             };
+            // Parked-aware: a cold-parked session reports its progress
+            // from resident metadata, no thaw needed.
+            let windows = core
+                .fleet
+                .windows_observed(s.device)
+                .map_or(0, |n| n as u64);
             send(out, &Frame::Finished { windows });
             Step::Continue
         }
@@ -1099,48 +1052,26 @@ pub(crate) fn after_flush(
 /// Exit bookkeeping, atomic with routing so no events go to a dead
 /// connection: an abrupt exit *parks* a resumable session (it stays
 /// in the fleet, its tail keeps filling, and a `Resume` can reclaim
-/// it until the linger expires); everything else evicts.
+/// it until the linger expires); everything else evicts. A session
+/// the connection no longer carries (migrated, or reclaimed by
+/// another connection) is left alone.
 pub(crate) fn finish_connection(state: &ConnState, reason: ExitReason, shared: &Shared) {
-    let Some(dev) = state.device else {
-        return;
-    };
-    let park = reason == ExitReason::Abrupt && state.token.is_some();
     let mut core = shared.core.lock().expect("core lock");
     let core = &mut *core;
-    // The connection only owns its slot while the device-token
-    // bookkeeping still agrees with it: after a live migration the
-    // export has already torn the session down, and the device
-    // index may since have been re-admitted to a different
-    // session whose route and token must not be touched here.
-    let owns = core.device_tokens.get(&dev.index()).copied() == state.token;
-    // An export in flight owns the teardown: parking or evicting
-    // underneath it would destroy the session mid-capture.
-    let migrating = state
-        .token
-        .and_then(|t| core.resumables.get(&t))
-        .is_some_and(|r| r.migrating);
-    if owns && !migrating {
-        core.routes.remove(&dev.index());
-        if park {
-            if let Some(r) = state.token.and_then(|t| core.resumables.get_mut(&t)) {
-                r.attached = false;
-                r.parked_at = Some(Instant::now());
-            }
-            shared.counters.sessions_parked.inc();
-            if let Some(o) = eddie_obs::global() {
-                o.journal().record(JournalEvent::SessionParked {
-                    device: dev.index() as u64,
-                });
-            }
-        } else {
-            core.model_ids.remove(&dev.index());
-            if let Some(token) = core.device_tokens.remove(&dev.index()) {
-                core.resumables.remove(&token);
-            }
-            if core.fleet.contains(dev) {
-                let _ = core.fleet.remove_session(dev);
-            }
+    let Some(s) = state.session(&mut core.sessions) else {
+        return;
+    };
+    if reason == ExitReason::Abrupt && s.tail.is_some() {
+        s.link = Link::Parked(Instant::now());
+        shared.counters.sessions_parked.inc();
+        if let Some(o) = eddie_obs::global() {
+            o.journal().record(JournalEvent::SessionParked {
+                device: s.device.index() as u64,
+            });
         }
+    } else if let Some(s) = state.token.and_then(|t| core.sessions.remove(&t)) {
+        core.tokens.remove(&s.device);
+        let _ = core.fleet.remove_session(s.device);
     }
 }
 
@@ -1168,7 +1099,7 @@ pub(crate) fn handle_frame(
             else {
                 unreachable!("outer arm matched a hello variant")
             };
-            if state.device.is_some() {
+            if state.token.is_some() {
                 send_err(out, ErrCode::ProtocolViolation);
                 return Step::End(ExitReason::Abrupt);
             }
@@ -1185,28 +1116,22 @@ pub(crate) fn handle_frame(
             };
             let mut core = shared.core.lock().expect("core lock");
             let core = &mut *core;
-            let dev = core.fleet.add_session(session);
-            core.routes.insert(dev.index(), state.route);
-            core.model_ids.insert(dev.index(), model_id);
-            state.device = Some(dev);
+            let device = core.fleet.add_session(session);
+            let token = core.next_token;
+            core.next_token += 1;
+            core.tokens.insert(device, token);
+            core.sessions.insert(
+                token,
+                Session {
+                    device,
+                    model_id,
+                    link: Link::Attached(state.route),
+                    expected_seq: 0,
+                    tail: resumable.then(Tail::default),
+                },
+            );
+            state.token = Some(token);
             if resumable {
-                let token = core.next_token;
-                core.next_token += 1;
-                core.device_tokens.insert(dev.index(), token);
-                core.resumables.insert(
-                    token,
-                    Resumable {
-                        device: dev,
-                        expected_seq: 0,
-                        tail: VecDeque::new(),
-                        tail_base: 0,
-                        windows_sent: 0,
-                        attached: true,
-                        parked_at: None,
-                        migrating: false,
-                    },
-                );
-                state.token = Some(token);
                 send(out, &Frame::Session { token, next_seq: 0 });
             }
             Step::Continue
@@ -1215,52 +1140,40 @@ pub(crate) fn handle_frame(
             token,
             have_windows,
         } => {
-            if state.device.is_some() {
+            if state.token.is_some() {
                 send_err(out, ErrCode::ProtocolViolation);
                 return Step::End(ExitReason::Abrupt);
             }
             let mut core = shared.core.lock().expect("core lock");
             let core = &mut *core;
-            if let Some(stub) = core.moved_tokens.get(&token) {
-                // The session lives on another shard now; point the
-                // client there with its token intact.
-                send(
-                    out,
-                    &Frame::Moved {
-                        shard_addr: stub.addr.clone(),
-                        token,
-                    },
-                );
-                return Step::End(ExitReason::Clean);
-            }
-            let Some(r) = core.resumables.get_mut(&token) else {
-                send_err(out, ErrCode::UnknownToken);
+            // A plain `Hello` session's token is no resume capability.
+            let Some(Session {
+                device,
+                link,
+                expected_seq,
+                tail: Some(tail),
+                ..
+            }) = core.sessions.get_mut(&token)
+            else {
+                core.answer_gone(Some(token), out);
                 return Step::End(ExitReason::Clean);
             };
-            if r.migrating {
-                // Mid-export: the destination does not own the
-                // session yet. A recoverable error makes the client
-                // back off and retry, by which time the redirect
-                // stub is installed.
-                send_err(out, ErrCode::ProtocolViolation);
-                return Step::End(ExitReason::Clean);
-            }
-            if r.attached || have_windows > r.windows_sent {
+            if matches!(link, Link::Attached(_)) || have_windows > tail.windows_sent {
                 // Another connection owns the session, or the
                 // client claims events we never sent.
                 send_err(out, ErrCode::ProtocolViolation);
                 return Step::End(ExitReason::Clean);
             }
-            if have_windows < r.tail_base {
+            if have_windows < tail.base {
                 // The replay window has already dropped events the
                 // client is missing; a resume would leave a hole.
                 send_err(out, ErrCode::ResumeGap);
                 return Step::End(ExitReason::Clean);
             }
-            r.attached = true;
-            r.parked_at = None;
-            let dev = r.device;
-            let next_seq = r.expected_seq;
+            // Attached before the replay: a later drain's events follow
+            // the replayed ones in order.
+            *link = Link::Attached(state.route);
+            let dev = *device;
             // The budget enforcer may have cold-parked the session
             // while the client was away; revive it now so the first
             // chunk after the resume is not taxed with the thaw. A
@@ -1269,20 +1182,21 @@ pub(crate) fn handle_frame(
             if core.fleet.is_parked(dev) {
                 let _ = core.fleet.thaw(dev);
             }
-            send(out, &Frame::Session { token, next_seq });
-            // Replay buffered events the client missed. The route is
-            // installed after the replay, so a later drain's events
-            // follow it in order.
-            let replay_from = (have_windows - r.tail_base) as usize;
+            send(
+                out,
+                &Frame::Session {
+                    token,
+                    next_seq: *expected_seq,
+                },
+            );
+            // Replay buffered events the client missed.
+            let replay_from = (have_windows - tail.base) as usize;
             let mut replayed = 0u64;
-            for f in r.tail.iter().skip(replay_from) {
+            for f in tail.frames.iter().skip(replay_from) {
                 send(out, f);
                 replayed += 1;
             }
-            core.routes.insert(dev.index(), state.route);
-            state.device = Some(dev);
             state.token = Some(token);
-            state.expected_seq = next_seq;
             shared.counters.sessions_resumed.inc();
             shared.counters.events_replayed.add(replayed);
             if let Some(o) = eddie_obs::global() {
@@ -1295,15 +1209,31 @@ pub(crate) fn handle_frame(
         }
         Frame::Chunk { seq, samples } => {
             shared.counters.chunks_received.inc();
-            let Some(dev) = state.device else {
+            if state.token.is_none() {
                 send_err(out, ErrCode::ProtocolViolation);
                 return Step::End(ExitReason::Abrupt);
+            }
+            // Ingest lag: the core-lock wait plus the sequence check
+            // and push.
+            let _span =
+                Timer::start(eddie_obs::enabled().then(|| shared.counters.ingest_lag_ns.as_ref()));
+            let mut core = shared.core.lock().expect("core lock");
+            let core = &mut *core;
+            let Some(s) = state.session(&mut core.sessions) else {
+                // Gone, typically migrated: counted as busy so the
+                // chunk ledger stays conserved. The connection stays
+                // open so every pipelined chunk still in flight is read
+                // (and answered) rather than lost to the close — the
+                // client disconnects once it reads the first redirect.
+                shared.counters.chunks_busy.inc();
+                core.answer_gone(state.token, out);
+                return Step::Continue;
             };
-            if seq < state.expected_seq {
+            if seq < s.expected_seq {
                 // Duplicate of an accepted chunk: idempotent ack.
                 shared.counters.duplicate_acks.inc();
                 send(out, &Frame::Ack { seq });
-            } else if seq > state.expected_seq {
+            } else if seq > s.expected_seq {
                 // A gap means an earlier chunk was refused; the
                 // client must resend in order (go-back-N).
                 shared.counters.chunks_busy.inc();
@@ -1316,52 +1246,13 @@ pub(crate) fn handle_frame(
                 shared.counters.chunks_busy.inc();
                 send(out, &Frame::Busy { seq });
             } else {
-                // A session being exported (or already migrated)
-                // must not accept chunks the destination shard will
-                // never see; the gate below refuses or redirects
-                // them instead of pushing.
-                enum Ingest {
-                    Push(PushResult),
-                    Frozen,
-                    Moved(String),
-                }
-                let outcome = {
-                    // Ingest lag: the core-lock wait plus the push.
-                    let _span = Timer::start(
-                        eddie_obs::enabled().then(|| shared.counters.ingest_lag_ns.as_ref()),
-                    );
-                    let mut core = shared.core.lock().expect("core lock");
-                    let core = &mut *core;
-                    match state.token {
-                        Some(t) if core.moved_tokens.contains_key(&t) => {
-                            Ingest::Moved(core.moved_tokens[&t].addr.clone())
-                        }
-                        Some(t) if core.resumables.get(&t).is_none_or(|r| r.migrating) => {
-                            Ingest::Frozen
-                        }
-                        _ => {
-                            let result = core.fleet.push_chunk(dev, samples);
-                            if matches!(result, PushResult::Accepted) {
-                                // Keep the resumable cursor in sync
-                                // under the same lock, so a resume
-                                // always sees the post-push position.
-                                if let Some(r) =
-                                    state.token.and_then(|t| core.resumables.get_mut(&t))
-                                {
-                                    r.expected_seq = state.expected_seq + 1;
-                                }
-                            }
-                            Ingest::Push(result)
-                        }
-                    }
-                };
-                match outcome {
-                    Ingest::Push(PushResult::Accepted) => {
+                match core.fleet.push_chunk(s.device, samples) {
+                    PushResult::Accepted => {
+                        s.expected_seq += 1;
                         shared.counters.chunks_accepted.inc();
                         send(out, &Frame::Ack { seq });
-                        state.expected_seq += 1;
                     }
-                    Ingest::Push(PushResult::Full) => {
+                    PushResult::Full => {
                         // Real fleet backpressure: refuse the chunk
                         // and ask the reactor to stop reading until
                         // the queue has room.
@@ -1369,76 +1260,37 @@ pub(crate) fn handle_frame(
                         send(out, &Frame::Busy { seq });
                         return Step::BackpressurePause;
                     }
-                    Ingest::Frozen => {
-                        shared.counters.chunks_busy.inc();
-                        send(out, &Frame::Busy { seq });
-                    }
-                    Ingest::Moved(addr) => {
-                        // Counted as busy so the chunk ledger stays
-                        // conserved; the connection stays open so
-                        // every pipelined chunk still in flight is
-                        // read (and answered) rather than lost to
-                        // the close — the client disconnects once
-                        // it reads the first redirect.
-                        shared.counters.chunks_busy.inc();
-                        send(
-                            out,
-                            &Frame::Moved {
-                                shard_addr: addr,
-                                token: state.token.unwrap_or(0),
-                            },
-                        );
-                    }
                 }
             }
             Step::Continue
         }
         Frame::Snapshot => {
-            let Some(dev) = state.device else {
+            if state.token.is_none() {
                 send_err(out, ErrCode::ProtocolViolation);
                 return Step::End(ExitReason::Abrupt);
-            };
-            let persisted =
-                config.snapshot_path.is_some() && { persist_device(dev, shared, config) };
-            let reply = if persisted {
+            }
+            let reply = match persist_session(state, shared, config) {
                 // Ack carries the count of accepted chunks: the
                 // stream position the snapshot covers at most.
-                Frame::Ack {
-                    seq: state.expected_seq,
-                }
-            } else {
-                Frame::Err {
+                Some(seq) => Frame::Ack { seq },
+                None => Frame::Err {
                     code: ErrCode::SnapshotFailed,
-                }
+                },
             };
             send(out, &reply);
             Step::Continue
         }
         Frame::Finish => {
-            if state.device.is_none() {
+            if state.token.is_none() {
                 send_err(out, ErrCode::ProtocolViolation);
                 return Step::End(ExitReason::Abrupt);
             }
-            // A migrated (or mid-export) session finishes on the
-            // shard that owns it now, not here.
-            {
-                let core = shared.core.lock().expect("core lock");
-                if let Some(t) = state.token {
-                    if let Some(stub) = core.moved_tokens.get(&t) {
-                        send(
-                            out,
-                            &Frame::Moved {
-                                shard_addr: stub.addr.clone(),
-                                token: t,
-                            },
-                        );
-                        return Step::End(ExitReason::Clean);
-                    }
-                    if core.resumables.get(&t).is_none_or(|r| r.migrating) {
-                        send_err(out, ErrCode::ProtocolViolation);
-                        return Step::End(ExitReason::Clean);
-                    }
-                }
+            let mut core = shared.core.lock().expect("core lock");
+            if state.session(&mut core.sessions).is_none() {
+                // A migrated session finishes on the server that owns
+                // it now, not here.
+                core.answer_gone(state.token, out);
+                return Step::End(ExitReason::Clean);
             }
             // Flush, then tell the client the total window count
             // so it can verify it holds the complete stream.
@@ -1448,7 +1300,7 @@ pub(crate) fn handle_frame(
             Step::Flush(FlushThen::Finished)
         }
         Frame::Close => {
-            if state.device.is_none() {
+            if state.token.is_none() {
                 return Step::End(ExitReason::Clean);
             }
             // Flush: wait until a drain has consumed the device's
@@ -1483,21 +1335,18 @@ pub(crate) fn handle_frame(
     }
 }
 
-/// Writes one device's current snapshot into the snapshot file,
-/// merging with the other live sessions. Iterates sessions directly —
-/// no per-device stats rows are allocated under the core lock.
-fn persist_device(dev: DeviceId, shared: &Shared, config: &ServerConfig) -> bool {
-    let Some(path) = config.snapshot_path.as_ref() else {
-        return false;
-    };
-    let sessions: Vec<PersistedSession> = {
+/// Writes every live session into the snapshot file when the
+/// connection's session still lives here, and returns that session's
+/// chunk cursor once the generation landed. Iterates sessions directly
+/// — no per-device stats rows are allocated under the core lock.
+fn persist_session(state: &ConnState, shared: &Shared, config: &ServerConfig) -> Option<u64> {
+    let path = config.snapshot_path.as_ref()?;
+    let (cursor, sessions) = {
         let mut core = shared.core.lock().expect("core lock");
-        if !core.fleet.contains(dev) {
-            return false;
-        }
-        collect_persisted(&mut core)
+        let cursor = state.session(&mut core.sessions)?.expected_seq;
+        (cursor, collect_persisted(&mut core))
     };
-    write_snapshot_with_faults(path, &sessions, shared, config)
+    write_snapshot_with_faults(path, &sessions, shared, config).then_some(cursor)
 }
 
 /// The `Stats` reply: this server's `eddie_serve_*` books, its fleet's

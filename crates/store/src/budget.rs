@@ -1,10 +1,12 @@
 //! The `MemoryBudget` ledger: every session the store has ever seen is
 //! accounted for, and the books must balance.
 //!
-//! The store's second pillar is bookkeeping you can assert on:
-//! `resident + parked == added − evicted` at every quiescent point (the
-//! conservation law the `store_gate` CI job checks), plus byte gauges
-//! and park/thaw latency histograms for capacity planning. The ledger
+//! The store's second pillar is bookkeeping you can assert on: the
+//! ledger counts adds, parks, thaws, evictions and failures, its owner
+//! sets the residency gauges ([`MemoryBudget::set_residency`]), and
+//! `resident + parked == added − evicted` (the conservation law the
+//! `store_gate` CI job checks) holds the two against each other; plus
+//! the spill gauge and park/thaw latency histograms. The ledger
 //! owns its `eddie_store_*` metrics: it creates them in a
 //! [`Registry`] it holds, so two stores in one process keep separate
 //! books, and a server's `Stats` scrape renders
@@ -108,21 +110,16 @@ impl MemoryBudget {
     /// A session entered the store (resident).
     pub fn on_add(&self) {
         self.added.inc();
-        self.resident.add(1);
     }
 
     /// A resident session was spilled.
     pub fn on_park(&self) {
         self.parks.inc();
-        self.resident.sub(1);
-        self.parked.add(1);
     }
 
     /// A parked session was restored to residency.
     pub fn on_thaw(&self) {
         self.thaws.inc();
-        self.parked.sub(1);
-        self.resident.add(1);
     }
 
     /// A park attempt failed; the session stays resident.
@@ -135,16 +132,9 @@ impl MemoryBudget {
         self.thaw_failures.inc();
     }
 
-    /// A resident session left the store for good.
-    pub fn on_evict_resident(&self) {
+    /// A session, resident or parked, left the store for good.
+    pub fn on_evict(&self) {
         self.evicted.inc();
-        self.resident.sub(1);
-    }
-
-    /// A parked session left the store for good.
-    pub fn on_evict_parked(&self) {
-        self.evicted.inc();
-        self.parked.sub(1);
     }
 
     /// Spill-log compactions, forwarded from the log's own count.
@@ -162,8 +152,12 @@ impl MemoryBudget {
         self.thaw_ns.record(ns);
     }
 
-    /// Sets the resident-bytes gauge (the store recomputes the total).
-    pub fn set_resident_bytes(&self, bytes: u64) {
+    /// Sets the residency gauges from the owner's sessions: how many
+    /// are resident and parked, and the estimated bytes of the resident
+    /// ones.
+    pub fn set_residency(&self, resident: u64, parked: u64, bytes: u64) {
+        self.resident.set(resident as i64);
+        self.parked.set(parked as i64);
         self.resident_bytes.set(bytes as i64);
     }
 
@@ -220,23 +214,23 @@ mod tests {
             ledger.on_park();
         }
         ledger.on_thaw();
-        ledger.on_evict_resident();
-        ledger.on_evict_parked();
+        ledger.on_evict();
+        ledger.on_evict();
+        // The owner holds 6 resident and 2 parked of the 10 added.
+        ledger.set_residency(6, 2, 0);
         let snap = ledger.snapshot();
-        assert_eq!(snap.added, 10);
+        assert_eq!((snap.added, snap.parks, snap.thaws), (10, 4, 1));
         assert_eq!(snap.evicted, 2);
-        assert_eq!(snap.resident, 6);
-        assert_eq!(snap.parked, 2);
         assert!(snap.conserved());
+        ledger.set_residency(7, 2, 0);
+        assert!(!ledger.snapshot().conserved(), "one session too many");
     }
 
     #[test]
     fn bytes_per_session_handles_empty() {
         let ledger = MemoryBudget::new();
         assert_eq!(ledger.snapshot().bytes_per_session(), 0.0);
-        ledger.on_add();
-        ledger.on_add();
-        ledger.set_resident_bytes(4096);
+        ledger.set_residency(2, 0, 4096);
         let snap = ledger.snapshot();
         assert_eq!(snap.bytes_per_session(), 2048.0);
     }

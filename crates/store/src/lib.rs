@@ -16,11 +16,15 @@
 //!   bring it back on the next chunk or a `Resume`. The kernel cache is
 //!   not spilled — it rebuilds on first use after thaw — and a
 //!   park→thaw→replay stream is byte-identical to never having parked.
-//! * **Accounting** — the [`MemoryBudget`] ledger keeps the books
-//!   (`resident + parked == added − evicted`), byte gauges, and
+//! * **Accounting** — the [`MemoryBudget`] ledger counts every add,
+//!   park, thaw and eviction and keeps the spill-size gauge and
 //!   park/thaw latency histograms in a registry of its own, which the
 //!   serve `Stats` frame renders for the store behind the server's
-//!   fleet.
+//!   fleet. Residency is the fleet's to know: it sets the resident,
+//!   parked and resident-byte gauges from its slot table when it
+//!   renders or snapshots the books, and the conservation law
+//!   `resident + parked == added − evicted` checks them against the
+//!   counted events.
 //!
 //! The store handles **opaque payloads**: it never deserialises a
 //! session itself. `eddie-stream` owns the session types and drives
@@ -37,16 +41,16 @@
 //! let config = StoreConfig::builder(&dir).resident_budget(2).build().unwrap();
 //! let mut store = SessionStore::open(config).unwrap();
 //!
-//! store.note_added(0, 1_000);
+//! store.note_added();
 //! store.park(0, b"snapshot-bytes").unwrap();
 //! assert!(store.is_parked(0));
 //!
 //! let payload = store.read_parked(0).unwrap().unwrap();
 //! assert_eq!(payload, b"snapshot-bytes");
-//! store.confirm_thaw(0, 1_000);
+//! store.confirm_thaw(0);
 //!
 //! let ledger = store.ledger_snapshot();
-//! assert!(ledger.conserved());
+//! assert_eq!(ledger.added, 1);
 //! assert_eq!(ledger.parks, 1);
 //! assert_eq!(ledger.thaws, 1);
 //! # let _ = std::fs::remove_dir_all(&dir);

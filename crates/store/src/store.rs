@@ -9,16 +9,16 @@
 //! encode — today a `SessionSnapshot` in `eddie-codec` bytes, tomorrow
 //! whatever the snapshot format evolves into.
 //!
-//! Ledger discipline: every state transition goes through exactly one
-//! `note_*`/`park`/`confirm_thaw` call, so the conservation law
-//! `resident + parked == added − evicted` holds at every quiescent
-//! point. Thaw is two-phase — [`read_parked`](SessionStore::read_parked)
-//! then [`confirm_thaw`](SessionStore::confirm_thaw) — so a payload
-//! that fails to deserialize leaves the books (and the spill record)
+//! Ledger discipline: every event goes through exactly one
+//! `note_*`/`park`/`confirm_thaw` call, which counts it; the fleet sets
+//! residency from its slot table ([`MemoryBudget::set_residency`]), and
+//! `resident + parked == added − evicted` checks the two. Thaw is
+//! two-phase — [`read_parked`](SessionStore::read_parked) then
+//! [`confirm_thaw`](SessionStore::confirm_thaw) — so a payload that
+//! fails to deserialize leaves the books (and the spill record)
 //! untouched.
 
 use eddie_core::Error;
-use std::collections::HashMap;
 
 use crate::budget::{LedgerSnapshot, MemoryBudget};
 use crate::config::StoreConfig;
@@ -31,15 +31,13 @@ const COMPACT_MIN_BYTES: u64 = 64 * 1024;
 /// Compact once dead bytes reach this percentage of the file.
 const COMPACT_DEAD_RATIO_PCT: u32 = 50;
 
-/// Memory-bounded session storage: resident-byte accounting and cold
-/// parking to an append-compacted spill log.
+/// Memory-bounded session storage: cold parking to an append-compacted
+/// spill log, and the ledger that counts what happens to sessions.
 #[derive(Debug)]
 pub struct SessionStore {
     config: StoreConfig,
     spill: SpillLog,
     ledger: MemoryBudget,
-    resident_bytes: HashMap<u64, u64>,
-    resident_total: u64,
     synced_compactions: u64,
 }
 
@@ -73,8 +71,6 @@ impl SessionStore {
             config,
             spill,
             ledger,
-            resident_bytes: HashMap::new(),
-            resident_total: 0,
             synced_compactions: 0,
         })
     }
@@ -99,29 +95,17 @@ impl SessionStore {
         self.ledger.snapshot()
     }
 
-    /// A new session became resident at `slot` with an estimated
-    /// `bytes` footprint.
-    pub fn note_added(&mut self, slot: u64, bytes: u64) {
+    /// A new session became resident.
+    pub fn note_added(&self) {
         self.ledger.on_add();
-        self.set_bytes(slot, bytes);
-    }
-
-    /// Refreshes the resident-byte estimate for `slot` (history grows
-    /// as windows accumulate).
-    pub fn note_resident_bytes(&mut self, slot: u64, bytes: u64) {
-        self.set_bytes(slot, bytes);
     }
 
     /// The session at `slot` left the store for good (device eviction).
     /// Works on both resident and parked sessions; a parked one's spill
     /// record is retired.
     pub fn note_evicted(&mut self, slot: u64) {
-        if self.spill.remove(slot) {
-            self.ledger.on_evict_parked();
-        } else {
-            self.ledger.on_evict_resident();
-            self.clear_bytes(slot);
-        }
+        self.spill.remove(slot);
+        self.ledger.on_evict();
     }
 
     /// Parks the session at `slot`: appends `payload` to the spill log
@@ -135,7 +119,6 @@ impl SessionStore {
         match self.spill.append(slot, payload) {
             Ok(()) => {
                 self.ledger.on_park();
-                self.clear_bytes(slot);
                 self.sync_spill_gauges();
                 Ok(())
             }
@@ -164,11 +147,10 @@ impl SessionStore {
     }
 
     /// Phase two of a thaw, after the payload deserialized and the
-    /// session is resident again: retires the spill record and flips
-    /// the ledger. `bytes` is the restored session's resident estimate.
-    pub fn confirm_thaw(&mut self, slot: u64, bytes: u64) {
+    /// session is resident again: retires the spill record and counts
+    /// the thaw.
+    pub fn confirm_thaw(&mut self, slot: u64) {
         self.ledger.on_thaw();
-        self.set_bytes(slot, bytes);
         self.spill.remove(slot);
     }
 
@@ -182,24 +164,6 @@ impl SessionStore {
     /// Whether `slot` currently has a parked payload.
     pub fn is_parked(&self, slot: u64) -> bool {
         self.spill.contains(slot)
-    }
-
-    /// Estimated total bytes of resident session state.
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident_total
-    }
-
-    fn set_bytes(&mut self, slot: u64, bytes: u64) {
-        let old = self.resident_bytes.insert(slot, bytes).unwrap_or(0);
-        self.resident_total = self.resident_total - old + bytes;
-        self.ledger.set_resident_bytes(self.resident_total);
-    }
-
-    fn clear_bytes(&mut self, slot: u64) {
-        if let Some(old) = self.resident_bytes.remove(&slot) {
-            self.resident_total -= old;
-            self.ledger.set_resident_bytes(self.resident_total);
-        }
     }
 
     fn sync_spill_gauges(&mut self) {
@@ -238,32 +202,27 @@ mod tests {
     fn park_thaw_evict_keeps_the_books_balanced() {
         let dir = tmpdir("books");
         let mut store = open(&dir);
-        for slot in 0..6u64 {
-            store.note_added(slot, 1000);
+        for _ in 0..6 {
+            store.note_added();
         }
-        assert_eq!(store.resident_bytes(), 6000);
         store.park(0, b"payload-0").unwrap();
         store.park(1, b"payload-1").unwrap();
-        let snap = store.ledger_snapshot();
-        assert!(snap.conserved());
-        assert_eq!(snap.resident, 4);
-        assert_eq!(snap.parked, 2);
-        assert_eq!(store.resident_bytes(), 4000);
+        assert!(store.is_parked(0) && store.is_parked(1));
 
         let payload = store.read_parked(0).unwrap().expect("parked");
         assert_eq!(payload, b"payload-0");
-        store.confirm_thaw(0, 1200);
+        store.confirm_thaw(0);
         assert!(!store.is_parked(0));
-        assert_eq!(store.resident_bytes(), 5200);
 
-        store.note_evicted(1); // parked eviction
+        store.note_evicted(1); // parked eviction retires its record
+        assert!(!store.is_parked(1));
         store.note_evicted(5); // resident eviction
         let snap = store.ledger_snapshot();
-        assert!(snap.conserved());
-        assert_eq!(snap.added, 6);
-        assert_eq!(snap.evicted, 2);
-        assert_eq!(snap.resident, 4);
-        assert_eq!(snap.parked, 0);
+        assert_eq!(
+            (snap.added, snap.parks, snap.thaws, snap.evicted),
+            (6, 2, 1, 2)
+        );
+        assert_eq!(snap.park_failures + snap.thaw_failures, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -274,7 +233,7 @@ mod tests {
         let dir = tmpdir("reopen");
         {
             let mut store = open(&dir);
-            store.note_added(3, 500);
+            store.note_added();
             store.park(3, b"sleeper").unwrap();
         }
         let mut store = open(&dir);
@@ -282,19 +241,6 @@ mod tests {
         assert_eq!((snap.added, snap.parked, snap.resident), (0, 0, 0));
         assert!(!store.is_parked(3));
         assert_eq!(store.read_parked(3).unwrap(), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resident_byte_estimates_track_updates() {
-        let dir = tmpdir("bytes");
-        let mut store = open(&dir);
-        store.note_added(0, 100);
-        store.note_resident_bytes(0, 250);
-        assert_eq!(store.resident_bytes(), 250);
-        assert_eq!(store.ledger_snapshot().resident_bytes, 250);
-        store.note_evicted(0);
-        assert_eq!(store.resident_bytes(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -321,8 +321,8 @@ impl Fleet {
     /// lowest vacated slot if an earlier device was evicted.
     pub fn add_session(&mut self, session: MonitorSession) -> DeviceId {
         let index = self.free_slots.pop().unwrap_or(self.devices.len());
-        if let Some(store) = self.store.as_mut() {
-            store.note_added(index as u64, session.approx_bytes() as u64);
+        if let Some(store) = &self.store {
+            store.note_added();
         }
         if let Some(o) = eddie_obs::global() {
             o.journal().record(JournalEvent::SessionRegistered {
@@ -468,9 +468,9 @@ impl Fleet {
 
     /// The fleet's `eddie_stream_*` metrics in the Prometheus text
     /// format, followed by the attached store's `eddie_store_*` ledger.
-    /// The queue-depth and session gauges are read from
-    /// [`stats`](Fleet::stats) here, at scrape time, so pushes, drains
-    /// and evictions do not pay to keep them current.
+    /// The queue-depth, session and residency gauges are read from the
+    /// slot table here, at scrape time, so pushes, drains, parks and
+    /// evictions do not pay to keep them current.
     pub fn render_metrics(&self) -> String {
         let stats = self.stats();
         for (name, value) in [
@@ -482,9 +482,27 @@ impl Fleet {
         }
         let mut text = self.registry.render_prometheus();
         if let Some(store) = &self.store {
+            self.set_residency(store);
             text.push_str(&store.ledger().registry().render_prometheus());
         }
         text
+    }
+
+    /// Sets the store ledger's residency gauges from the slot table:
+    /// resident and parked sessions, and the resident ones' estimated
+    /// bytes.
+    fn set_residency(&self, store: &SessionStore) {
+        let (mut resident, mut parked, mut bytes) = (0u64, 0u64, 0u64);
+        for (_, d) in self.live() {
+            match &d.state {
+                SessionState::Resident(s) => {
+                    resident += 1;
+                    bytes += s.approx_bytes() as u64;
+                }
+                SessionState::Parked(_) => parked += 1,
+            }
+        }
+        store.ledger().set_residency(resident, parked, bytes);
     }
 
     /// Live *resident* sessions in [`DeviceId`] order, without building
@@ -674,9 +692,13 @@ impl Fleet {
     }
 
     /// A point-in-time copy of the store ledger, if a store is
-    /// attached.
+    /// attached, with its residency read from the slot table — so
+    /// [`conserved`](eddie_store::LedgerSnapshot::conserved) checks the
+    /// fleet's sessions against the store's add and evict counts.
     pub fn ledger_snapshot(&self) -> Option<eddie_store::LedgerSnapshot> {
-        self.store.as_ref().map(SessionStore::ledger_snapshot)
+        let store = self.store.as_ref()?;
+        self.set_residency(store);
+        Some(store.ledger_snapshot())
     }
 
     /// Captures `device`'s session snapshot without changing its
@@ -759,9 +781,8 @@ impl Fleet {
                 return Err(e);
             }
         };
-        let bytes = session.approx_bytes() as u64;
         d.state = SessionState::Resident(Box::new(session));
-        store.confirm_thaw(index as u64, bytes);
+        store.confirm_thaw(index as u64);
         store
             .ledger()
             .record_thaw_ns(started.elapsed().as_nanos() as u64);
@@ -821,15 +842,14 @@ impl Fleet {
         Ok(true)
     }
 
-    /// Refreshes resident-byte estimates and parks least-recently
-    /// active idle devices until the resident count is inside the
-    /// store's budget. Runs at the end of every drain; with no store
-    /// attached it is a no-op. Victims are chosen by
+    /// Parks least-recently active idle devices until the resident
+    /// count is inside the store's budget. Runs at the end of every
+    /// drain; with no store attached it is a no-op. Victims are chosen by
     /// `(last_active, slot)` ascending — a pure function of the
     /// push/drain sequence, so the park schedule is identical for
     /// every `EDDIE_THREADS` value.
     fn enforce_budget(&mut self) {
-        let Some(store) = self.store.as_mut() else {
+        let Some(store) = &self.store else {
             return;
         };
         let mut resident_total = 0usize;
@@ -838,9 +858,8 @@ impl Fleet {
         let mut candidates: Vec<(u64, usize)> = Vec::new();
         for (i, slot) in self.devices.iter().enumerate() {
             let Some(d) = slot else { continue };
-            if let SessionState::Resident(session) = &d.state {
+            if let SessionState::Resident(_) = &d.state {
                 resident_total += 1;
-                store.note_resident_bytes(i as u64, session.approx_bytes() as u64);
                 if d.queue.is_empty() {
                     candidates.push((d.last_active, i));
                 }
@@ -1282,6 +1301,11 @@ mod tests {
         let ledger = fleet.ledger_snapshot().unwrap();
         assert!(ledger.conserved());
         assert_eq!(ledger.parked, 2);
+        let resident_bytes: usize = devs[2..]
+            .iter()
+            .map(|&d| fleet.session(d).approx_bytes())
+            .sum();
+        assert_eq!(ledger.resident_bytes, resident_bytes as i64);
         let text = fleet.render_metrics();
         assert!(text.contains("eddie_store_parked_sessions 2\n"), "{text}");
 
@@ -1334,7 +1358,7 @@ mod tests {
         let dir = tmpdir("reopen");
         {
             let mut store = store_in(&dir, 8);
-            store.note_added(0, 100);
+            store.note_added();
             store.park(0, b"earlier store's session").unwrap();
         }
         let mut fleet = Fleet::with_store(FleetConfig::default(), store_in(&dir, 8));
