@@ -55,7 +55,9 @@ use eddie_serve::{
 };
 use eddie_sim::{InjectionHook, SimConfig};
 use eddie_store::{LedgerSnapshot, SessionStore, StoreConfig};
-use eddie_stream::{Fleet, FleetConfig, MonitorSession, PushResult, SessionSnapshot, StreamEvent};
+use eddie_stream::{
+    DeviceId, Fleet, FleetConfig, MonitorSession, PushResult, SessionSnapshot, StreamEvent,
+};
 use eddie_workloads::{Benchmark, Workload, WorkloadParams};
 
 use crate::harness::{injection_targets, make_hook, sim_pipeline, train_benchmark, InjectPlan};
@@ -513,7 +515,7 @@ pub fn session(
 }
 
 /// Streams each device's chunks through one fleet, one session per
-/// `(rate, chunks)` entry. Chunks are offered round-robin across
+/// `(rate, chunks)` entry, keyed by the entry's index. Chunks are offered round-robin across
 /// devices, and the fleet drains whenever a device reports `Full`.
 /// Audits the fleet's ledger: every chunk accepted once, every `Full`
 /// counted as shed, nothing left queued.
@@ -523,14 +525,14 @@ pub fn fleet(
     devices: &[(f64, Vec<&[f32]>)],
 ) -> Vec<Vec<StreamEvent>> {
     let mut fleet = Fleet::new(config);
-    let ids: Vec<_> = devices
-        .iter()
-        .map(|(rate, _)| fleet.add_session(MonitorSession::new(model.clone(), *rate).unwrap()))
-        .collect();
+    for (d, (rate, _)) in devices.iter().enumerate() {
+        let session = MonitorSession::new(model.clone(), *rate).unwrap();
+        fleet.insert_session(DeviceId(d as u64), session);
+    }
     let mut events = vec![Vec::new(); devices.len()];
     let drain = |fleet: &mut Fleet, events: &mut [Vec<StreamEvent>]| {
         for (dev, evs) in fleet.drain() {
-            events[dev.index()].extend(evs);
+            events[dev.0 as usize].extend(evs);
         }
     };
     let (mut offered, mut refused) = (0u64, 0u64);
@@ -539,7 +541,7 @@ pub fn fleet(
         for (d, (_, chunks)) in devices.iter().enumerate() {
             let Some(chunk) = chunks.get(i) else { continue };
             offered += 1;
-            while fleet.push_chunk(ids[d], chunk.to_vec()) == PushResult::Full {
+            while fleet.push_chunk(DeviceId(d as u64), chunk.to_vec()) == PushResult::Full {
                 refused += 1;
                 drain(&mut fleet, &mut events);
             }

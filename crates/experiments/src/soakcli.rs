@@ -232,9 +232,9 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
         for &d in devs.iter().take(TRACKED) {
             let _ = fleet
                 .park(d)
-                .map_err(|e| format!("round {r}: park tracked {}: {e}", d.index()))?;
+                .map_err(|e| format!("round {r}: park tracked {}: {e}", d.0))?;
             if fleet.push_chunk(d, chunk.to_vec()) != PushResult::Accepted {
-                return Err(format!("round {r}: tracked device {} refused", d.index()));
+                return Err(format!("round {r}: tracked device {} refused", d.0));
             }
         }
         fed.push(r % chunks.len());
@@ -243,7 +243,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
             for k in 0..cfg.budget.min(rotation.len()) {
                 let d = rotation[(start + k) % rotation.len()];
                 if fleet.push_chunk(d, chunk.to_vec()) != PushResult::Accepted {
-                    return Err(format!("round {r}: device {} refused", d.index()));
+                    return Err(format!("round {r}: device {} refused", d.0));
                 }
             }
         }
@@ -337,13 +337,12 @@ fn assert_resident_pair_shares(
     for d in [a, b] {
         fleet
             .thaw(d)
-            .map_err(|e| format!("thaw {} for share check: {e}", d.index()))?;
+            .map_err(|e| format!("thaw {} for share check: {e}", d.0))?;
     }
     if !Arc::ptr_eq(fleet.session(a).model(), fleet.session(b).model()) {
         return Err(format!(
             "devices {} and {} run the same program but hold distinct model allocations",
-            a.index(),
-            b.index()
+            a.0, b.0
         ));
     }
     Ok(())

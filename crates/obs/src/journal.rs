@@ -13,11 +13,17 @@ use std::sync::Mutex;
 /// a per-window record would turn the ring over in milliseconds at
 /// ingest rates and evict the transitions and anomalies an operator
 /// reads it for (`eddie_core_windows_evaluated_total` counts windows).
+///
+/// A `device` field holds the session's fleet key, which for a server
+/// session is its token: the one its client holds. Tokens are unique
+/// per server, and across a cluster's shards because their token bases
+/// are disjoint, so every record for a session names it the same way
+/// on every server it lives on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalEvent {
     /// The monitor moved to a different loop/region id.
     RegionTransition {
-        /// Fleet device id.
+        /// Fleet key of the session (a server session's token).
         device: u64,
         /// Window index at which the transition was decided.
         window: u64,
@@ -28,26 +34,26 @@ pub enum JournalEvent {
     },
     /// The monitor flagged an anomaly.
     AnomalyRaised {
-        /// Fleet device id.
+        /// Fleet key of the session (a server session's token).
         device: u64,
         /// Window index at which the anomaly was raised.
         window: u64,
     },
     /// An ingress chunk was shed because the device queue was full.
     ChunkShed {
-        /// Fleet device id.
+        /// Fleet key of the session (a server session's token).
         device: u64,
         /// Samples in the shed chunk.
         samples: u64,
     },
     /// A monitoring session was added to the fleet.
     SessionRegistered {
-        /// Fleet device id.
+        /// Fleet key of the session (a server session's token).
         device: u64,
     },
     /// A monitoring session was removed from the fleet.
     SessionEvicted {
-        /// Fleet device id.
+        /// Fleet key of the session (a server session's token).
         device: u64,
     },
     /// A client connection was accepted by the server.
@@ -74,12 +80,12 @@ pub enum JournalEvent {
     /// A resumable session's connection dropped abruptly; the session
     /// stays live awaiting a resume.
     SessionParked {
-        /// Fleet device id.
+        /// Fleet key of the session (a server session's token).
         device: u64,
     },
     /// A parked session was reclaimed by a reconnecting client.
     SessionResumed {
-        /// Fleet device id.
+        /// Fleet key of the session (a server session's token).
         device: u64,
         /// Buffered event frames replayed to the client on reattach.
         replayed: u64,
@@ -90,22 +96,24 @@ pub enum JournalEvent {
     ///
     /// [`SessionParked`]: JournalEvent::SessionParked
     SessionColdParked {
-        /// Fleet device id.
+        /// Fleet key of the session (a server session's token).
         device: u64,
     },
     /// A cold-parked session was restored from the spill log.
     SessionThawed {
-        /// Fleet device id.
+        /// Fleet key of the session (a server session's token).
         device: u64,
     },
     /// A live session was exported to another cluster shard.
     SessionMigratedOut {
-        /// Fleet device id on the exporting shard.
+        /// Fleet key of the session (its token), as on the importing
+        /// shard.
         device: u64,
     },
     /// A live session was imported from another cluster shard.
     SessionMigratedIn {
-        /// Fleet device id assigned by the importing shard.
+        /// Fleet key of the session (its token), as on the exporting
+        /// shard.
         device: u64,
     },
 }

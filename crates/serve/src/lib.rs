@@ -24,9 +24,10 @@
 //!   queued chunks across the `eddie-exec` worker pool, taking a share
 //!   itself) and writes every reply and event, and fleet backpressure
 //!   becomes an epoll interest-set flip instead of a blocked reader.
-//! * [`snapshot`] — the snapshot file: every live session's state as
-//!   one `eddie-codec` value behind an `eddie-snap v4` magic line,
-//!   written atomically and refused whole when truncated or padded.
+//! * [`snapshot`] — the snapshot file: every live session's state,
+//!   keyed by its token, as one `eddie-codec` value behind an
+//!   `eddie-snap v5` magic line, written atomically and refused whole
+//!   when truncated or padded.
 //! * [`client`] — a blocking replay client with go-back-N
 //!   retransmission on `Busy`, used by the `replay-client` experiment
 //!   and the loopback CI gates; plus [`ResilientClient`], a

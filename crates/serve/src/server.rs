@@ -25,14 +25,16 @@
 //!
 //! # Sessions
 //!
-//! Every session has one record, keyed by a token drawn from the
-//! server's counter (only a `HelloResumable` client is told its token):
-//! its fleet slot and model, its link (the connection carrying it, or
-//! since when it has been parked), its chunk cursor and, if resumable,
-//! its replay tail. A connection remembers only its session's token and
-//! reaches the record only while the link names it, so a record that is
-//! gone (evicted, expired or migrated) is never mistaken for a later
-//! session in the same fleet slot.
+//! Every session has one key, a token drawn from the server's counter
+//! (only a `HelloResumable` client is told its token). The token is
+//! also the session's fleet key, so drains, journal records, spill
+//! entries and the snapshot file all name the session as its client
+//! does, on every server it lives on. The session's record holds its
+//! model, its link (the connection carrying it, or since when it has
+//! been parked), its chunk cursor and, if resumable, its replay tail. A
+//! connection remembers only its session's token and reaches the record
+//! only while the link names it. A new session never draws a token that
+//! a session or forwarding stub on this server holds.
 //!
 //! The fleet and the records live behind one mutex, which the serving
 //! thread shares only with [`ServerHandle`] calls (stats, migrate).
@@ -400,25 +402,20 @@ pub(crate) struct Shared {
 }
 
 /// The single-mutex heart of the server: the fleet plus one record per
-/// session, keyed by the session's token. A connection holds only its
-/// session's token, so a record that is gone (evicted, expired or
-/// migrated) cannot be mistaken for a later session that reuses its
-/// fleet slot.
+/// session. Both are keyed by the session's token: the fleet holds the
+/// session under `DeviceId(token)`.
 pub(crate) struct Core {
     pub(crate) fleet: Fleet,
     /// Every session on this server, by token. A resumable session's
     /// record outlives the connections that carry it.
     sessions: HashMap<u64, Session>,
-    /// Fleet slot → token of the session in it, for the drain.
-    tokens: HashMap<DeviceId, u64>,
     /// Forwarding stubs for sessions migrated to another server: any
     /// frame arriving for one of these tokens is answered with
     /// [`Frame::Moved`] naming the new owner. Pruned after each drain
     /// on the same linger schedule as parked sessions. A token is in
     /// `sessions` or here, never both.
     moved: HashMap<u64, MovedStub>,
-    /// Every session draws its token here; only a `HelloResumable`
-    /// client is told it.
+    /// Where [`Core::draw_token`] looks for the next token.
     next_token: u64,
 }
 
@@ -429,10 +426,9 @@ struct MovedStub {
     since: Instant,
 }
 
-/// One session: its fleet slot, its model, who carries it and where
-/// its chunk cursor stands.
+/// One session: its model, who carries it and where its chunk cursor
+/// stands. Its token keys both this record and its fleet session.
 struct Session {
-    device: DeviceId,
     /// The hosted model the session monitors against.
     model_id: String,
     link: Link,
@@ -468,6 +464,21 @@ struct Tail {
 }
 
 impl Core {
+    /// Draws a token for a new session: the counter's next value that
+    /// no session or forwarding stub here holds. A session migrated in
+    /// keeps the token its first server drew, so the counter alone
+    /// cannot promise that.
+    fn draw_token(&mut self) -> u64 {
+        while self.sessions.contains_key(&self.next_token)
+            || self.moved.contains_key(&self.next_token)
+        {
+            self.next_token += 1;
+        }
+        let token = self.next_token;
+        self.next_token += 1;
+        token
+    }
+
     /// Answers a frame for a session the connection no longer carries:
     /// [`Frame::Moved`] when it migrated away (the client resumes at
     /// the new owner with its token intact), `UnknownToken` otherwise.
@@ -581,17 +592,15 @@ impl ServerHandle {
                     format!("token {token} already lives on the destination"),
                 );
             }
-            let from = s.device;
-            if src.fleet.pending_chunks(from) > 0 {
+            let key = DeviceId(token);
+            if src.fleet.pending_chunks(key) > 0 {
                 drop((src_guard, dst_guard));
                 std::thread::sleep(Duration::from_micros(200));
                 continue;
             }
-            let session =
-                MonitorSession::restore(model.clone(), src.fleet.snapshot_session(from)?)?;
+            let session = MonitorSession::restore(model.clone(), src.fleet.snapshot_session(key)?)?;
             let mut s = src.sessions.remove(&token).expect("looked up above");
-            src.tokens.remove(&from);
-            let _ = src.fleet.remove_session(from);
+            let _ = src.fleet.remove_session(key);
             src.moved.insert(
                 token,
                 MovedStub {
@@ -599,19 +608,16 @@ impl ServerHandle {
                     since: Instant::now(),
                 },
             );
-            s.device = dst.fleet.add_session(session);
+            dst.fleet.insert_session(key, session);
             s.link = Link::Parked(Instant::now());
-            dst.tokens.insert(s.device, token);
             dst.moved.remove(&token);
             self.shared.counters.sessions_migrated_out.inc();
             to.shared.counters.sessions_migrated_in.inc();
             if let Some(o) = eddie_obs::global() {
-                o.journal().record(JournalEvent::SessionMigratedOut {
-                    device: from.index() as u64,
-                });
-                o.journal().record(JournalEvent::SessionMigratedIn {
-                    device: s.device.index() as u64,
-                });
+                o.journal()
+                    .record(JournalEvent::SessionMigratedOut { device: token });
+                o.journal()
+                    .record(JournalEvent::SessionMigratedIn { device: token });
             }
             dst.sessions.insert(token, s);
             return Ok(());
@@ -669,7 +675,6 @@ impl Server {
                 core: Mutex::new(Core {
                     fleet,
                     sessions: HashMap::new(),
-                    tokens: HashMap::new(),
                     moved: HashMap::new(),
                     next_token: config.token_base,
                 }),
@@ -774,8 +779,8 @@ pub(crate) fn serve_fleet(
         } else {
             Vec::new()
         };
-        for (dev, evs) in &drained {
-            let Some(s) = core.tokens.get(dev).and_then(|t| core.sessions.get_mut(t)) else {
+        for (key, evs) in &drained {
+            let Some(s) = core.sessions.get_mut(&key.0) else {
                 continue;
             };
             // Tail first, route second: the tail keeps filling while
@@ -803,13 +808,12 @@ pub(crate) fn serve_fleet(
         // Park expiry: a parked session whose client never came back
         // is evicted for good once the linger runs out.
         let now = Instant::now();
-        let (fleet, tokens) = (&mut core.fleet, &mut core.tokens);
-        core.sessions.retain(|_, s| {
+        let fleet = &mut core.fleet;
+        core.sessions.retain(|&token, s| {
             let expired = matches!(s.link,
                 Link::Parked(since) if now.duration_since(since) >= config.resume_linger);
             if expired {
-                tokens.remove(&s.device);
-                let _ = fleet.remove_session(s.device);
+                let _ = fleet.remove_session(DeviceId(token));
             }
             !expired
         });
@@ -864,25 +868,21 @@ fn persist_now(shared: &Shared, config: &ServerConfig) {
     write_snapshot_with_faults(path, &sessions, shared, config);
 }
 
-/// Collects every live session's snapshot, cold-parked ones included
-/// (their spill payloads are parsed in place, without thawing).
+/// Collects every live session's snapshot in token order, cold-parked
+/// ones included (their spill payloads are parsed in place, without
+/// thawing).
 fn collect_persisted(core: &mut Core) -> Vec<PersistedSession> {
-    let devices = core.fleet.live_devices();
-    let mut out = Vec::with_capacity(devices.len());
-    for dev in devices {
-        let model_id = core
-            .tokens
-            .get(&dev)
-            .and_then(|t| core.sessions.get(t))
-            .map(|s| s.model_id.clone())
-            .unwrap_or_default();
+    let mut records: Vec<(u64, &Session)> = core.sessions.iter().map(|(&t, s)| (t, s)).collect();
+    records.sort_unstable_by_key(|&(token, _)| token);
+    let mut out = Vec::with_capacity(records.len());
+    for (token, s) in records {
         // A parked session whose spill record cannot be read is
         // skipped rather than failing the whole generation; its store
         // ledger already counts the read failure.
-        if let Ok(snapshot) = core.fleet.snapshot_session(dev) {
+        if let Ok(snapshot) = core.fleet.snapshot_session(DeviceId(token)) {
             out.push(PersistedSession {
-                device: dev.index(),
-                model_id,
+                token,
+                model_id: s.model_id.clone(),
                 snapshot,
             });
         }
@@ -953,13 +953,16 @@ impl ConnState {
         ConnState { route, token: None }
     }
 
-    /// The record of the session this connection carries: its token's
-    /// record, while that record is attached to this connection.
-    fn session<'a>(&self, sessions: &'a mut HashMap<u64, Session>) -> Option<&'a mut Session> {
-        let route = self.route;
-        self.token
-            .and_then(|t| sessions.get_mut(&t))
-            .filter(|s| s.link == Link::Attached(route))
+    /// The session this connection carries, as its fleet key and its
+    /// record: its token's record, while that record is attached to
+    /// this connection.
+    fn session<'a>(
+        &self,
+        sessions: &'a mut HashMap<u64, Session>,
+    ) -> Option<(DeviceId, &'a mut Session)> {
+        let token = self.token?;
+        let s = sessions.get_mut(&token)?;
+        (s.link == Link::Attached(self.route)).then_some((DeviceId(token), s))
     }
 }
 
@@ -1014,7 +1017,7 @@ pub(crate) fn pending_chunks(state: &ConnState, shared: &Shared) -> usize {
     let core = &mut *core;
     state
         .session(&mut core.sessions)
-        .map_or(0, |s| core.fleet.pending_chunks(s.device))
+        .map_or(0, |(key, _)| core.fleet.pending_chunks(key))
 }
 
 /// Completes a [`Step::Flush`]: the queue is empty, so every event for
@@ -1030,7 +1033,7 @@ pub(crate) fn after_flush(
         FlushThen::Finished => {
             let mut core = shared.core.lock().expect("core lock");
             let core = &mut *core;
-            let Some(s) = state.session(&mut core.sessions) else {
+            let Some((key, _)) = state.session(&mut core.sessions) else {
                 // Migrated while the flush waited: the session
                 // finishes on the server that owns it now.
                 core.answer_gone(state.token, out);
@@ -1038,10 +1041,7 @@ pub(crate) fn after_flush(
             };
             // Parked-aware: a cold-parked session reports its progress
             // from resident metadata, no thaw needed.
-            let windows = core
-                .fleet
-                .windows_observed(s.device)
-                .map_or(0, |n| n as u64);
+            let windows = core.fleet.windows_observed(key).map_or(0, |n| n as u64);
             send(out, &Frame::Finished { windows });
             Step::Continue
         }
@@ -1058,20 +1058,19 @@ pub(crate) fn after_flush(
 pub(crate) fn finish_connection(state: &ConnState, reason: ExitReason, shared: &Shared) {
     let mut core = shared.core.lock().expect("core lock");
     let core = &mut *core;
-    let Some(s) = state.session(&mut core.sessions) else {
+    let Some((key, s)) = state.session(&mut core.sessions) else {
         return;
     };
     if reason == ExitReason::Abrupt && s.tail.is_some() {
         s.link = Link::Parked(Instant::now());
         shared.counters.sessions_parked.inc();
         if let Some(o) = eddie_obs::global() {
-            o.journal().record(JournalEvent::SessionParked {
-                device: s.device.index() as u64,
-            });
+            o.journal()
+                .record(JournalEvent::SessionParked { device: key.0 });
         }
-    } else if let Some(s) = state.token.and_then(|t| core.sessions.remove(&t)) {
-        core.tokens.remove(&s.device);
-        let _ = core.fleet.remove_session(s.device);
+    } else {
+        core.sessions.remove(&key.0);
+        let _ = core.fleet.remove_session(key);
     }
 }
 
@@ -1116,14 +1115,11 @@ pub(crate) fn handle_frame(
             };
             let mut core = shared.core.lock().expect("core lock");
             let core = &mut *core;
-            let device = core.fleet.add_session(session);
-            let token = core.next_token;
-            core.next_token += 1;
-            core.tokens.insert(device, token);
+            let token = core.draw_token();
+            core.fleet.insert_session(DeviceId(token), session);
             core.sessions.insert(
                 token,
                 Session {
-                    device,
                     model_id,
                     link: Link::Attached(state.route),
                     expected_seq: 0,
@@ -1148,7 +1144,6 @@ pub(crate) fn handle_frame(
             let core = &mut *core;
             // A plain `Hello` session's token is no resume capability.
             let Some(Session {
-                device,
                 link,
                 expected_seq,
                 tail: Some(tail),
@@ -1173,14 +1168,14 @@ pub(crate) fn handle_frame(
             // Attached before the replay: a later drain's events follow
             // the replayed ones in order.
             *link = Link::Attached(state.route);
-            let dev = *device;
             // The budget enforcer may have cold-parked the session
             // while the client was away; revive it now so the first
             // chunk after the resume is not taxed with the thaw. A
             // failure stays parked — push_chunk retries lazily and
             // answers Busy until the spill record is readable.
-            if core.fleet.is_parked(dev) {
-                let _ = core.fleet.thaw(dev);
+            let key = DeviceId(token);
+            if core.fleet.is_parked(key) {
+                let _ = core.fleet.thaw(key);
             }
             send(
                 out,
@@ -1201,7 +1196,7 @@ pub(crate) fn handle_frame(
             shared.counters.events_replayed.add(replayed);
             if let Some(o) = eddie_obs::global() {
                 o.journal().record(JournalEvent::SessionResumed {
-                    device: dev.index() as u64,
+                    device: token,
                     replayed,
                 });
             }
@@ -1219,7 +1214,7 @@ pub(crate) fn handle_frame(
                 Timer::start(eddie_obs::enabled().then(|| shared.counters.ingest_lag_ns.as_ref()));
             let mut core = shared.core.lock().expect("core lock");
             let core = &mut *core;
-            let Some(s) = state.session(&mut core.sessions) else {
+            let Some((key, s)) = state.session(&mut core.sessions) else {
                 // Gone, typically migrated: counted as busy so the
                 // chunk ledger stays conserved. The connection stays
                 // open so every pipelined chunk still in flight is read
@@ -1246,7 +1241,7 @@ pub(crate) fn handle_frame(
                 shared.counters.chunks_busy.inc();
                 send(out, &Frame::Busy { seq });
             } else {
-                match core.fleet.push_chunk(s.device, samples) {
+                match core.fleet.push_chunk(key, samples) {
                     PushResult::Accepted => {
                         s.expected_seq += 1;
                         shared.counters.chunks_accepted.inc();
@@ -1343,7 +1338,7 @@ fn persist_session(state: &ConnState, shared: &Shared, config: &ServerConfig) ->
     let path = config.snapshot_path.as_ref()?;
     let (cursor, sessions) = {
         let mut core = shared.core.lock().expect("core lock");
-        let cursor = state.session(&mut core.sessions)?.expected_seq;
+        let cursor = state.session(&mut core.sessions)?.1.expected_seq;
         (cursor, collect_persisted(&mut core))
     };
     write_snapshot_with_faults(path, &sessions, shared, config).then_some(cursor)
@@ -1492,7 +1487,7 @@ mod tests {
         let _ = session.push(&vec![0.25; 600]);
         let snapshot = session.snapshot();
         let sessions = vec![PersistedSession {
-            device: 3,
+            token: 3,
             model_id: "bitcount".to_string(),
             snapshot: snapshot.clone(),
         }];
@@ -1500,7 +1495,7 @@ mod tests {
         persist_sessions(&path, &sessions).expect("write snapshot");
         let loaded = load_snapshot(&path).expect("load snapshot");
         assert_eq!(loaded.sessions.len(), 1);
-        assert_eq!(loaded.sessions[0].device, 3);
+        assert_eq!(loaded.sessions[0].token, 3);
         assert_eq!(loaded.sessions[0].model_id, "bitcount");
         assert_eq!(
             loaded.sessions[0].snapshot.to_bytes(),
@@ -1530,7 +1525,7 @@ mod tests {
         sessions.insert(
             1,
             PersistedSession {
-                device: 2,
+                token: 2,
                 model_id: "bitcount".to_string(),
                 snapshot: session.snapshot(),
             },
@@ -1540,7 +1535,7 @@ mod tests {
         let loaded = load_snapshot(&path).expect("a NaN-fed session must not poison the file");
         assert_eq!(loaded.sessions.len(), sessions.len());
         for (got, want) in loaded.sessions.iter().zip(&sessions) {
-            assert_eq!(got.device, want.device);
+            assert_eq!(got.token, want.token);
             assert_eq!(got.snapshot.to_bytes(), want.snapshot.to_bytes());
         }
 

@@ -2,7 +2,7 @@
 //! cold-parked ones included, as one `eddie-codec` value.
 //!
 //! ```text
-//! eddie-snap v4\n
+//! eddie-snap v5\n
 //! <eddie_codec::to_bytes(&SnapshotFile)>
 //! ```
 //!
@@ -20,7 +20,7 @@ use std::path::Path;
 use eddie_codec::Encode;
 use eddie_stream::SessionSnapshot;
 
-const MAGIC: &[u8] = b"eddie-snap v4\n";
+const MAGIC: &[u8] = b"eddie-snap v5\n";
 
 /// One session's persisted runtime state inside a snapshot file. The
 /// model itself is not embedded — it rides separately via
@@ -28,8 +28,9 @@ const MAGIC: &[u8] = b"eddie-snap v4\n";
 /// exactly as live migrations do.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PersistedSession {
-    /// The device's fleet index at snapshot time.
-    pub device: usize,
+    /// The session's token: its key on the server that wrote the file,
+    /// and the one its client resumes with.
+    pub token: u64,
     /// Which hosted model the session monitors against.
     pub model_id: String,
     /// The session's complete runtime state.
@@ -37,7 +38,7 @@ pub struct PersistedSession {
 }
 
 eddie_codec::codec_struct!(PersistedSession {
-    device,
+    token,
     model_id,
     snapshot
 });
@@ -65,7 +66,7 @@ eddie_codec::codec_struct!(SnapshotFile {
 /// # Errors
 ///
 /// I/O errors reading the file, or [`io::ErrorKind::InvalidData`] when
-/// it is not one complete `eddie-snap v4` file.
+/// it is not one complete `eddie-snap v5` file.
 pub fn load_snapshot(path: &Path) -> io::Result<SnapshotFile> {
     parse(&std::fs::read(path)?)
 }
@@ -113,7 +114,7 @@ fn parse(bytes: &[u8]) -> io::Result<SnapshotFile> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let value = bytes
         .strip_prefix(MAGIC)
-        .ok_or_else(|| invalid("not an eddie-snap v4 file".to_string()))?;
+        .ok_or_else(|| invalid("not an eddie-snap v5 file".to_string()))?;
     eddie_codec::from_bytes(value).map_err(|e| invalid(format!("snapshot file: {e}")))
 }
 
@@ -157,16 +158,16 @@ pub(crate) mod tests {
         )
     }
 
-    /// One live session's snapshot per device index, all on the tiny
-    /// model, each having seen a different amount of signal.
-    pub(crate) fn persisted(devices: &[usize]) -> Vec<PersistedSession> {
-        devices
+    /// One live session's snapshot per token, all on the tiny model,
+    /// each having seen a different amount of signal.
+    pub(crate) fn persisted(tokens: &[u64]) -> Vec<PersistedSession> {
+        tokens
             .iter()
-            .map(|&device| {
+            .map(|&token| {
                 let mut session = eddie_stream::MonitorSession::new(tiny_model(), 1000.0).unwrap();
-                let _ = session.push(&vec![0.25; 300 + 100 * device]);
+                let _ = session.push(&vec![0.25; 300 + 100 * token as usize]);
                 PersistedSession {
-                    device,
+                    token,
                     model_id: "bitcount".to_string(),
                     snapshot: session.snapshot(),
                 }
@@ -254,13 +255,23 @@ pub(crate) mod tests {
         assert_invalid(parse(b""), "an empty file");
     }
 
-    /// An `eddie-snap v3` file (text records and an `end` trailer) is
-    /// refused, not mis-decoded.
+    /// Files of older versions are refused, not mis-decoded: an
+    /// `eddie-snap v3` file (text records and an `end` trailer), and an
+    /// `eddie-snap v4` file, whose sessions are keyed by fleet slot.
     #[test]
     fn older_version_is_refused() {
-        let (dir, path) = scratch("v3");
+        let (dir, path) = scratch("old");
         std::fs::write(&path, b"eddie-snap v3\nseq 0\nend 0\n").unwrap();
         assert_invalid(load_snapshot(&path), "an eddie-snap v3 file");
+        let mut v4 = b"eddie-snap v4\n".to_vec();
+        v4.extend_from_slice(
+            &render(&SnapshotFile {
+                journal_seq: 0,
+                sessions: persisted(&[1]),
+            })[MAGIC.len()..],
+        );
+        std::fs::write(&path, &v4).unwrap();
+        assert_invalid(load_snapshot(&path), "an eddie-snap v4 file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -21,7 +21,7 @@
 //!   park/thaw latency histograms in a registry of its own, which the
 //!   serve `Stats` frame renders for the store behind the server's
 //!   fleet. Residency is the fleet's to know: it sets the resident,
-//!   parked and resident-byte gauges from its slot table when it
+//!   parked and resident-byte gauges from its session table when it
 //!   renders or snapshots the books, and the conservation law
 //!   `resident + parked == added − evicted` checks them against the
 //!   counted events.

@@ -8,16 +8,16 @@
 //! <payload bytes><payload bytes>...
 //! ```
 //!
-//! Nothing in the file names a slot: the in-memory index holds each
-//! live slot's offset and length, so a record is read back only by the
+//! Nothing in the file names a session: the in-memory index holds each
+//! live key's offset and length, so a record is read back only by the
 //! process that wrote it, and [`SpillLog::open`] starts the file empty.
-//! Sessions outlive the process through serve's snapshot files, which
-//! carry parked sessions too. Parks only ever *append*; a slot's
-//! previous record, and the record a thaw or an eviction retires,
-//! become dead weight in place without a write. When a park takes the
-//! dead fraction across the configured ratio (and the file is big
-//! enough to care), the log compacts: live records are rewritten
-//! slot-ordered to a temp file which atomically replaces the log.
+//! Serve's snapshot files carry parked sessions too. Parks only ever
+//! *append*; a key's previous record, and the record a thaw or an
+//! eviction retires, become dead weight in place without a write. When
+//! a park takes the dead fraction across the configured ratio (and the
+//! file is big enough to care), the log compacts: live records are
+//! rewritten in key order to a temp file which atomically replaces the
+//! log.
 //!
 //! Durability stance: the log is an overflow tier for *resident* state,
 //! not a write-ahead log — records are flushed but not fsynced.
@@ -38,7 +38,7 @@ struct Record {
     len: u64,
 }
 
-/// Append-only spill file with an in-memory slot index and
+/// Append-only spill file with an in-memory key index and
 /// threshold-triggered compaction.
 #[derive(Debug)]
 pub(crate) struct SpillLog {
@@ -105,14 +105,14 @@ impl SpillLog {
         })
     }
 
-    /// Appends `payload` as `slot`'s record, superseding any previous
+    /// Appends `payload` as `key`'s record, superseding any previous
     /// one, then compacts if the dead fraction calls for it.
     ///
     /// # Errors
     ///
     /// [`ErrorKind::Io`] on write failure; the in-memory index is only
     /// updated after the bytes are fully written.
-    pub(crate) fn append(&mut self, slot: u64, payload: &[u8]) -> Result<(), Error> {
+    pub(crate) fn append(&mut self, key: u64, payload: &[u8]) -> Result<(), Error> {
         self.file
             .write_all(payload)
             .map_err(|e| io_err("append park record", e))?;
@@ -121,32 +121,32 @@ impl SpillLog {
             at: self.file_bytes,
             len,
         };
-        if let Some(old) = self.index.insert(slot, record) {
+        if let Some(old) = self.index.insert(key, record) {
             self.dead_bytes += old.len;
         }
         self.file_bytes += len;
         self.maybe_compact()
     }
 
-    /// Retires `slot`'s record, if it has one. Writes nothing: the
+    /// Retires `key`'s record, if it has one. Writes nothing: the
     /// bytes stay in the file as dead weight until a compaction.
     /// Returns whether a record was retired.
-    pub(crate) fn remove(&mut self, slot: u64) -> bool {
-        let Some(old) = self.index.remove(&slot) else {
+    pub(crate) fn remove(&mut self, key: u64) -> bool {
+        let Some(old) = self.index.remove(&key) else {
             return false;
         };
         self.dead_bytes += old.len;
         true
     }
 
-    /// Reads the live payload for `slot`, or `None` when it is not
+    /// Reads the live payload for `key`, or `None` when it is not
     /// parked here.
     ///
     /// # Errors
     ///
     /// [`ErrorKind::Io`] on read failure.
-    pub(crate) fn read(&mut self, slot: u64) -> Result<Option<Vec<u8>>, Error> {
-        let Some(record) = self.index.get(&slot).copied() else {
+    pub(crate) fn read(&mut self, key: u64) -> Result<Option<Vec<u8>>, Error> {
+        let Some(record) = self.index.get(&key).copied() else {
             return Ok(None);
         };
         self.file
@@ -159,9 +159,9 @@ impl SpillLog {
         Ok(Some(payload))
     }
 
-    /// Whether `slot` has a live record.
-    pub(crate) fn contains(&self, slot: u64) -> bool {
-        self.index.contains_key(&slot)
+    /// Whether `key` has a live record.
+    pub(crate) fn contains(&self, key: u64) -> bool {
+        self.index.contains_key(&key)
     }
 
     /// Current on-disk size of the log, header included.
@@ -183,26 +183,26 @@ impl SpillLog {
         Ok(())
     }
 
-    /// Rewrites the log with live records only (slot order) and
+    /// Rewrites the log with live records only (key order) and
     /// atomically replaces the file. The original log is untouched
     /// until the final rename.
     fn compact(&mut self) -> Result<(), Error> {
-        let mut slots: Vec<u64> = self.index.keys().copied().collect();
-        slots.sort_unstable();
+        let mut keys: Vec<u64> = self.index.keys().copied().collect();
+        keys.sort_unstable();
         let tmp = self.path.with_extension("tmp");
         let mut out = File::create(&tmp).map_err(|e| io_err("create compaction temp", e))?;
         out.write_all(HEADER)
             .map_err(|e| io_err("write compacted header", e))?;
-        let mut index = HashMap::with_capacity(slots.len());
+        let mut index = HashMap::with_capacity(keys.len());
         let mut at = HEADER.len() as u64;
-        for slot in slots {
+        for key in keys {
             let payload = self
-                .read(slot)?
-                .expect("indexed slot must read back during compaction");
+                .read(key)?
+                .expect("indexed key must read back during compaction");
             out.write_all(&payload)
                 .map_err(|e| io_err("write compacted record", e))?;
             let len = payload.len() as u64;
-            index.insert(slot, Record { at, len });
+            index.insert(key, Record { at, len });
             at += len;
         }
         drop(out);
@@ -323,14 +323,14 @@ mod tests {
         // Tiny min size + 1% ratio: compaction triggers aggressively.
         let mut log = SpillLog::open(&path, 1, 1).unwrap();
         for round in 0..10u8 {
-            for slot in 0..5u64 {
-                log.append(slot, &[round; 64]).unwrap();
+            for key in 0..5u64 {
+                log.append(key, &[round; 64]).unwrap();
             }
         }
         assert!(log.compactions() > 0, "threshold compaction must fire");
         assert_eq!(log.index.len(), 5);
-        for slot in 0..5u64 {
-            assert_eq!(log.read(slot).unwrap().as_deref(), Some(&[9u8; 64][..]));
+        for key in 0..5u64 {
+            assert_eq!(log.read(key).unwrap().as_deref(), Some(&[9u8; 64][..]));
         }
         // The file holds only the live records.
         assert_eq!(log.dead_bytes, 0);

@@ -2,7 +2,8 @@
 //! behind one handle.
 //!
 //! The store deliberately sits *below* the session layer: it parks and
-//! thaws opaque serialized payloads keyed by device slot, and never
+//! thaws opaque serialized payloads keyed by the owner's session key
+//! (the fleet's `DeviceId`, a server session's token), and never
 //! deserialises them itself. That keeps the dependency arrow pointing
 //! the right way (`eddie-stream` depends on `eddie-store`, not the
 //! reverse) and means the store can spill anything the owner can
@@ -11,7 +12,7 @@
 //!
 //! Ledger discipline: every event goes through exactly one
 //! `note_*`/`park`/`confirm_thaw` call, which counts it; the fleet sets
-//! residency from its slot table ([`MemoryBudget::set_residency`]), and
+//! residency from its session table ([`MemoryBudget::set_residency`]), and
 //! `resident + parked == added − evicted` checks the two. Thaw is
 //! two-phase — [`read_parked`](SessionStore::read_parked) then
 //! [`confirm_thaw`](SessionStore::confirm_thaw) — so a payload that
@@ -100,23 +101,23 @@ impl SessionStore {
         self.ledger.on_add();
     }
 
-    /// The session at `slot` left the store for good (device eviction).
-    /// Works on both resident and parked sessions; a parked one's spill
-    /// record is retired.
-    pub fn note_evicted(&mut self, slot: u64) {
-        self.spill.remove(slot);
+    /// The session under `key` left the store for good (device
+    /// eviction). Works on both resident and parked sessions; a parked
+    /// one's spill record is retired unread.
+    pub fn note_evicted(&mut self, key: u64) {
+        self.spill.remove(key);
         self.ledger.on_evict();
     }
 
-    /// Parks the session at `slot`: appends `payload` to the spill log
-    /// and flips the ledger. On error the session is still resident and
+    /// Parks the session under `key`: appends `payload` to the spill
+    /// log and flips the ledger. On error the session is still resident and
     /// the ledger unchanged (the failure is counted).
     ///
     /// # Errors
     ///
     /// I/O errors appending to the spill log.
-    pub fn park(&mut self, slot: u64, payload: &[u8]) -> Result<(), Error> {
-        match self.spill.append(slot, payload) {
+    pub fn park(&mut self, key: u64, payload: &[u8]) -> Result<(), Error> {
+        match self.spill.append(key, payload) {
             Ok(()) => {
                 self.ledger.on_park();
                 self.sync_spill_gauges();
@@ -131,13 +132,13 @@ impl SessionStore {
     }
 
     /// Phase one of a thaw: reads the parked payload without changing
-    /// any state. Returns `None` when `slot` is not parked.
+    /// any state. Returns `None` when `key` is not parked.
     ///
     /// # Errors
     ///
     /// I/O errors reading the spill log (counted as a thaw failure).
-    pub fn read_parked(&mut self, slot: u64) -> Result<Option<Vec<u8>>, Error> {
-        match self.spill.read(slot) {
+    pub fn read_parked(&mut self, key: u64) -> Result<Option<Vec<u8>>, Error> {
+        match self.spill.read(key) {
             Ok(p) => Ok(p),
             Err(e) => {
                 self.ledger.on_thaw_failure();
@@ -149,9 +150,9 @@ impl SessionStore {
     /// Phase two of a thaw, after the payload deserialized and the
     /// session is resident again: retires the spill record and counts
     /// the thaw.
-    pub fn confirm_thaw(&mut self, slot: u64) {
+    pub fn confirm_thaw(&mut self, key: u64) {
         self.ledger.on_thaw();
-        self.spill.remove(slot);
+        self.spill.remove(key);
     }
 
     /// The owner's thaw attempt failed after
@@ -161,9 +162,9 @@ impl SessionStore {
         self.ledger.on_thaw_failure();
     }
 
-    /// Whether `slot` currently has a parked payload.
-    pub fn is_parked(&self, slot: u64) -> bool {
-        self.spill.contains(slot)
+    /// Whether `key` currently has a parked payload.
+    pub fn is_parked(&self, key: u64) -> bool {
+        self.spill.contains(key)
     }
 
     fn sync_spill_gauges(&mut self) {

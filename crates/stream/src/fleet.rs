@@ -1,4 +1,4 @@
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -9,22 +9,13 @@ use eddie_store::SessionStore;
 
 use crate::{MonitorSession, SessionSnapshot, StreamEvent};
 
-/// Handle to one session inside a [`Fleet`]. Ids are dense slot
-/// indices: live devices never shift, so the ids [`Fleet::drain`]
-/// returns are stable for as long as the device is registered. An
-/// evicted device's slot is *reused* by a later registration (lowest
-/// vacated index first), so churn — e.g. repeated migrate-out /
-/// migrate-in of cluster sessions — does not grow the slot table; a
-/// `DeviceId` is therefore only valid until its device is evicted.
+/// The key of one session inside a [`Fleet`]: chosen by the caller of
+/// [`Fleet::insert_session`] (a server passes its session token), or
+/// drawn by [`Fleet::add_session`]. Drains, [`Fleet::stats`] rows,
+/// journal records and the store's spill entries all name a session by
+/// this key, in key order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct DeviceId(usize);
-
-impl DeviceId {
-    /// The dense index of this device (registration order).
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
+pub struct DeviceId(pub u64);
 
 /// Ingress bounds of a [`Fleet`]: how much signal a device may queue
 /// between drains before [`Fleet::push_chunk`] starts refusing chunks.
@@ -151,10 +142,10 @@ pub struct DeviceStats {
 pub struct FleetStats {
     /// One row per *live* device, in [`DeviceId`] order.
     pub devices: Vec<DeviceStats>,
-    /// Devices currently registered (live slots).
+    /// Devices currently registered.
     pub active_sessions: usize,
-    /// Slot-table size: the high-water mark of concurrently registered
-    /// devices (vacated slots are reused by later registrations).
+    /// Sessions registered over the fleet's lifetime, evicted ones
+    /// included.
     pub total_registered: usize,
     /// Queued chunks across all live devices.
     pub queued_chunks: usize,
@@ -180,7 +171,6 @@ pub struct FleetStats {
 struct ParkedMeta {
     model: Arc<TrainedModel>,
     windows_observed: usize,
-    samples_seen: usize,
     current_region: RegionId,
     alarm: bool,
 }
@@ -217,13 +207,6 @@ impl Device {
         }
     }
 
-    fn samples_seen(&self) -> usize {
-        match &self.state {
-            SessionState::Resident(s) => s.samples_seen(),
-            SessionState::Parked(m) => m.samples_seen,
-        }
-    }
-
     fn alarm(&self) -> bool {
         match &self.state {
             SessionState::Resident(s) => s.alarm(),
@@ -246,22 +229,19 @@ impl Device {
 ///   ([`eddie_exec::par_map_mut`]); idle devices cost nothing.
 ///
 /// Each device's chunks are processed in arrival order by exactly one
-/// worker per drain, and results are collected in device order, so the
+/// worker per drain, and results are collected in key order, so the
 /// emitted events are byte-identical for every `EDDIE_THREADS` value —
 /// the same determinism contract as the batch pipeline.
 ///
-/// Long-lived services additionally need devices to *leave*:
+/// Sessions are kept by their [`DeviceId`] key. Long-lived services
+/// additionally need devices to *leave*:
 /// [`remove_session`](Fleet::remove_session) evicts a disconnected
-/// device (its queued chunks are discarded, its slot vacated for the
-/// next registration to reuse), and [`stats`](Fleet::stats) reports
-/// per-device load plus the cumulative shed counts that explicit
-/// backpressure produces.
+/// device (its queued chunks are discarded), and
+/// [`stats`](Fleet::stats) reports per-device load plus the cumulative
+/// shed counts that explicit backpressure produces.
 #[derive(Debug)]
 pub struct Fleet {
-    devices: Vec<Option<Device>>,
-    /// Vacated slot indices, kept sorted descending so `pop` hands the
-    /// lowest index to the next registration.
-    free_slots: Vec<usize>,
+    devices: BTreeMap<DeviceId, Device>,
     config: FleetConfig,
     /// The fleet's `eddie_stream_*` books, kept whether or not
     /// observability is installed: the fleet owns them, `stats()`
@@ -283,6 +263,8 @@ pub struct Fleet {
     /// Logical clock driving the LRU: bumped once per accepted chunk
     /// and per registration.
     tick: u64,
+    /// Sessions registered over the fleet's lifetime.
+    registered: u64,
 }
 
 impl Fleet {
@@ -302,8 +284,7 @@ impl Fleet {
     fn build(config: FleetConfig, store: Option<SessionStore>) -> Fleet {
         let registry = Registry::new();
         Fleet {
-            devices: Vec::new(),
-            free_slots: Vec::new(),
+            devices: BTreeMap::new(),
             config,
             shed_chunks: registry.counter("eddie_stream_chunks_shed_total"),
             shed_samples: registry.counter("eddie_stream_samples_shed_total"),
@@ -314,22 +295,30 @@ impl Fleet {
             registry,
             store,
             tick: 0,
+            registered: 0,
         }
     }
 
-    /// Registers a session and returns its device handle, reusing the
-    /// lowest vacated slot if an earlier device was evicted.
-    pub fn add_session(&mut self, session: MonitorSession) -> DeviceId {
-        let index = self.free_slots.pop().unwrap_or(self.devices.len());
+    /// Registers `session` under the caller's key `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a live session already holds `id`.
+    pub fn insert_session(&mut self, id: DeviceId, session: MonitorSession) {
+        assert!(
+            !self.devices.contains_key(&id),
+            "device {} is already registered",
+            id.0
+        );
         if let Some(store) = &self.store {
             store.note_added();
         }
         if let Some(o) = eddie_obs::global() {
-            o.journal().record(JournalEvent::SessionRegistered {
-                device: index as u64,
-            });
+            o.journal()
+                .record(JournalEvent::SessionRegistered { device: id.0 });
         }
         self.tick += 1;
+        self.registered += 1;
         let device = Device {
             state: SessionState::Resident(Box::new(session)),
             queue: VecDeque::new(),
@@ -338,65 +327,42 @@ impl Fleet {
             shed_samples: 0,
             last_active: self.tick,
         };
-        if index == self.devices.len() {
-            self.devices.push(Some(device));
-        } else {
-            self.devices[index] = Some(device);
-        }
-        DeviceId(index)
+        self.devices.insert(id, device);
     }
 
-    /// Evicts `device`, returning its session (for a final snapshot)
-    /// or `None` if it was already removed. Queued chunks are
-    /// discarded; the device's shed counts remain in the fleet-wide
-    /// totals of [`stats`](Fleet::stats). Ids of other devices do not
-    /// shift; the vacated slot is reused by a later registration, so
-    /// churn does not grow the slot table.
-    ///
-    /// A cold-parked device is thawed first so the caller still gets
-    /// the session back; if that restore fails the device is evicted
-    /// anyway (its spill record retired, the failure counted in the
-    /// store ledger) and `None` is returned.
+    /// Registers `session` under a key the fleet draws: the lowest key,
+    /// from the number of sessions registered so far up, that no live
+    /// session holds. A fleet fed only here hands out 0, 1, 2, … and
+    /// never reuses a key.
+    pub fn add_session(&mut self, session: MonitorSession) -> DeviceId {
+        let mut id = DeviceId(self.registered);
+        while self.devices.contains_key(&id) {
+            id.0 += 1;
+        }
+        self.insert_session(id, session);
+        id
+    }
+
+    /// Evicts `device`, returning its session when it was resident;
+    /// `None` when it was cold-parked or is not registered. A parked
+    /// session's spill record is retired unread, so an eviction never
+    /// thaws: a caller that wants a parked session's state takes
+    /// [`snapshot_session`](Fleet::snapshot_session) first. Queued
+    /// chunks are discarded; the device's shed counts remain in the
+    /// fleet-wide totals of [`stats`](Fleet::stats).
     pub fn remove_session(&mut self, device: DeviceId) -> Option<MonitorSession> {
-        if self.is_parked(device) {
-            let _ = self.thaw(device);
-        }
-        let removed = self.devices.get_mut(device.0).and_then(Option::take)?;
+        let removed = self.devices.remove(&device)?;
         if let Some(store) = self.store.as_mut() {
-            store.note_evicted(device.0 as u64);
+            store.note_evicted(device.0);
         }
-        self.free_slots.push(device.0);
-        self.free_slots.sort_unstable_by(|a, b| b.cmp(a));
         if let Some(o) = eddie_obs::global() {
-            o.journal().record(JournalEvent::SessionEvicted {
-                device: device.0 as u64,
-            });
+            o.journal()
+                .record(JournalEvent::SessionEvicted { device: device.0 });
         }
         match removed.state {
             SessionState::Resident(s) => Some(*s),
             SessionState::Parked(_) => None,
         }
-    }
-
-    /// Whether `device` is currently registered (not evicted).
-    pub fn contains(&self, device: DeviceId) -> bool {
-        matches!(self.devices.get(device.0), Some(Some(_)))
-    }
-
-    /// Number of live (non-evicted) devices.
-    pub fn len(&self) -> usize {
-        self.devices.iter().filter(|d| d.is_some()).count()
-    }
-
-    /// Whether the fleet has no live devices.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Size of the slot table — the high-water mark of concurrently
-    /// registered devices (vacated slots are reused, not dropped).
-    pub fn registered(&self) -> usize {
-        self.devices.len()
     }
 
     /// The session of `device`, for inspection (alarm state, window
@@ -407,7 +373,6 @@ impl Fleet {
     /// Panics if `device` was never registered, has been evicted, or is
     /// currently cold-parked. Parked-tolerant callers should use
     /// [`windows_observed`](Fleet::windows_observed) /
-    /// [`alarm`](Fleet::alarm) /
     /// [`snapshot_session`](Fleet::snapshot_session), or
     /// [`thaw`](Fleet::thaw) first.
     pub fn session(&self, device: DeviceId) -> &MonitorSession {
@@ -439,24 +404,25 @@ impl Fleet {
 
     /// Queued (undrained) chunks across all live devices.
     pub fn total_pending_chunks(&self) -> usize {
-        self.live().map(|(_, d)| d.queue.len()).sum()
+        self.devices.values().map(|d| d.queue.len()).sum()
     }
 
     /// A point-in-time load snapshot: per-device queue depths and
     /// session progress, plus the cumulative accepted/shed counts.
     pub fn stats(&self) -> FleetStats {
         let mut out = FleetStats::default();
-        out.devices.extend(self.live().map(|(i, d)| DeviceStats {
-            device: DeviceId(i),
-            queued_chunks: d.queue.len(),
-            queued_samples: d.queued_samples,
-            shed_chunks: d.shed_chunks,
-            shed_samples: d.shed_samples,
-            windows_observed: d.windows_observed(),
-            alarm: d.alarm(),
-        }));
+        out.devices
+            .extend(self.devices.iter().map(|(&device, d)| DeviceStats {
+                device,
+                queued_chunks: d.queue.len(),
+                queued_samples: d.queued_samples,
+                shed_chunks: d.shed_chunks,
+                shed_samples: d.shed_samples,
+                windows_observed: d.windows_observed(),
+                alarm: d.alarm(),
+            }));
         out.active_sessions = out.devices.len();
-        out.total_registered = self.devices.len();
+        out.total_registered = self.registered as usize;
         out.queued_chunks = out.devices.iter().map(|d| d.queued_chunks).sum();
         out.queued_samples = out.devices.iter().map(|d| d.queued_samples).sum();
         out.accepted_chunks = self.accepted_chunks.value();
@@ -469,7 +435,7 @@ impl Fleet {
     /// The fleet's `eddie_stream_*` metrics in the Prometheus text
     /// format, followed by the attached store's `eddie_store_*` ledger.
     /// The queue-depth, session and residency gauges are read from the
-    /// slot table here, at scrape time, so pushes, drains, parks and
+    /// session table here, at scrape time, so pushes, drains, parks and
     /// evictions do not pay to keep them current.
     pub fn render_metrics(&self) -> String {
         let stats = self.stats();
@@ -488,12 +454,12 @@ impl Fleet {
         text
     }
 
-    /// Sets the store ledger's residency gauges from the slot table:
-    /// resident and parked sessions, and the resident ones' estimated
-    /// bytes.
+    /// Sets the store ledger's residency gauges from the session
+    /// table: resident and parked sessions, and the resident ones'
+    /// estimated bytes.
     fn set_residency(&self, store: &SessionStore) {
         let (mut resident, mut parked, mut bytes) = (0u64, 0u64, 0u64);
-        for (_, d) in self.live() {
+        for d in self.devices.values() {
             match &d.state {
                 SessionState::Resident(s) => {
                     resident += 1;
@@ -503,18 +469,6 @@ impl Fleet {
             }
         }
         store.ledger().set_residency(resident, parked, bytes);
-    }
-
-    /// Live *resident* sessions in [`DeviceId`] order, without building
-    /// [`DeviceStats`] rows — for callers (e.g. snapshot persistence)
-    /// that only need the sessions themselves. Cold-parked devices are
-    /// skipped; use [`snapshot_session`](Fleet::snapshot_session) over
-    /// [`live_devices`](Fleet::live_devices) to cover them too.
-    pub fn sessions(&self) -> impl Iterator<Item = (DeviceId, &MonitorSession)> {
-        self.live().filter_map(|(i, d)| match &d.state {
-            SessionState::Resident(s) => Some((DeviceId(i), &**s)),
-            SessionState::Parked(_) => None,
-        })
     }
 
     /// Offers a signal chunk to `device`'s ingress queue.
@@ -538,20 +492,14 @@ impl Fleet {
     /// Panics if `device` was never registered or has been evicted.
     pub fn push_chunk(&mut self, device: DeviceId, chunk: Vec<f32>) -> PushResult {
         let bounds = self.config;
-        {
-            let d = self.devices[device.0]
-                .as_mut()
-                .expect("device has been evicted from the fleet");
-            if chunk.is_empty() {
-                return PushResult::Accepted;
-            }
-            if matches!(d.state, SessionState::Parked(_)) && self.thaw(device).is_err() {
-                return PushResult::Full;
-            }
+        let parked = matches!(self.device(device).state, SessionState::Parked(_));
+        if chunk.is_empty() {
+            return PushResult::Accepted;
         }
-        let d = self.devices[device.0]
-            .as_mut()
-            .expect("device has been evicted from the fleet");
+        if parked && self.thaw(device).is_err() {
+            return PushResult::Full;
+        }
+        let d = self.devices.get_mut(&device).expect("looked up above");
         if d.queue.len() >= bounds.max_pending_chunks
             || d.queued_samples + chunk.len() > bounds.max_pending_samples
         {
@@ -561,7 +509,7 @@ impl Fleet {
             self.shed_samples.add(chunk.len() as u64);
             if let Some(o) = eddie_obs::global() {
                 o.journal().record(JournalEvent::ChunkShed {
-                    device: device.0 as u64,
+                    device: device.0,
                     samples: chunk.len() as u64,
                 });
             }
@@ -578,24 +526,23 @@ impl Fleet {
 
     /// Processes every queued chunk, sharding the devices that have
     /// queued chunks across the worker pool; idle and parked devices
-    /// are not visited. Returns, in device order, each such device with
+    /// are not visited. Returns, in key order, each such device with
     /// the events it emitted (empty when its chunks completed no
     /// window). A drain with nothing queued returns an empty vector.
     pub fn drain(&mut self) -> Vec<(DeviceId, Vec<StreamEvent>)> {
         let span = Timer::start(eddie_obs::enabled().then_some(self.drain_ns.as_ref()));
-        let mut ready: Vec<(usize, &mut Device)> = self
+        let mut ready: Vec<(DeviceId, &mut Device)> = self
             .devices
             .iter_mut()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_mut().map(|d| (i, d)))
             .filter(|(_, d)| !d.queue.is_empty())
+            .map(|(&id, d)| (id, d))
             .collect();
-        let drained = eddie_exec::par_map_mut(&mut ready, |_, (i, d)| {
+        let drained = eddie_exec::par_map_mut(&mut ready, |_, (id, d)| {
             let session = match &mut d.state {
                 SessionState::Resident(s) => s,
                 // Parking requires an empty queue and pushes thaw
                 // first, so a parked device has nothing to process.
-                SessionState::Parked(m) => return (*i, m.current_region, Vec::new()),
+                SessionState::Parked(m) => return (*id, m.current_region, Vec::new()),
             };
             let pre_region = session.current_region();
             let mut events = Vec::new();
@@ -603,19 +550,19 @@ impl Fleet {
                 d.queued_samples -= chunk.len();
                 events.extend(session.push(&chunk));
             }
-            (*i, pre_region, events)
+            (*id, pre_region, events)
         });
         let mut out = Vec::with_capacity(drained.len());
-        for (i, pre_region, events) in drained {
-            // Journal after the parallel section, in device order, so
-            // the record sequence is identical for every worker count.
+        for (id, pre_region, events) in drained {
+            // Journal after the parallel section, in key order, so the
+            // record sequence is identical for every worker count.
             if let Some(o) = eddie_obs::global() {
                 let journal = o.journal();
                 let mut tracked = pre_region;
                 for ev in &events {
                     if let MonitorEvent::RegionChange(to) = ev.event {
                         journal.record(JournalEvent::RegionTransition {
-                            device: i as u64,
+                            device: id.0,
                             window: ev.window as u64,
                             from: u64::from(tracked.index()),
                             to: u64::from(to.index()),
@@ -623,14 +570,14 @@ impl Fleet {
                     }
                     if ev.event == MonitorEvent::Anomaly {
                         journal.record(JournalEvent::AnomalyRaised {
-                            device: i as u64,
+                            device: id.0,
                             window: ev.window as u64,
                         });
                     }
                     tracked = ev.tracked;
                 }
             }
-            out.push((DeviceId(i), events));
+            out.push((id, events));
         }
         self.events_emitted
             .add(out.iter().map(|(_, e)| e.len() as u64).sum());
@@ -643,7 +590,7 @@ impl Fleet {
     /// session state lives in the store's spill log).
     pub fn is_parked(&self, device: DeviceId) -> bool {
         matches!(
-            self.devices.get(device.0).and_then(Option::as_ref),
+            self.devices.get(&device),
             Some(Device {
                 state: SessionState::Parked(_),
                 ..
@@ -651,48 +598,15 @@ impl Fleet {
         )
     }
 
-    /// Number of currently cold-parked devices.
-    pub fn parked_count(&self) -> usize {
-        self.live()
-            .filter(|(_, d)| matches!(d.state, SessionState::Parked(_)))
-            .count()
-    }
-
     /// STS windows `device`'s session has observed, whether resident or
     /// parked — `None` if the device was never registered or has been
     /// evicted.
     pub fn windows_observed(&self, device: DeviceId) -> Option<usize> {
-        self.devices
-            .get(device.0)
-            .and_then(Option::as_ref)
-            .map(Device::windows_observed)
-    }
-
-    /// Signal samples `device`'s session has consumed, whether resident
-    /// or parked — `None` if never registered or evicted.
-    pub fn samples_seen(&self, device: DeviceId) -> Option<usize> {
-        self.devices
-            .get(device.0)
-            .and_then(Option::as_ref)
-            .map(Device::samples_seen)
-    }
-
-    /// Whether `device`'s alarm is latched, whether resident or parked
-    /// — `None` if never registered or evicted.
-    pub fn alarm(&self, device: DeviceId) -> Option<bool> {
-        self.devices
-            .get(device.0)
-            .and_then(Option::as_ref)
-            .map(Device::alarm)
-    }
-
-    /// Live device ids in order — both resident and parked.
-    pub fn live_devices(&self) -> Vec<DeviceId> {
-        self.live().map(|(i, _)| DeviceId(i)).collect()
+        self.devices.get(&device).map(Device::windows_observed)
     }
 
     /// A point-in-time copy of the store ledger, if a store is
-    /// attached, with its residency read from the slot table — so
+    /// attached, with its residency read from the session table — so
     /// [`conserved`](eddie_store::LedgerSnapshot::conserved) checks the
     /// fleet's sessions against the store's add and evict counts.
     pub fn ledger_snapshot(&self) -> Option<eddie_store::LedgerSnapshot> {
@@ -717,7 +631,7 @@ impl Fleet {
         match &self.device(device).state {
             SessionState::Resident(s) => Ok(s.snapshot()),
             SessionState::Parked(_) => {
-                let payload = self.read_parked_payload(device.0)?;
+                let payload = self.read_parked_payload(device)?;
                 parse_parked_snapshot(&payload)
             }
         }
@@ -737,8 +651,36 @@ impl Fleet {
     ///
     /// Panics if `device` was never registered or has been evicted.
     pub fn park(&mut self, device: DeviceId) -> Result<bool, Error> {
-        let _ = self.device(device);
-        self.park_slot(device.0)
+        let d = self
+            .devices
+            .get_mut(&device)
+            .expect("device has been evicted from the fleet");
+        let Some(store) = self.store.as_mut() else {
+            return Ok(false);
+        };
+        let SessionState::Resident(session) = &d.state else {
+            return Ok(false);
+        };
+        if !d.queue.is_empty() {
+            return Ok(false);
+        }
+        let started = Instant::now();
+        store.park(device.0, &session.snapshot().to_bytes())?;
+        store
+            .ledger()
+            .record_park_ns(started.elapsed().as_nanos() as u64);
+        let meta = ParkedMeta {
+            model: session.model().clone(),
+            windows_observed: session.windows_observed(),
+            current_region: session.current_region(),
+            alarm: session.alarm(),
+        };
+        d.state = SessionState::Parked(meta);
+        if let Some(o) = eddie_obs::global() {
+            o.journal()
+                .record(JournalEvent::SessionColdParked { device: device.0 });
+        }
+        Ok(true)
     }
 
     /// Restores a cold-parked `device` to residency. A no-op `Ok` when
@@ -756,12 +698,11 @@ impl Fleet {
     ///
     /// Panics if `device` was never registered or has been evicted.
     pub fn thaw(&mut self, device: DeviceId) -> Result<(), Error> {
-        let index = device.0;
         if !matches!(self.device(device).state, SessionState::Parked(_)) {
             return Ok(());
         }
         let started = Instant::now();
-        let payload = self.read_parked_payload(index)?;
+        let payload = self.read_parked_payload(device)?;
         let store = self.store.as_mut().expect("parked device implies a store");
         let snapshot = match parse_parked_snapshot(&payload) {
             Ok(s) => s,
@@ -770,7 +711,7 @@ impl Fleet {
                 return Err(e);
             }
         };
-        let d = self.devices[index].as_mut().expect("checked live above");
+        let d = self.devices.get_mut(&device).expect("checked live above");
         let SessionState::Parked(meta) = &d.state else {
             unreachable!("checked parked above");
         };
@@ -782,23 +723,22 @@ impl Fleet {
             }
         };
         d.state = SessionState::Resident(Box::new(session));
-        store.confirm_thaw(index as u64);
+        store.confirm_thaw(device.0);
         store
             .ledger()
             .record_thaw_ns(started.elapsed().as_nanos() as u64);
         if let Some(o) = eddie_obs::global() {
-            o.journal().record(JournalEvent::SessionThawed {
-                device: index as u64,
-            });
+            o.journal()
+                .record(JournalEvent::SessionThawed { device: device.0 });
         }
         Ok(())
     }
 
-    /// Reads and returns the spill payload of the parked device at
-    /// `index`, counting read failures in the ledger.
-    fn read_parked_payload(&mut self, index: usize) -> Result<Vec<u8>, Error> {
+    /// Reads and returns the spill payload of the parked `device`,
+    /// counting read failures in the ledger.
+    fn read_parked_payload(&mut self, device: DeviceId) -> Result<Vec<u8>, Error> {
         let store = self.store.as_mut().expect("parked device implies a store");
-        store.read_parked(index as u64)?.ok_or_else(|| {
+        store.read_parked(device.0)?.ok_or_else(|| {
             Error::new(
                 ErrorKind::CorruptSnapshot,
                 "eddie-stream",
@@ -807,45 +747,10 @@ impl Fleet {
         })
     }
 
-    /// Parks the idle resident device at `index`, if any.
-    fn park_slot(&mut self, index: usize) -> Result<bool, Error> {
-        let Some(store) = self.store.as_mut() else {
-            return Ok(false);
-        };
-        let Some(d) = self.devices.get_mut(index).and_then(Option::as_mut) else {
-            return Ok(false);
-        };
-        let SessionState::Resident(session) = &d.state else {
-            return Ok(false);
-        };
-        if !d.queue.is_empty() {
-            return Ok(false);
-        }
-        let started = Instant::now();
-        store.park(index as u64, &session.snapshot().to_bytes())?;
-        store
-            .ledger()
-            .record_park_ns(started.elapsed().as_nanos() as u64);
-        let meta = ParkedMeta {
-            model: session.model().clone(),
-            windows_observed: session.windows_observed(),
-            samples_seen: session.samples_seen(),
-            current_region: session.current_region(),
-            alarm: session.alarm(),
-        };
-        d.state = SessionState::Parked(meta);
-        if let Some(o) = eddie_obs::global() {
-            o.journal().record(JournalEvent::SessionColdParked {
-                device: index as u64,
-            });
-        }
-        Ok(true)
-    }
-
     /// Parks least-recently active idle devices until the resident
     /// count is inside the store's budget. Runs at the end of every
-    /// drain; with no store attached it is a no-op. Victims are chosen by
-    /// `(last_active, slot)` ascending — a pure function of the
+    /// drain; with no store attached it is a no-op. Victims are chosen
+    /// by `(last_active, key)` ascending — a pure function of the
     /// push/drain sequence, so the park schedule is identical for
     /// every `EDDIE_THREADS` value.
     fn enforce_budget(&mut self) {
@@ -853,15 +758,14 @@ impl Fleet {
             return;
         };
         let mut resident_total = 0usize;
-        // (last_active, slot) of parkable devices: resident with an
+        // (last_active, key) of parkable devices: resident with an
         // empty queue.
-        let mut candidates: Vec<(u64, usize)> = Vec::new();
-        for (i, slot) in self.devices.iter().enumerate() {
-            let Some(d) = slot else { continue };
+        let mut candidates: Vec<(u64, DeviceId)> = Vec::new();
+        for (&id, d) in &self.devices {
             if let SessionState::Resident(_) = &d.state {
                 resident_total += 1;
                 if d.queue.is_empty() {
-                    candidates.push((d.last_active, i));
+                    candidates.push((d.last_active, id));
                 }
             }
         }
@@ -871,26 +775,17 @@ impl Fleet {
         }
         let excess = resident_total - budget;
         candidates.sort_unstable();
-        let victims: Vec<usize> = candidates.iter().take(excess).map(|&(_, i)| i).collect();
-        for index in victims {
+        for &(_, id) in candidates.iter().take(excess) {
             // Best effort: a failed park leaves the session resident
             // and the failure in the ledger; the next drain retries.
-            let _ = self.park_slot(index);
+            let _ = self.park(id);
         }
     }
 
     fn device(&self, device: DeviceId) -> &Device {
         self.devices
-            .get(device.0)
-            .and_then(Option::as_ref)
+            .get(&device)
             .expect("device has been evicted from the fleet")
-    }
-
-    fn live(&self) -> impl Iterator<Item = (usize, &Device)> {
-        self.devices
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|d| (i, d)))
     }
 }
 
@@ -1068,74 +963,83 @@ mod tests {
     }
 
     #[test]
-    fn remove_session_vacates_slot_without_shifting_live_ids() {
+    fn remove_session_leaves_other_devices_untouched() {
         let model = tiny_model();
         let mut fleet = Fleet::new(FleetConfig::default());
         let a = fleet.add_session(session(&model));
         let b = fleet.add_session(session(&model));
         let _ = fleet.push_chunk(b, vec![0.0; 700]);
 
-        // Evict a; b keeps its id and queued work.
+        // Evict a; b keeps its queued work.
         assert!(fleet.remove_session(a).is_some());
-        assert!(!fleet.contains(a));
-        assert!(fleet.contains(b));
-        assert_eq!(fleet.len(), 1);
-        assert_eq!(fleet.registered(), 2);
+        assert_eq!(fleet.windows_observed(a), None);
         assert_eq!(fleet.pending_chunks(b), 1);
 
         // Double eviction is a no-op returning None.
         assert!(fleet.remove_session(a).is_none());
 
-        // The drain visits only the live device with queued work, under
-        // its original id.
+        // The drain visits only the live device with queued work.
         let events = fleet.drain();
         assert_eq!(events.iter().map(|(d, _)| *d).collect::<Vec<_>>(), vec![b]);
 
-        // The next registration reuses the vacated slot, so the slot
-        // table does not grow.
+        // The next registration draws a fresh key: a's is not reused.
         let c = fleet.add_session(session(&model));
-        assert_eq!(c.index(), a.index());
-        assert_eq!(fleet.registered(), 2);
-
-        // Stats reflect the reuse.
+        assert!(c != a && c != b);
         let stats = fleet.stats();
         assert_eq!(stats.active_sessions, 2);
-        assert_eq!(stats.total_registered, 2);
+        assert_eq!(stats.total_registered, 3);
     }
 
-    /// Regression for the cluster-churn pattern: repeated migrate-out /
-    /// migrate-in of a session must reuse the vacated slot rather than
-    /// grow the slot table, so the `stats()` row count stays put.
+    /// Repeated add/remove cycles, as when sessions migrate out and
+    /// back in, leave one `stats()` row per live session, and every
+    /// cycle draws a key not drawn before.
     #[test]
-    fn churn_reuses_slots_and_keeps_stats_row_count_stable() {
+    fn churn_keeps_stats_row_count_stable() {
         let model = tiny_model();
         let mut fleet = Fleet::new(FleetConfig::default());
         let stable = fleet.add_session(session(&model));
-        let rows_before = fleet.stats().devices.len();
+        let mut drawn = std::collections::BTreeSet::from([stable]);
         for _ in 0..100 {
             let dev = fleet.add_session(session(&model));
-            assert_eq!(dev.index(), 1, "the vacated slot is reused every cycle");
+            assert!(drawn.insert(dev), "key {} drawn twice", dev.0);
             let _ = fleet.push_chunk(dev, vec![0.0; 16]);
             assert!(fleet.remove_session(dev).is_some());
         }
-        assert_eq!(
-            fleet.registered(),
-            2,
-            "slot table must not grow under churn"
-        );
         let stats = fleet.stats();
-        assert_eq!(stats.devices.len(), rows_before);
-        assert_eq!(stats.total_registered, 2);
-        assert!(fleet.contains(stable));
+        let rows: Vec<DeviceId> = stats.devices.iter().map(|r| r.device).collect();
+        assert_eq!(rows, [stable], "one row per live session");
+        assert_eq!(stats.total_registered, 101);
         assert!(fleet.drain().is_empty(), "nothing queued survives churn");
+    }
 
-        // Several vacancies hand out the lowest index first.
-        let x = fleet.add_session(session(&model));
-        let y = fleet.add_session(session(&model));
-        let _ = fleet.remove_session(y);
-        let _ = fleet.remove_session(x);
-        let z = fleet.add_session(session(&model));
-        assert_eq!(z.index(), x.index(), "lowest vacated slot is reused first");
+    /// Sessions registered under caller keys drain and report in key
+    /// order, whatever order they were registered in, and a key drawn
+    /// by `add_session` skips the live ones.
+    #[test]
+    fn caller_keys_order_drains_and_stats() {
+        let model = tiny_model();
+        let mut fleet = Fleet::new(FleetConfig::default());
+        let keys = [DeviceId(7), DeviceId(1), DeviceId(4)];
+        for k in keys {
+            fleet.insert_session(k, session(&model));
+            assert_eq!(fleet.push_chunk(k, vec![0.5; 700]), PushResult::Accepted);
+        }
+        let drained: Vec<DeviceId> = fleet.drain().into_iter().map(|(d, _)| d).collect();
+        assert_eq!(drained, [DeviceId(1), DeviceId(4), DeviceId(7)]);
+        let rows: Vec<DeviceId> = fleet.stats().devices.iter().map(|r| r.device).collect();
+        assert_eq!(rows, drained);
+        // Three registered so far: the draw starts at 3 and skips 4.
+        assert_eq!(fleet.add_session(session(&model)), DeviceId(3));
+        assert_eq!(fleet.add_session(session(&model)), DeviceId(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered")]
+    fn insert_session_refuses_a_live_key() {
+        let model = tiny_model();
+        let mut fleet = Fleet::new(FleetConfig::default());
+        fleet.insert_session(DeviceId(9), session(&model));
+        fleet.insert_session(DeviceId(9), session(&model));
     }
 
     #[test]
@@ -1295,7 +1199,6 @@ mod tests {
         let _ = fleet.drain();
         // Four resident, budget two: the two least recently active
         // (lowest push order → devs[0], devs[1]) get parked.
-        assert_eq!(fleet.parked_count(), 2);
         assert!(fleet.is_parked(devs[0]) && fleet.is_parked(devs[1]));
         assert!(!fleet.is_parked(devs[2]) && !fleet.is_parked(devs[3]));
         let ledger = fleet.ledger_snapshot().unwrap();
@@ -1329,28 +1232,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Evicting a cold-parked device retires its spill record unread:
+    /// no thaw is counted and no session comes back.
     #[test]
-    fn remove_session_thaws_parked_devices() {
+    fn remove_session_drops_parked_devices_without_a_thaw() {
         let model = tiny_model();
         let dir = tmpdir("rm");
         let mut fleet = Fleet::with_store(FleetConfig::default(), store_in(&dir, 8));
         let dev = fleet.add_session(session(&model));
         let _ = fleet.push_chunk(dev, vec![0.5; 700]);
         let _ = fleet.drain();
-        let windows = fleet.windows_observed(dev).unwrap();
         assert!(fleet.park(dev).unwrap(), "explicit park of an idle device");
-        assert!(fleet.is_parked(dev));
 
-        let removed = fleet.remove_session(dev).expect("session restored");
-        assert_eq!(removed.windows_observed(), windows);
+        assert!(fleet.remove_session(dev).is_none());
+        assert_eq!(fleet.windows_observed(dev), None);
         let ledger = fleet.ledger_snapshot().unwrap();
         assert!(ledger.conserved());
+        assert_eq!((ledger.parks, ledger.thaws, ledger.evicted), (1, 0, 1));
         assert_eq!(ledger.resident + ledger.parked, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A store reopened on a used spill dir must not hold the earlier
-    /// store's record for slot 0 against the new session there: its
+    /// store's record for key 0 against the new session there: its
     /// eviction is a resident one, and the books come back to zero.
     #[test]
     fn reopened_store_books_evictions_correctly() {
@@ -1363,7 +1267,7 @@ mod tests {
         }
         let mut fleet = Fleet::with_store(FleetConfig::default(), store_in(&dir, 8));
         let dev = fleet.add_session(session(&model));
-        assert_eq!(dev.index(), 0);
+        assert_eq!(dev, DeviceId(0));
         assert!(fleet.remove_session(dev).is_some());
         let ledger = fleet.ledger_snapshot().unwrap();
         assert!(ledger.conserved());
@@ -1388,17 +1292,5 @@ mod tests {
         assert_eq!(live, parked, "parked snapshot equals the live one");
         assert!(fleet.is_parked(dev), "snapshotting must not thaw");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sessions_iterates_live_devices_in_id_order() {
-        let model = tiny_model();
-        let mut fleet = Fleet::new(FleetConfig::default());
-        let a = fleet.add_session(session(&model));
-        let b = fleet.add_session(session(&model));
-        let c = fleet.add_session(session(&model));
-        let _ = fleet.remove_session(b);
-        let ids: Vec<usize> = fleet.sessions().map(|(id, _)| id.index()).collect();
-        assert_eq!(ids, vec![a.index(), c.index()]);
     }
 }

@@ -67,10 +67,10 @@
 //! }
 //!
 //! // Processing side: every device with queued chunks, sharded across
-//! // the pool; each comes back with its events, in device order.
+//! // the pool; each comes back with its events, in key order.
 //! for (device, events) in fleet.drain() {
 //!     for ev in events {
-//!         println!("device {}, window {}: {:?}", device.index(), ev.window, ev.event);
+//!         println!("device {}, window {}: {:?}", device.0, ev.window, ev.event);
 //!     }
 //! }
 //!

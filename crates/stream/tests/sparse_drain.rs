@@ -1,8 +1,8 @@
 //! `Fleet::drain` visits only the devices with queued chunks. With 1024
 //! sessions registered and chunks queued on two, it must return exactly
-//! those two, in device order, with the events and journal records of a
+//! those two, in key order, with the events and journal records of a
 //! dense drain: a twin fleet whose only live devices are the two fed
-//! ones, on the same slots, so every live slot has chunks queued.
+//! ones, under the same keys, so every live device has chunks queued.
 //! Alone in its binary because the journal is process-global.
 
 use std::sync::Arc;

@@ -178,12 +178,12 @@ fn snapshot_file_refuses_truncation_and_forged_lengths() {
         journal_seq: 17,
         sessions: vec![
             PersistedSession {
-                device: 0,
+                token: 1,
                 model_id: "bitcount".to_string(),
                 snapshot: snapshot((*model).clone()),
             },
             PersistedSession {
-                device: 5,
+                token: 5,
                 model_id: "sha".to_string(),
                 snapshot: plain.snapshot(),
             },

@@ -1,16 +1,21 @@
 //! Live migration between two servers: `ServerHandle::migrate` moves a
 //! resumable session in one step under both servers' core locks. A
-//! refused move must change nothing, and two opposite moves at once
-//! must not deadlock. CI runs this at `EDDIE_THREADS=1` and `4`.
+//! refused move must change nothing, two opposite moves at once must
+//! not deadlock, a moved session keeps its token against later
+//! `Hello`s on its new server, and moving a cold-parked session thaws
+//! nothing. CI runs this at `EDDIE_THREADS=1` and `4`.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::time::Duration;
 
 use eddie::core::ErrorKind;
-use eddie::serve::{read_frame, write_frame, Frame, ModelRegistry, Server, ServerConfig};
+use eddie::serve::{
+    fetch_stats, read_frame, write_frame, Frame, ModelRegistry, Server, ServerConfig,
+};
 use eddie::stream::StreamEvent;
-use eddie_experiments::diff::{wait_for, Fixture, LocalServer, MODEL_ID};
+use eddie_experiments::diff::{metric, wait_for, Fixture, LocalServer, TempDir, MODEL_ID};
+use eddie_store::StoreConfig;
 
 /// A raw lock-step client: one chunk in flight, every event kept.
 struct Client {
@@ -19,15 +24,20 @@ struct Client {
     events: Vec<StreamEvent>,
 }
 
+/// A connection to `addr` whose reads give up after 10 s.
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+}
+
 impl Client {
     /// Opens a resumable session on `addr`.
     fn open(addr: SocketAddr, rate: f64) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
         let mut client = Client {
-            stream,
+            stream: connect(addr),
             token: 0,
             events: Vec::new(),
         };
@@ -40,6 +50,29 @@ impl Client {
             other => panic!("expected Session, got {other:?}"),
         }
         client
+    }
+
+    /// Reattaches the session at `addr` over a new connection, as after
+    /// a dropped one, and returns the seq the server expects next. The
+    /// events the client missed are replayed ahead of later replies.
+    fn resume(&mut self, addr: SocketAddr) -> u64 {
+        self.stream = connect(addr);
+        let resume = Frame::Resume {
+            token: self.token,
+            have_windows: self.events.len() as u64,
+        };
+        match self.call(&resume) {
+            Frame::Session { token, next_seq } if token == self.token => next_seq,
+            other => panic!("expected Session for token {}, got {other:?}", self.token),
+        }
+    }
+
+    /// Asks for the window count and returns it once every event is in.
+    fn finish(&mut self) -> u64 {
+        let Frame::Finished { windows } = self.call(&Frame::Finish) else {
+            panic!("expected Finished");
+        };
+        windows
     }
 
     /// Sends `frame` and returns the first reply that is not an event.
@@ -89,9 +122,7 @@ fn refused_migration_leaves_the_client_streaming() {
         .migrate(client.token, &hb, &hb.addr().to_string());
     assert_eq!(refused.unwrap_err().kind(), ErrorKind::UnknownModel);
     client.stream(half, &chunks[half..]);
-    let Frame::Finished { windows } = client.call(&Frame::Finish) else {
-        panic!("expected Finished");
-    };
+    let windows = client.finish();
 
     assert_eq!(client.events.len() as u64, windows, "every event delivered");
     run.check("refused migration", &client.events).unwrap();
@@ -151,4 +182,83 @@ fn opposite_migrations_do_not_deadlock() {
         assert_eq!(report.sessions_migrated_out, 2 * ROUNDS);
         assert_eq!(report.sessions_migrated_in, 2 * ROUNDS);
     }
+}
+
+/// Two servers on the default config draw tokens from the same base.
+/// Once a session has moved from A to B, a `Hello` on B must draw a
+/// token no session there holds: the moved client then resumes on B
+/// with its own token and gets every event of its run.
+#[test]
+fn hello_after_a_migration_in_draws_a_fresh_token() {
+    let fx = Fixture::gate();
+    let run = &fx.runs[1];
+    let a = LocalServer::start(fx.model.clone(), ServerConfig::default()).unwrap();
+    let b = LocalServer::start(fx.model.clone(), ServerConfig::default()).unwrap();
+
+    let mut moved = Client::open(a.addr(), run.rate);
+    let chunks: Vec<&[f32]> = run.signal.chunks(1000).collect();
+    let half = chunks.len() / 2;
+    moved.stream(0, &chunks[..half]);
+    a.handle()
+        .migrate(moved.token, b.handle(), &b.addr().to_string())
+        .unwrap();
+
+    let fresh = Client::open(b.addr(), run.rate);
+    assert_ne!(fresh.token, moved.token, "B drew a token it holds");
+    assert_eq!(moved.resume(b.addr()), half as u64);
+    moved.stream(half, &chunks[half..]);
+    let windows = moved.finish();
+
+    assert_eq!(moved.events.len() as u64, windows, "every event delivered");
+    run.check("migrated then resumed", &moved.events).unwrap();
+    drop(fresh);
+    a.stop().unwrap();
+    b.stop().unwrap();
+}
+
+/// Moving a cold-parked session reads its spill record once, for the
+/// snapshot, and retires it on eviction without a thaw, so the source
+/// counts no thaw. The client then resumes on the destination and its
+/// stream still equals the batch path.
+#[test]
+fn migrating_a_cold_parked_session_thaws_nothing() {
+    let fx = Fixture::gate();
+    let run = &fx.runs[1];
+    let dir = TempDir::new("migrate-cold");
+    let store = StoreConfig::builder(dir.path())
+        .resident_budget(1)
+        .build()
+        .unwrap();
+    let a_config = ServerConfig::builder().with_session_store(store).build();
+    let a = LocalServer::start(fx.model.clone(), a_config.unwrap()).unwrap();
+    let b = LocalServer::start(fx.model.clone(), ServerConfig::default()).unwrap();
+    let scrape = |series: &str| metric(&fetch_stats(a.addr()).unwrap(), series);
+
+    // The second session's chunks make the first one, idle since, the
+    // least recently active: the budget parks it.
+    let chunks: Vec<&[f32]> = run.signal.chunks(1000).collect();
+    let half = chunks.len() / 2;
+    let mut cold = Client::open(a.addr(), run.rate);
+    cold.stream(0, &chunks[..half]);
+    let mut warm = Client::open(a.addr(), run.rate);
+    warm.stream(0, &chunks[..1]);
+    wait_for(
+        || scrape("eddie_store_parked_sessions") == 1,
+        "the first session cold-parked",
+    );
+
+    a.handle()
+        .migrate(cold.token, b.handle(), &b.addr().to_string())
+        .unwrap();
+    assert_eq!(scrape("eddie_store_thaws_total"), 0, "the move thawed");
+
+    assert_eq!(cold.resume(b.addr()), half as u64);
+    cold.stream(half, &chunks[half..]);
+    let windows = cold.finish();
+    assert_eq!(cold.events.len() as u64, windows, "every event delivered");
+    run.check("cold-parked then migrated", &cold.events)
+        .unwrap();
+    drop(warm);
+    a.stop().unwrap();
+    b.stop().unwrap();
 }

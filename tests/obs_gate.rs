@@ -18,16 +18,20 @@
 //! * journal sequence numbers are strictly increasing, and a snapshot
 //!   file carries the sequence forward (`resume_journal`);
 //! * the journal keeps decisions: an anomaly record survives a ring's
-//!   worth of further monitored windows.
+//!   worth of further monitored windows;
+//! * the journal names a server session by its token: every record
+//!   about one resumable session, on the server it started on and on
+//!   the one it migrated to, carries the token its client holds.
 //!
 //! Everything lives in one `#[test]` because `eddie::obs::install()` is
 //! process-global: a single body controls exactly what runs before and
 //! after installation.
 
+use std::net::TcpStream;
 use std::time::Duration;
 
 use eddie::core::MonitorEvent;
-use eddie::obs::{JournalEvent, Observer, JOURNAL_CAPACITY};
+use eddie::obs::{JournalEvent, JournalRecord, Observer, JOURNAL_CAPACITY};
 use eddie::serve::{
     fetch_stats, load_snapshot, read_frame, resume_journal, write_frame, Frame, ServerConfig,
 };
@@ -226,6 +230,7 @@ fn instrumented_loopback_counters_balance() {
     );
 
     journal_keeps_decisions(fx, obs);
+    journal_names_sessions_by_token(fx, obs);
 }
 
 /// Monitors the injected run through an observed fleet and takes its
@@ -267,4 +272,118 @@ fn journal_keeps_decisions(fx: &Fixture, obs: &Observer) {
         "{anomaly:?} was evicted by {windows} clean windows ({} records since)",
         obs.journal().next_seq() - anomaly.seq - 1
     );
+}
+
+/// Reads frames from `s` until one that is not an event, and returns
+/// it.
+fn next_reply(s: &mut TcpStream) -> Frame {
+    loop {
+        match read_frame(s).expect("read").expect("no EOF yet") {
+            Frame::Event { .. } => {}
+            reply => return reply,
+        }
+    }
+}
+
+/// The session key a record names, for the records about one session.
+fn device_of(event: &JournalEvent) -> Option<u64> {
+    match *event {
+        JournalEvent::RegionTransition { device, .. }
+        | JournalEvent::AnomalyRaised { device, .. }
+        | JournalEvent::ChunkShed { device, .. }
+        | JournalEvent::SessionRegistered { device }
+        | JournalEvent::SessionEvicted { device }
+        | JournalEvent::SessionParked { device }
+        | JournalEvent::SessionResumed { device, .. }
+        | JournalEvent::SessionColdParked { device }
+        | JournalEvent::SessionThawed { device }
+        | JournalEvent::SessionMigratedOut { device }
+        | JournalEvent::SessionMigratedIn { device } => Some(device),
+        _ => None,
+    }
+}
+
+/// On a fresh server an earlier session comes and goes; then a
+/// resumable client streams the injected run lock-step, finishes and
+/// hangs up, and its parked session migrates to a second server. Every
+/// record written since the client opened names the session, so each
+/// must carry the client's token, not a fleet position an earlier
+/// session held.
+fn journal_names_sessions_by_token(fx: &Fixture, obs: &Observer) {
+    let run = &fx.runs[1];
+    let a = LocalServer::start(fx.model.clone(), ServerConfig::default()).unwrap();
+    let b = LocalServer::start(fx.model.clone(), ServerConfig::default()).unwrap();
+    let (model_id, sample_rate) = (MODEL_ID.to_string(), run.rate);
+    {
+        let mut earlier = TcpStream::connect(a.addr()).expect("connect");
+        let hello = Frame::Hello {
+            model_id: model_id.clone(),
+            sample_rate,
+        };
+        write_frame(&mut earlier, &hello).unwrap();
+        write_frame(&mut earlier, &Frame::Close).unwrap();
+        while read_frame(&mut earlier).expect("read").is_some() {}
+    }
+    wait_for(
+        || a.handle().fleet_stats().active_sessions == 0,
+        "the earlier session evicted",
+    );
+
+    let from = obs.journal().next_seq();
+    let mut s = TcpStream::connect(a.addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let hello = Frame::HelloResumable {
+        model_id,
+        sample_rate,
+    };
+    write_frame(&mut s, &hello).unwrap();
+    let Frame::Session { token, .. } = next_reply(&mut s) else {
+        panic!("expected Session");
+    };
+    for (seq, chunk) in run.signal.chunks(4096).enumerate() {
+        let seq = seq as u64;
+        let samples = chunk.to_vec();
+        write_frame(&mut s, &Frame::Chunk { seq, samples }).unwrap();
+        assert_eq!(next_reply(&mut s), Frame::Ack { seq });
+    }
+    write_frame(&mut s, &Frame::Finish).unwrap();
+    assert!(matches!(next_reply(&mut s), Frame::Finished { .. }));
+    drop(s);
+    let parked =
+        |r: &JournalRecord| r.seq >= from && matches!(r.event, JournalEvent::SessionParked { .. });
+    wait_for(
+        || obs.journal().recent().iter().any(parked),
+        "the hung-up session parked",
+    );
+    a.handle()
+        .migrate(token, b.handle(), &b.addr().to_string())
+        .unwrap();
+
+    let records: Vec<JournalEvent> = obs
+        .journal()
+        .recent()
+        .into_iter()
+        .filter(|r| r.seq >= from)
+        .map(|r| r.event)
+        .collect();
+    for event in &records {
+        if let Some(device) = device_of(event) {
+            assert_eq!(device, token, "{event:?} names the session by its token");
+        }
+    }
+    for kind in [
+        "session_registered",
+        "anomaly_raised",
+        "session_parked",
+        "session_evicted",
+        "session_migrated_out",
+        "session_migrated_in",
+    ] {
+        assert!(
+            records.iter().any(|e| e.kind() == kind),
+            "no {kind} record in {records:?}"
+        );
+    }
+    a.stop().unwrap();
+    b.stop().unwrap();
 }

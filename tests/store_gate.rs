@@ -31,7 +31,8 @@ fn park_thaw_replay_is_byte_identical_to_batch() {
 }
 
 /// The ledger's conservation law holds through add / park / thaw /
-/// evict churn over many devices under a tight budget.
+/// evict churn over many devices under a tight budget, and evicting a
+/// parked device thaws nothing.
 #[test]
 fn ledger_conserves_through_churn() {
     let fx = Fixture::gate();
@@ -56,12 +57,17 @@ fn ledger_conserves_through_churn() {
         assert!(ledger.conserved(), "round {round}: {ledger:?}");
         assert_eq!(ledger.resident, 2, "round {round}: budget enforced");
     }
+    // Eviction hands back exactly the two resident sessions; a parked
+    // one's spill record is retired unread, so no thaw is counted.
+    let before = fleet.ledger_snapshot().expect("store attached");
     for &d in &devs {
-        assert!(fleet.remove_session(d).is_some());
+        let parked = fleet.is_parked(d);
+        assert_eq!(fleet.remove_session(d).is_some(), !parked, "device {}", d.0);
     }
     let ledger = fleet.ledger_snapshot().expect("store attached");
     assert!(ledger.conserved(), "after eviction: {ledger:?}");
     assert_eq!(ledger.resident + ledger.parked, 0);
+    assert_eq!(ledger.thaws, before.thaws, "an eviction thaws nothing");
 }
 
 /// Park under the quantized kernel, thaw under the reference kernel —
