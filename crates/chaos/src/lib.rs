@@ -1,10 +1,10 @@
 //! Deterministic fault injection for the EDDIE serve/stream stack.
 //!
 //! A field deployment of EDDIE lives on flaky radio links, overloaded
-//! gateways, and machines that crash mid-write. This crate makes those
-//! conditions *reproducible*: every fault a test injects derives from a
-//! seeded [`FaultPlan`], so a failing chaos run replays bit-for-bit
-//! from its seed.
+//! gateways, and stalled servers. This crate makes those conditions
+//! *reproducible*: every fault a test injects derives from a seeded
+//! [`FaultPlan`], so a failing chaos run replays bit-for-bit from its
+//! seed.
 //!
 //! Three injection surfaces:
 //!
@@ -18,9 +18,7 @@
 //!   connection outright.
 //! * [`ServerFaults`] — failpoints the server consults when a plan is
 //!   wired into its config: `Busy` storms (refuse chunks that the
-//!   fleet would have accepted), snapshot-write failures (clean
-//!   failure or a crash-style truncated temp file), and slow-drain
-//!   pauses.
+//!   fleet would have accepted) and slow-drain pauses.
 //! * [`ChaosRng`] — the `eddie-rand` SplitMix64 generator behind every
 //!   decision, also reused by the serve client's backoff jitter so
 //!   reconnect schedules are reproducible under test.
@@ -38,5 +36,5 @@ mod plan;
 mod proxy;
 
 pub use eddie_rand::{mix, SplitMix64 as ChaosRng};
-pub use plan::{Decision, FaultPlan, FaultPlanBuilder, FrameFate, ServerFaults, SnapshotFate};
+pub use plan::{Decision, FaultPlan, FaultPlanBuilder, FrameFate, ServerFaults};
 pub use proxy::{ChaosProxy, ProxyStats};

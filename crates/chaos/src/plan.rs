@@ -64,8 +64,6 @@ pub struct Decision {
 /// | `sever=A;B;…` | cut the connection at global frame indices `A`, `B`, … |
 /// | `stall=EVERYxMS` | every `EVERY` frames, pause `MS` milliseconds |
 /// | `busy=START+LEN` | server refuses chunks `START..START+LEN` with `Busy` |
-/// | `snapfail=A;B;…` | fail the `A`-th, `B`-th, … snapshot writes |
-/// | `snaptrunc` | snapshot failures leave a truncated temp file (crash style) |
 /// | `drain=EVERYxMS` | every `EVERY` drain batches, stall the server's serving thread `MS` milliseconds |
 ///
 /// Example: `seed=7,drop=0.05,dup=0.02,sever=40;97,busy=20+8`.
@@ -92,12 +90,6 @@ pub struct FaultPlan {
     pub busy_start: u64,
     /// Number of consecutive chunks refused by the storm (0 = none).
     pub busy_len: u64,
-    /// Snapshot-write attempts (0-based) that fail.
-    pub snapshot_fail_nth: Vec<u64>,
-    /// Whether failed snapshot writes leave a truncated temp file
-    /// behind (simulating a crash mid-write) instead of failing
-    /// cleanly.
-    pub snapshot_truncate: bool,
     /// Stall the server's serving thread after every this many drain
     /// batches (0 = never). The thread reads, acks and flushes too, so
     /// the whole server stalls, not only the drain.
@@ -120,8 +112,6 @@ impl Default for FaultPlan {
             stall_pause: Duration::ZERO,
             busy_start: 0,
             busy_len: 0,
-            snapshot_fail_nth: Vec::new(),
-            snapshot_truncate: false,
             drain_pause_every: 0,
             drain_pause: Duration::ZERO,
         }
@@ -189,8 +179,6 @@ impl FaultPlan {
                         .ok_or_else(|| bad(clause, "expected START+LEN"))?;
                     b.with_busy_storm(num(clause, start)?, num(clause, len)?)
                 }
-                "snapfail" => b.with_snapshot_failures(list(clause, value)?),
-                "snaptrunc" => b.with_snapshot_truncate(true),
                 "drain" => {
                     let (every, pause) = every_ms(clause, value)?;
                     b.with_drain_pause(every, pause)
@@ -249,9 +237,6 @@ impl FaultPlan {
             busy_start: self.busy_start,
             busy_len: self.busy_len,
             busy_seen: AtomicU64::new(0),
-            snapshot_fail_nth: self.snapshot_fail_nth.clone(),
-            snapshot_truncate: self.snapshot_truncate,
-            snapshots_seen: AtomicU64::new(0),
             drain_pause_every: self.drain_pause_every,
             drain_pause: self.drain_pause,
             drains_seen: AtomicU64::new(0),
@@ -285,13 +270,6 @@ impl fmt::Display for FaultPlan {
         }
         if self.busy_len > 0 {
             parts.push(format!("busy={}+{}", self.busy_start, self.busy_len));
-        }
-        if !self.snapshot_fail_nth.is_empty() {
-            let list: Vec<String> = self.snapshot_fail_nth.iter().map(u64::to_string).collect();
-            parts.push(format!("snapfail={}", list.join(";")));
-        }
-        if self.snapshot_truncate {
-            parts.push("snaptrunc".to_string());
         }
         if self.drain_pause_every > 0 {
             parts.push(format!(
@@ -363,19 +341,6 @@ impl FaultPlanBuilder {
         self
     }
 
-    /// Snapshot-write attempts (0-based) that fail.
-    pub fn with_snapshot_failures(mut self, nth: Vec<u64>) -> FaultPlanBuilder {
-        self.plan.snapshot_fail_nth = nth;
-        self
-    }
-
-    /// Whether snapshot failures leave a crash-style truncated temp
-    /// file instead of failing cleanly.
-    pub fn with_snapshot_truncate(mut self, truncate: bool) -> FaultPlanBuilder {
-        self.plan.snapshot_truncate = truncate;
-        self
-    }
-
     /// Stall the serving thread `pause` long after every `every` drain
     /// batches (0 disables).
     pub fn with_drain_pause(mut self, every: u64, pause: Duration) -> FaultPlanBuilder {
@@ -418,23 +383,9 @@ impl FaultPlanBuilder {
     }
 }
 
-/// What the server should do with one snapshot-write attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum SnapshotFate {
-    /// Persist normally.
-    Write,
-    /// Fail cleanly: no bytes written, an I/O error reported.
-    Fail,
-    /// Simulate a crash mid-write: a truncated temp file is left on
-    /// disk and the rename never happens, so the previous good
-    /// generation must survive.
-    Truncate,
-}
-
 /// Server-side failpoints derived from a [`FaultPlan`] — wire one into
-/// a server config to inject faults past the transport: `Busy` storms,
-/// snapshot-write failures, and serving-thread stalls between drains.
+/// a server config to inject faults past the transport: `Busy` storms
+/// and serving-thread stalls between drains.
 ///
 /// All counters are atomic, so consulting a failpoint from concurrent
 /// connection threads is safe; schedules that need strict determinism
@@ -444,9 +395,6 @@ pub struct ServerFaults {
     busy_start: u64,
     busy_len: u64,
     busy_seen: AtomicU64,
-    snapshot_fail_nth: Vec<u64>,
-    snapshot_truncate: bool,
-    snapshots_seen: AtomicU64,
     drain_pause_every: u64,
     drain_pause: Duration,
     drains_seen: AtomicU64,
@@ -463,35 +411,6 @@ impl ServerFaults {
         }
         let idx = self.busy_seen.fetch_add(1, Ordering::Relaxed);
         idx >= self.busy_start && idx < self.busy_start + self.busy_len
-    }
-
-    /// Consulted once per snapshot-write attempt.
-    pub fn snapshot_fate(&self) -> SnapshotFate {
-        if self.snapshot_fail_nth.is_empty() {
-            return SnapshotFate::Write;
-        }
-        let idx = self.snapshots_seen.fetch_add(1, Ordering::Relaxed);
-        if self.snapshot_fail_nth.contains(&idx) {
-            if self.snapshot_truncate {
-                SnapshotFate::Truncate
-            } else {
-                SnapshotFate::Fail
-            }
-        } else {
-            SnapshotFate::Write
-        }
-    }
-
-    /// How many of the configured failing snapshot-write attempts have
-    /// not come up yet. The server times its attempts (one per
-    /// snapshot interval), so a run that must show its snapshot
-    /// failures waits for this to reach zero rather than on the clock.
-    pub fn snapshot_failures_pending(&self) -> usize {
-        let seen = self.snapshots_seen.load(Ordering::Relaxed);
-        self.snapshot_fail_nth
-            .iter()
-            .filter(|&&n| n >= seen)
-            .count()
     }
 
     /// Consulted once per drain batch: a `Some` means the serving
@@ -524,20 +443,7 @@ mod tests {
         }
         let f = p.server_faults();
         assert!(!f.busy_storm());
-        assert_eq!(f.snapshot_fate(), SnapshotFate::Write);
-        assert_eq!(f.snapshot_failures_pending(), 0);
         assert!(f.drain_pause().is_none());
-    }
-
-    #[test]
-    fn pending_snapshot_failures_count_down_with_attempts() {
-        let f = FaultPlan::parse("snapfail=1;2").unwrap().server_faults();
-        let mut pending = vec![f.snapshot_failures_pending()];
-        for _ in 0..4 {
-            f.snapshot_fate();
-            pending.push(f.snapshot_failures_pending());
-        }
-        assert_eq!(pending, [2, 2, 1, 0, 0]);
     }
 
     #[test]
@@ -622,27 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_failures_hit_the_scheduled_attempts() {
-        let p = FaultPlan::builder()
-            .with_snapshot_failures(vec![1, 2])
-            .build()
-            .unwrap();
-        let f = p.server_faults();
-        assert_eq!(f.snapshot_fate(), SnapshotFate::Write);
-        assert_eq!(f.snapshot_fate(), SnapshotFate::Fail);
-        assert_eq!(f.snapshot_fate(), SnapshotFate::Fail);
-        assert_eq!(f.snapshot_fate(), SnapshotFate::Write);
-
-        let crashy = FaultPlan::builder()
-            .with_snapshot_failures(vec![0])
-            .with_snapshot_truncate(true)
-            .build()
-            .unwrap()
-            .server_faults();
-        assert_eq!(crashy.snapshot_fate(), SnapshotFate::Truncate);
-    }
-
-    #[test]
     fn drain_pause_cadence() {
         let p = FaultPlan::builder()
             .with_drain_pause(3, Duration::from_millis(1))
@@ -656,13 +541,12 @@ mod tests {
     #[test]
     fn grammar_round_trips_through_display() {
         let text = "seed=7,drop=0.05,dup=0.02,corrupt=0.01,reorder=0.03,\
-                    sever=40;97,stall=32x5,busy=20+8,snapfail=1;2,snaptrunc,drain=16x2";
+                    sever=40;97,stall=32x5,busy=20+8,drain=16x2";
         let plan = FaultPlan::parse(text).expect("parses");
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.sever_at, vec![40, 97]);
         assert_eq!(plan.busy_start, 20);
         assert_eq!(plan.busy_len, 8);
-        assert!(plan.snapshot_truncate);
         assert_eq!(plan.drain_pause_every, 16);
         let reparsed = FaultPlan::parse(&plan.to_string()).expect("display reparses");
         assert_eq!(plan, reparsed);

@@ -16,10 +16,10 @@
 //!   shard, and `Stats` with a cluster-level scrape, so every existing
 //!   client and tool points at a router unchanged.
 //! * [`cluster`] — the in-process harness and rebalance planner. A
-//!   rebalance migrates live sessions over the PR-5 resume protocol:
-//!   park on the source shard, snapshot + journal-stamp, restore on
-//!   the destination, then redirect — the client reconnects and
-//!   resumes from its token with zero lost or duplicated events.
+//!   rebalance moves each live session in one
+//!   [`ServerHandle::migrate`](eddie_serve::ServerHandle::migrate)
+//!   step; the client, redirected, `Resume`s on the destination with
+//!   its token and loses or duplicates no event.
 //!
 //! The cluster CI gate replays devices through chaos proxies against a
 //! 3-shard cluster, rebalances mid-replay, and requires the delivered

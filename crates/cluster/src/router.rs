@@ -380,8 +380,8 @@ fn serve_conn(stream: TcpStream, shared: &RouterShared) {
                 }
             }
             Frame::Close => return,
-            // Chunks, snapshots, finishes: no session lives on the
-            // router, and server→client frames are never valid here.
+            // Chunks, finishes: no session lives on the router, and
+            // server→client frames are never valid here.
             _ => {
                 let _ = send(&Frame::Err {
                     code: ErrCode::ProtocolViolation,

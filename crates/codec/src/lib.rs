@@ -1,8 +1,7 @@
 //! Bounded, bit-exact binary encoding for the state the EDDIE
 //! reproduction persists: trained models (the artifact the paper's
 //! stand-alone receiver stores in flash, §5.1) and per-device session
-//! snapshots (parked sessions, server snapshot files, live
-//! migrations).
+//! snapshots (parked sessions, live migrations).
 //!
 //! Wire rules:
 //!
@@ -20,9 +19,8 @@
 //!
 //! There is no self-description and no versioning inside a value: the
 //! files that hold encoded values carry a format magic instead.
-//! `eddie-serve`'s snapshot file is one value behind its magic line;
-//! `eddie-store`'s spill log holds bare session payloads that only the
-//! process that wrote them reads back.
+//! `eddie-store`'s spill log holds bare session payloads behind its
+//! magic line, and only the process that wrote them reads them back.
 //!
 //! # Examples
 //!

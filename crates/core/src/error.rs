@@ -44,9 +44,6 @@ pub enum ErrorKind {
     /// The receiver is overloaded and refused the input (`Busy` on the
     /// wire, `PushResult::Full` in the fleet).
     Backpressure,
-    /// A snapshot could not be persisted; the previous good snapshot
-    /// is still intact.
-    SnapshotFailed,
     /// A resume handshake asked for history the server no longer
     /// retains; the client must start a fresh session.
     ResumeGap,
@@ -56,8 +53,8 @@ pub enum ErrorKind {
     Timeout,
     /// An operating-system I/O error.
     Io,
-    /// Serialisation or deserialisation failed (model or session
-    /// snapshots, snapshot files).
+    /// Serialisation or deserialisation failed (models, session
+    /// snapshots, spill-log records).
     Serialization,
     /// Anything that does not fit the kinds above.
     Other,
@@ -75,7 +72,6 @@ impl ErrorKind {
             ErrorKind::ProtocolViolation => "protocol_violation",
             ErrorKind::UnknownModel => "unknown_model",
             ErrorKind::Backpressure => "backpressure",
-            ErrorKind::SnapshotFailed => "snapshot_failed",
             ErrorKind::ResumeGap => "resume_gap",
             ErrorKind::UnknownToken => "unknown_token",
             ErrorKind::Timeout => "timeout",
@@ -169,9 +165,9 @@ impl Error {
         &self.message
     }
 
-    /// Whether a retry (reconnect, resend, re-persist) could plausibly
-    /// succeed. Used by the self-healing client to separate transient
-    /// transport failures from protocol-level death sentences.
+    /// Whether a retry (reconnect, resend) could plausibly succeed.
+    /// Used by the self-healing client to separate transient transport
+    /// failures from protocol-level death sentences.
     pub fn is_retryable(&self) -> bool {
         matches!(
             self.kind,
@@ -179,7 +175,6 @@ impl Error {
                 | ErrorKind::Timeout
                 | ErrorKind::Backpressure
                 | ErrorKind::TruncatedStream
-                | ErrorKind::SnapshotFailed
         )
     }
 }
@@ -245,12 +240,7 @@ mod tests {
     #[test]
     fn source_chain_is_walkable() {
         let io = std::io::Error::other("disk on fire");
-        let e = Error::with_source(
-            ErrorKind::SnapshotFailed,
-            "eddie-serve",
-            "persist failed",
-            io,
-        );
+        let e = Error::with_source(ErrorKind::Io, "eddie-store", "spill write failed", io);
         let src = std::error::Error::source(&e).expect("has a source");
         assert!(src.to_string().contains("disk on fire"));
     }

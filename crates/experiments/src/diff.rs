@@ -50,8 +50,8 @@ use eddie_inject::{LoopInjector, OpPattern};
 use eddie_isa::RegionId;
 use eddie_rand::SplitMix64;
 use eddie_serve::{
-    load_snapshot, ModelRegistry, ReplayClient, ReplayOutcome, ResilientClient, ResilientOutcome,
-    Server, ServerConfig, ServerConfigBuilder, ServerHandle, ServerReport,
+    ModelRegistry, ReplayClient, ReplayOutcome, ResilientClient, ResilientOutcome, Server,
+    ServerConfig, ServerConfigBuilder, ServerHandle, ServerReport,
 };
 use eddie_sim::{InjectionHook, SimConfig};
 use eddie_store::{LedgerSnapshot, SessionStore, StoreConfig};
@@ -771,12 +771,10 @@ pub struct ChaosRun {
 
 /// Replays `runs` one after another through a [`ChaosProxy`] running
 /// `plan`, in front of a local server wired with the plan's server
-/// faults, with a self-healing client doing the recovering. A plan
-/// that fails snapshot writes gets a snapshot file in a temp dir,
-/// removed afterwards, and the server is kept up until every failing
-/// attempt has come. Audits every delivered stream and its window
-/// total, the server's ledger, and the fault evidence of the whole
-/// run: each configured fault class must have fired.
+/// faults, with a self-healing client doing the recovering. Audits
+/// every delivered stream and its window total, the server's ledger,
+/// and the fault evidence of the whole run: each configured fault class
+/// must have fired.
 pub fn chaos(
     path: &str,
     model: &Arc<TrainedModel>,
@@ -784,17 +782,7 @@ pub fn chaos(
     plan: &FaultPlan,
     chunk: usize,
 ) -> Result<ChaosRun, Failure> {
-    let snapshot_dir = (!plan.snapshot_fail_nth.is_empty()).then(|| TempDir::new("chaos"));
-    let snapshot = snapshot_dir
-        .as_ref()
-        .map(|d| d.path().join("sessions.snap"));
-    let faults = plan.server_faults();
-    let mut config = resumable_server().with_faults(faults.clone());
-    if let Some(p) = &snapshot {
-        config = config
-            .with_snapshot_path(p.clone())
-            .with_snapshot_every(Duration::from_millis(20));
-    }
+    let config = resumable_server().with_faults(plan.server_faults());
     let server = LocalServer::start(model.clone(), config.build()?)?;
     let mut proxy = ChaosProxy::start(server.addr(), plan.clone())
         .map_err(|e| Failure(format!("[{path}] proxy: {e}")))?;
@@ -817,26 +805,16 @@ pub fn chaos(
         );
         outcomes.push(o);
     }
-    // The server times its snapshot attempts, so a replay can end
-    // before the failing ones come up: keep it serving until they have.
-    let snapshots_due = poll_until(Duration::from_secs(10), || {
-        faults.snapshot_failures_pending() == 0
-    });
     let stats = proxy.stats();
     proxy.shutdown();
     let report = server.stop()?;
     audit_ledger(path, &report)?;
-    ensure!(
-        snapshots_due,
-        "[{path}] {} configured snapshot failures had not come up after 10 s",
-        faults.snapshot_failures_pending()
-    );
 
     // Fault evidence over the whole run: each configured class fired.
     let reconnects: u64 = outcomes.iter().map(|o| o.reconnects).sum();
     let busy: u64 = outcomes.iter().map(|o| o.busy_replies).sum();
     let (st, r) = (&stats, &report);
-    let (sever, snap) = (!plan.sever_at.is_empty(), snapshot.is_some());
+    let sever = !plan.sever_at.is_empty();
     ensure!(st.frames_seen > 0, "[{path}] proxy saw no traffic");
     for (configured, fired, what) in [
         (plan.drop > 0.0, st.frames_dropped > 0, "drops fired"),
@@ -864,24 +842,10 @@ pub fn chaos(
             busy > 0 && r.chunks_busy > 0,
             "busy storm refused chunks",
         ),
-        (snap, r.snapshots_failed > 0, "snapshot failpoint fired"),
-        (
-            snap,
-            r.snapshots_written > 0,
-            "later snapshot generations landed",
-        ),
     ] {
         ensure!(
             !configured || fired,
             "[{path}] fault evidence missing: {what}"
-        );
-    }
-    if let Some(p) = &snapshot {
-        let file = load_snapshot(p)
-            .map_err(|e| Failure(format!("[{path}] surviving snapshot unreadable: {e}")))?;
-        ensure!(
-            file.sessions.len() <= 1,
-            "[{path}] snapshot holds more than the one replay session"
         );
     }
     Ok(ChaosRun {

@@ -66,17 +66,6 @@ pub enum JournalEvent {
         /// Server-assigned connection id.
         id: u64,
     },
-    /// A session snapshot file was written.
-    SnapshotPersisted {
-        /// Sessions contained in the snapshot.
-        sessions: u64,
-    },
-    /// A snapshot write failed (I/O error or injected fault); the
-    /// previous on-disk generation is still the authoritative one.
-    SnapshotWriteFailed {
-        /// Sessions the failed write would have contained.
-        sessions: u64,
-    },
     /// A resumable session's connection dropped abruptly; the session
     /// stays live awaiting a resume.
     SessionParked {
@@ -129,8 +118,6 @@ impl JournalEvent {
             JournalEvent::SessionEvicted { .. } => "session_evicted",
             JournalEvent::ConnectionOpened { .. } => "connection_opened",
             JournalEvent::ConnectionClosed { .. } => "connection_closed",
-            JournalEvent::SnapshotPersisted { .. } => "snapshot_persisted",
-            JournalEvent::SnapshotWriteFailed { .. } => "snapshot_write_failed",
             JournalEvent::SessionParked { .. } => "session_parked",
             JournalEvent::SessionResumed { .. } => "session_resumed",
             JournalEvent::SessionColdParked { .. } => "session_cold_parked",
@@ -186,10 +173,6 @@ impl JournalRecord {
             }
             JournalEvent::ConnectionOpened { id } | JournalEvent::ConnectionClosed { id } => {
                 let _ = write!(s, ",\"id\":{id}");
-            }
-            JournalEvent::SnapshotPersisted { sessions }
-            | JournalEvent::SnapshotWriteFailed { sessions } => {
-                let _ = write!(s, ",\"sessions\":{sessions}");
             }
             JournalEvent::SessionParked { device } => {
                 let _ = write!(s, ",\"device\":{device}");
@@ -255,20 +238,9 @@ impl Journal {
         seq
     }
 
-    /// The sequence number the *next* record will get. Persisted in
-    /// session snapshots so a restored process continues rather than
-    /// restarts the sequence.
+    /// The sequence number the *next* record will get.
     pub fn next_seq(&self) -> u64 {
         self.inner.lock().expect("journal lock").next_seq
-    }
-
-    /// Raises the next sequence number to at least `seq` (never lowers
-    /// it). Called after restoring a snapshot: records made after the
-    /// restore continue the persisted numbering, keeping sequence
-    /// numbers monotonic across a snapshot/restore cycle.
-    pub fn advance_to(&self, seq: u64) {
-        let mut inner = self.inner.lock().expect("journal lock");
-        inner.next_seq = inner.next_seq.max(seq);
     }
 
     /// Records currently held in the ring.
@@ -336,18 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_continues_but_never_rewinds() {
-        let j = Journal::new(8);
-        j.record(JournalEvent::SessionRegistered { device: 1 });
-        j.advance_to(100);
-        assert_eq!(j.next_seq(), 100);
-        j.advance_to(10); // lower: no-op
-        assert_eq!(j.next_seq(), 100);
-        let seq = j.record(JournalEvent::SessionEvicted { device: 1 });
-        assert_eq!(seq, 100);
-    }
-
-    #[test]
     fn json_rendering_is_wellformed_per_kind() {
         let j = Journal::new(16);
         j.record(JournalEvent::RegionTransition {
@@ -360,7 +320,10 @@ mod tests {
             device: 2,
             samples: 4096,
         });
-        j.record(JournalEvent::SnapshotPersisted { sessions: 5 });
+        j.record(JournalEvent::SessionResumed {
+            device: 2,
+            replayed: 5,
+        });
         let json = j.render_json();
         assert!(json.starts_with('['));
         assert!(json.ends_with(']'));
@@ -368,7 +331,9 @@ mod tests {
             "{\"seq\":0,\"kind\":\"region_transition\",\"device\":2,\"window\":7,\"from\":1,\"to\":3}"
         ));
         assert!(json.contains("{\"seq\":1,\"kind\":\"chunk_shed\",\"device\":2,\"samples\":4096}"));
-        assert!(json.contains("{\"seq\":2,\"kind\":\"snapshot_persisted\",\"sessions\":5}"));
+        assert!(
+            json.contains("{\"seq\":2,\"kind\":\"session_resumed\",\"device\":2,\"replayed\":5}")
+        );
     }
 
     #[test]

@@ -90,10 +90,9 @@ impl ClientError {
     pub fn is_recoverable(&self) -> bool {
         match self {
             ClientError::Io(_) | ClientError::Wire(_) | ClientError::Protocol(_) => true,
-            ClientError::Server(code) => matches!(
-                code,
-                ErrCode::BadFrame | ErrCode::SnapshotFailed | ErrCode::ProtocolViolation
-            ),
+            ClientError::Server(code) => {
+                matches!(code, ErrCode::BadFrame | ErrCode::ProtocolViolation)
+            }
             ClientError::TooManyRedirects => false,
         }
     }

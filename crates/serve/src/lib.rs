@@ -6,28 +6,24 @@
 //! crate is that wire and the service behind it:
 //!
 //! * [`wire`] — a dependency-free binary framing protocol. Capture
-//!   devices send `Hello` / `Chunk` / `Snapshot` / `Close` / `Stats`;
-//!   the server answers `Ack` / `Busy` / `Event` / `Err` /
-//!   `StatsReply` (a Prometheus-text scrape: the server's own books,
-//!   its fleet's and store's, the reactor's `eddie_net_*`, and the
-//!   installed [`eddie_obs`] observer's registry, if any). `Busy` is
+//!   devices send `Hello` / `Chunk` / `Close` / `Stats`; the server
+//!   answers `Ack` / `Busy` / `Event` / `Err` / `StatsReply` (a
+//!   Prometheus-text scrape: the server's own books, its fleet's and
+//!   store's, the reactor's `eddie_net_*`, and the installed
+//!   [`eddie_obs`] observer's registry, if any). `Busy` is
 //!   [`eddie_stream::PushResult::Full`] made visible on the wire —
 //!   fleet backpressure propagated to the device instead of silent
 //!   sample loss. The decoder is fuzz-resistant: arbitrary bytes
 //!   produce [`wire::WireError`], never a panic or an oversized
 //!   allocation.
 //! * [`server`] — a `std::net` TCP server multiplexing many capture
-//!   connections onto one [`eddie_stream::Fleet`], with periodic
-//!   session snapshots and graceful shutdown. No async runtime and no thread hand-offs: one
+//!   connections onto one [`eddie_stream::Fleet`], with graceful
+//!   shutdown. No async runtime and no thread hand-offs: one
 //!   nonblocking [`eddie_net`] event-loop thread owns the listener and
 //!   every socket, drains the fleet itself (sharding the devices with
 //!   queued chunks across the `eddie-exec` worker pool, taking a share
 //!   itself) and writes every reply and event, and fleet backpressure
 //!   becomes an epoll interest-set flip instead of a blocked reader.
-//! * [`snapshot`] — the snapshot file: every live session's state,
-//!   keyed by its token, as one `eddie-codec` value behind an
-//!   `eddie-snap v5` magic line, written atomically and refused whole
-//!   when truncated or padded.
 //! * [`client`] — a blocking replay client with go-back-N
 //!   retransmission on `Busy`, used by the `replay-client` experiment
 //!   and the loopback CI gates; plus [`ResilientClient`], a
@@ -58,7 +54,6 @@
 pub mod client;
 mod reactor;
 pub mod server;
-pub mod snapshot;
 pub mod wire;
 
 pub use client::{
@@ -67,9 +62,6 @@ pub use client::{
 };
 pub use server::{
     ModelRegistry, Server, ServerConfig, ServerConfigBuilder, ServerHandle, ServerReport,
-};
-pub use snapshot::{
-    load_snapshot, persist_sessions, resume_journal, PersistedSession, SnapshotFile,
 };
 pub use wire::{
     read_frame, write_frame, ErrCode, EventKind, Frame, ReadError, WireError, MAX_CHUNK_SAMPLES,

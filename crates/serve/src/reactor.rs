@@ -66,9 +66,9 @@ const LISTENER_DATA: u64 = u64::MAX - 1;
 const MAX_READ_BUFFER: usize = MAX_FRAME_LEN + 64 * 1024;
 
 /// Poll timeout with nothing queued: the longest the serving thread
-/// sleeps between ticks (idle-timeout checks, snapshot and expiry
-/// schedules). It is also the quiet period a closing connection waits
-/// for the peer to hang up before the server closes it.
+/// sleeps between ticks (idle-timeout checks, the expiry schedule). It
+/// is also the quiet period a closing connection waits for the peer to
+/// hang up before the server closes it.
 const POLL_INTERVAL: Duration = Duration::from_millis(2);
 
 /// Where a connection is in its lifecycle. `Open` is the only mode
@@ -129,7 +129,6 @@ pub(crate) fn run_reactor(
     let mut shutdown_seen = false;
     let mut served: io::Result<()> = Ok(());
     let mut queued = false;
-    let mut last_snapshot = Instant::now();
 
     reactor.register_untracked(listener.as_raw_fd(), LISTENER_DATA, Interest::READABLE)?;
 
@@ -182,7 +181,7 @@ pub(crate) fn run_reactor(
         events = batch;
 
         // The drain: every queued chunk, its events onto their routes.
-        serve_fleet(shared, config, &mut last_snapshot, |route, frame| {
+        serve_fleet(shared, config, |route, frame| {
             if let Some(rc) = slab.get_mut(route) {
                 send(&mut rc.conn, frame);
             }

@@ -19,22 +19,21 @@
 //! serving thread taking a share) and writes each device's events into
 //! the outbound buffer of the connection carrying its session; the
 //! route is that connection's slab token. It also expires parked
-//! sessions and forwarding stubs and writes the periodic snapshot. Slow
-//! clients never stall it: unsent bytes wait in their connection's
-//! buffer.
+//! sessions and forwarding stubs. Slow clients never stall it: unsent
+//! bytes wait in their connection's buffer.
 //!
 //! # Sessions
 //!
 //! Every session has one key, a token drawn from the server's counter
 //! (only a `HelloResumable` client is told its token). The token is
-//! also the session's fleet key, so drains, journal records, spill
-//! entries and the snapshot file all name the session as its client
-//! does, on every server it lives on. The session's record holds its
-//! model, its link (the connection carrying it, or since when it has
-//! been parked), its chunk cursor and, if resumable, its replay tail. A
-//! connection remembers only its session's token and reaches the record
-//! only while the link names it. A new session never draws a token that
-//! a session or forwarding stub on this server holds.
+//! also the session's fleet key, so drains, journal records and spill
+//! entries all name the session as its client does, on every server it
+//! lives on. The session's record holds its model, its link (the
+//! connection carrying it, or since when it has been parked), its chunk
+//! cursor and, if resumable, its replay tail. A connection remembers
+//! only its session's token and reaches the record only while the link
+//! names it. A new session never draws a token that a session or
+//! forwarding stub on this server holds.
 //!
 //! The fleet and the records live behind one mutex, which the serving
 //! thread shares only with [`ServerHandle`] calls (stats, migrate).
@@ -57,30 +56,21 @@
 //! Per-device event order is the fleet's determinism contract, so the
 //! event stream a client receives is byte-identical to the batch
 //! pipeline for every `EDDIE_THREADS` value and any drain timing.
-//!
-//! # Snapshots
-//!
-//! With a snapshot path configured, the serving thread writes every
-//! live session, cold-parked ones included, to one snapshot file
-//! ([`crate::snapshot`]) every `snapshot_every`, when a client asks
-//! with a `Snapshot` frame, and once more at shutdown.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use eddie_chaos::{ServerFaults, SnapshotFate};
+use eddie_chaos::ServerFaults;
 use eddie_core::{Error as CoreError, ErrorKind, TrainedModel};
 use eddie_net::{BufferedConn, NetMetrics, Reactor, Token, Waker};
 use eddie_obs::{Counter, Gauge, Histogram, JournalEvent, Registry, Timer};
 use eddie_store::{SessionStore, StoreConfig};
 use eddie_stream::{DeviceId, Fleet, FleetConfig, FleetStats, MonitorSession, PushResult};
 
-use crate::snapshot::{self, PersistedSession};
 use crate::wire::{ErrCode, Frame, MAX_FRAME_LEN};
 
 /// The trained models a server hosts, keyed by the id clients name in
@@ -126,13 +116,6 @@ impl ModelRegistry {
 pub struct ServerConfig {
     /// Ingress bounds of the shared fleet (per-device queue caps).
     pub fleet: FleetConfig,
-    /// Where to persist periodic session snapshots; `None` disables
-    /// persistence (client `Snapshot` frames then fail with
-    /// [`ErrCode::SnapshotFailed`]).
-    pub snapshot_path: Option<PathBuf>,
-    /// How often the serving thread persists all live sessions (it
-    /// writes the file itself, between drains).
-    pub snapshot_every: Duration,
     /// Disconnect a connection that sends nothing for this long;
     /// `None` keeps connections open indefinitely. A resumable session
     /// is *parked*, not evicted, by an idle disconnect.
@@ -151,8 +134,8 @@ pub struct ServerConfig {
     /// live migration carries it across. Must be nonzero — token `0` is
     /// the wire-level "no session" sentinel in [`Frame::Moved`].
     pub token_base: u64,
-    /// Server-side failpoints (`Busy` storms, snapshot-write failures,
-    /// slow drains) for chaos testing; `None` in production.
+    /// Server-side failpoints (`Busy` storms, slow drains) for chaos
+    /// testing; `None` in production.
     pub faults: Option<Arc<ServerFaults>>,
     /// Cold-storage tier for the fleet: when set, idle sessions beyond
     /// the store's resident budget are parked to its spill log between
@@ -164,8 +147,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             fleet: FleetConfig::default(),
-            snapshot_path: None,
-            snapshot_every: Duration::from_secs(5),
             idle_timeout: None,
             resume_linger: Duration::from_secs(30),
             resume_tail: 1024,
@@ -196,18 +177,6 @@ impl ServerConfigBuilder {
     /// Ingress bounds of the shared fleet.
     pub fn with_fleet(mut self, fleet: FleetConfig) -> ServerConfigBuilder {
         self.config.fleet = fleet;
-        self
-    }
-
-    /// Enables periodic snapshot persistence to `path`.
-    pub fn with_snapshot_path(mut self, path: impl Into<PathBuf>) -> ServerConfigBuilder {
-        self.config.snapshot_path = Some(path.into());
-        self
-    }
-
-    /// How often the serving thread persists all live sessions.
-    pub fn with_snapshot_every(mut self, every: Duration) -> ServerConfigBuilder {
-        self.config.snapshot_every = every;
         self
     }
 
@@ -253,16 +222,13 @@ impl ServerConfigBuilder {
     /// # Errors
     ///
     /// Returns an error of kind [`ErrorKind::InvalidConfig`] when the
-    /// snapshot interval or idle timeout is zero, the resume tail is
-    /// empty or the token base is zero — values that would spin a loop,
-    /// make every resume a gap or collide with the no-session token.
+    /// idle timeout is zero, the resume tail is empty or the token base
+    /// is zero — values that would drop every connection at once, make
+    /// every resume a gap or collide with the no-session token.
     pub fn build(self) -> Result<ServerConfig, CoreError> {
         let c = &self.config;
         let invalid =
             |msg: &str| CoreError::new(ErrorKind::InvalidConfig, "eddie-serve", msg.to_string());
-        if c.snapshot_every.is_zero() {
-            return Err(invalid("snapshot_every must be positive"));
-        }
         if c.resume_tail == 0 {
             return Err(invalid("resume_tail must be at least 1"));
         }
@@ -293,8 +259,6 @@ pub(crate) struct Counters {
     pub(crate) chunks_accepted: Arc<Counter>,
     pub(crate) chunks_busy: Arc<Counter>,
     pub(crate) duplicate_acks: Arc<Counter>,
-    snapshots_written: Arc<Counter>,
-    snapshots_failed: Arc<Counter>,
     pub(crate) frames_decoded: Arc<Counter>,
     sessions_parked: Arc<Counter>,
     pub(crate) sessions_resumed: Arc<Counter>,
@@ -325,8 +289,6 @@ impl Counters {
             chunks_accepted: registry.counter("eddie_serve_chunks_accepted_total"),
             chunks_busy: registry.counter("eddie_serve_chunks_busy_total"),
             duplicate_acks: registry.counter("eddie_serve_duplicate_acks_total"),
-            snapshots_written: registry.counter("eddie_serve_snapshots_written_total"),
-            snapshots_failed: registry.counter("eddie_serve_snapshots_failed_total"),
             frames_decoded: registry.counter("eddie_serve_frames_decoded_total"),
             sessions_parked: registry.counter("eddie_serve_sessions_parked_total"),
             sessions_resumed: registry.counter("eddie_serve_sessions_resumed_total"),
@@ -367,10 +329,6 @@ pub struct ServerReport {
     pub chunks_busy: u64,
     /// Re-delivered chunks answered with an idempotent ack.
     pub duplicate_acks: u64,
-    /// Snapshot files written.
-    pub snapshots_written: u64,
-    /// Snapshot writes that failed (I/O errors or injected faults).
-    pub snapshots_failed: u64,
     /// Resumable sessions parked after an abrupt disconnect.
     pub sessions_parked: u64,
     /// Parked sessions reclaimed by a reconnecting client.
@@ -704,10 +662,9 @@ impl Server {
     }
 
     /// Serves until [`ServerHandle::shutdown`] on the calling thread:
-    /// it accepts and drives every connection, drains the fleet,
-    /// persists periodic snapshots, and on shutdown closes every
-    /// connection and drains what is still queued before returning the
-    /// final report.
+    /// it accepts and drives every connection, drains the fleet, and on
+    /// shutdown closes every connection and drains what is still queued
+    /// before returning the final report.
     pub fn run(self) -> io::Result<ServerReport> {
         let Server {
             listener,
@@ -718,13 +675,6 @@ impl Server {
         } = self;
 
         crate::reactor::run_reactor(reactor, listener, &shared, &config)?;
-
-        // Final snapshot generation (normally empty after clean
-        // eviction, but crash-recovery readers expect the file).
-        if config.snapshot_path.is_some() {
-            persist_now(&shared, &config);
-        }
-
         Ok(build_report(&shared))
     }
 }
@@ -742,8 +692,6 @@ fn build_report(shared: &Shared) -> ServerReport {
         chunks_accepted: c.chunks_accepted.value(),
         chunks_busy: c.chunks_busy.value(),
         duplicate_acks: c.duplicate_acks.value(),
-        snapshots_written: c.snapshots_written.value(),
-        snapshots_failed: c.snapshots_failed.value(),
         sessions_parked: c.sessions_parked.value(),
         sessions_resumed: c.sessions_resumed.value(),
         events_replayed: c.events_replayed.value(),
@@ -758,15 +706,13 @@ fn build_report(shared: &Shared) -> ServerReport {
 /// One drain on the serving thread: processes every queued chunk
 /// (sharded across the worker pool), appends each resumable session's
 /// events to its replay tail and hands them to `deliver` with the
-/// route of the connection carrying the session, expires parked sessions and forwarding stubs whose
-/// linger ran out, and writes the periodic snapshot once
-/// `snapshot_every` has passed since `last_snapshot`. The slow-drain
+/// route of the connection carrying the session, and expires parked
+/// sessions and forwarding stubs whose linger ran out. The slow-drain
 /// failpoint stalls the serving thread after a drain that processed
 /// chunks.
 pub(crate) fn serve_fleet(
     shared: &Shared,
     config: &ServerConfig,
-    last_snapshot: &mut Instant,
     mut deliver: impl FnMut(Token, &Frame),
 ) {
     let drained = {
@@ -824,10 +770,6 @@ pub(crate) fn serve_fleet(
             .retain(|_, stub| now.duration_since(stub.since) < config.resume_linger);
         drained
     };
-    if config.snapshot_path.is_some() && last_snapshot.elapsed() >= config.snapshot_every {
-        persist_now(shared, config);
-        *last_snapshot = Instant::now();
-    }
     // Slow-drain failpoint: stall the serving thread between drains,
     // outside the core lock.
     if !drained.is_empty() {
@@ -852,89 +794,6 @@ pub(crate) fn send(out: &mut BufferedConn, frame: &Frame) {
 /// Queues an [`Frame::Err`] reply carrying `code`.
 pub(crate) fn send_err(out: &mut BufferedConn, code: ErrCode) {
     send(out, &Frame::Err { code });
-}
-
-/// Collects all live sessions' snapshots (briefly holding the core
-/// lock) and writes them outside the lock. Iterates the sessions
-/// directly — no per-device stats rows are allocated under the lock.
-fn persist_now(shared: &Shared, config: &ServerConfig) {
-    let Some(path) = config.snapshot_path.as_ref() else {
-        return;
-    };
-    let sessions: Vec<PersistedSession> = {
-        let mut core = shared.core.lock().expect("core lock");
-        collect_persisted(&mut core)
-    };
-    write_snapshot_with_faults(path, &sessions, shared, config);
-}
-
-/// Collects every live session's snapshot in token order, cold-parked
-/// ones included (their spill payloads are parsed in place, without
-/// thawing).
-fn collect_persisted(core: &mut Core) -> Vec<PersistedSession> {
-    let mut records: Vec<(u64, &Session)> = core.sessions.iter().map(|(&t, s)| (t, s)).collect();
-    records.sort_unstable_by_key(|&(token, _)| token);
-    let mut out = Vec::with_capacity(records.len());
-    for (token, s) in records {
-        // A parked session whose spill record cannot be read is
-        // skipped rather than failing the whole generation; its store
-        // ledger already counts the read failure.
-        if let Ok(snapshot) = core.fleet.snapshot_session(DeviceId(token)) {
-            out.push(PersistedSession {
-                token,
-                model_id: s.model_id.clone(),
-                snapshot,
-            });
-        }
-    }
-    out
-}
-
-/// Writes a snapshot generation, first consulting the configured
-/// failpoints. Returns whether a new generation landed on disk.
-///
-/// On an injected [`SnapshotFate::Truncate`] this mimics a crash mid
-/// write: roughly half the file image is left in the sibling temp file and
-/// the rename never happens — the previous good generation must
-/// survive, which the chaos tests verify via
-/// [`load_snapshot`](crate::load_snapshot).
-fn write_snapshot_with_faults(
-    path: &Path,
-    sessions: &[PersistedSession],
-    shared: &Shared,
-    config: &ServerConfig,
-) -> bool {
-    let fate = config
-        .faults
-        .as_ref()
-        .map_or(SnapshotFate::Write, |f| f.snapshot_fate());
-    let ok = match fate {
-        SnapshotFate::Fail => false,
-        SnapshotFate::Truncate => {
-            let bytes = snapshot::image(sessions);
-            let _ = std::fs::write(path.with_extension("tmp"), &bytes[..bytes.len() / 2]);
-            false
-        }
-        // `Write`, and any fate added later (`SnapshotFate` is
-        // #[non_exhaustive]), writes.
-        _ => snapshot::persist_sessions(path, sessions).is_ok(),
-    };
-    if ok {
-        shared.counters.snapshots_written.inc();
-        if let Some(o) = eddie_obs::global() {
-            o.journal().record(JournalEvent::SnapshotPersisted {
-                sessions: sessions.len() as u64,
-            });
-        }
-    } else {
-        shared.counters.snapshots_failed.inc();
-        if let Some(o) = eddie_obs::global() {
-            o.journal().record(JournalEvent::SnapshotWriteFailed {
-                sessions: sessions.len() as u64,
-            });
-        }
-    }
-    ok
 }
 
 /// Per-connection protocol state.
@@ -1259,22 +1118,6 @@ pub(crate) fn handle_frame(
             }
             Step::Continue
         }
-        Frame::Snapshot => {
-            if state.token.is_none() {
-                send_err(out, ErrCode::ProtocolViolation);
-                return Step::End(ExitReason::Abrupt);
-            }
-            let reply = match persist_session(state, shared, config) {
-                // Ack carries the count of accepted chunks: the
-                // stream position the snapshot covers at most.
-                Some(seq) => Frame::Ack { seq },
-                None => Frame::Err {
-                    code: ErrCode::SnapshotFailed,
-                },
-            };
-            send(out, &reply);
-            Step::Continue
-        }
         Frame::Finish => {
             if state.token.is_none() {
                 send_err(out, ErrCode::ProtocolViolation);
@@ -1330,20 +1173,6 @@ pub(crate) fn handle_frame(
     }
 }
 
-/// Writes every live session into the snapshot file when the
-/// connection's session still lives here, and returns that session's
-/// chunk cursor once the generation landed. Iterates sessions directly
-/// — no per-device stats rows are allocated under the core lock.
-fn persist_session(state: &ConnState, shared: &Shared, config: &ServerConfig) -> Option<u64> {
-    let path = config.snapshot_path.as_ref()?;
-    let (cursor, sessions) = {
-        let mut core = shared.core.lock().expect("core lock");
-        let cursor = state.session(&mut core.sessions)?.1.expected_seq;
-        (cursor, collect_persisted(&mut core))
-    };
-    write_snapshot_with_faults(path, &sessions, shared, config).then_some(cursor)
-}
-
 /// The `Stats` reply: this server's `eddie_serve_*` books, its fleet's
 /// `eddie_stream_*` and its store's `eddie_store_*`, the process-wide
 /// `eddie_net_*`, and then the installed observer's registry, if any.
@@ -1377,8 +1206,6 @@ fn clamp_stats_text(text: String) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::tests::{persisted, tiny_model};
-    use crate::snapshot::{load_snapshot, persist_sessions};
 
     #[test]
     fn registry_lookup() {
@@ -1391,7 +1218,6 @@ mod tests {
     #[test]
     fn config_defaults_are_sane() {
         let c = ServerConfig::default();
-        assert!(c.snapshot_path.is_none());
         assert!(c.idle_timeout.is_none());
         assert!(c.resume_tail > 0);
         assert_eq!(c.token_base, 1);
@@ -1402,8 +1228,6 @@ mod tests {
     #[test]
     fn config_builder_round_trips_and_validates() {
         let c = ServerConfig::builder()
-            .with_snapshot_path("/tmp/eddie-test-sessions.snap")
-            .with_snapshot_every(Duration::from_millis(50))
             .with_idle_timeout(Duration::from_millis(200))
             .with_resume_linger(Duration::from_secs(2))
             .with_resume_tail(64)
@@ -1423,10 +1247,6 @@ mod tests {
         );
 
         for (broken, what) in [
-            (
-                ServerConfig::builder().with_snapshot_every(Duration::ZERO),
-                "snapshot",
-            ),
             (ServerConfig::builder().with_resume_tail(0), "tail"),
             (
                 ServerConfig::builder().with_idle_timeout(Duration::ZERO),
@@ -1437,108 +1257,5 @@ mod tests {
             let err = broken.build().expect_err(what);
             assert_eq!(err.kind(), ErrorKind::InvalidConfig, "{what}");
         }
-    }
-
-    /// The crash-safety contract of `persist_sessions`: a temp
-    /// file truncated mid-write (as an injected `SnapshotFate::Truncate`
-    /// leaves behind) must never clobber the previous good generation,
-    /// and the next successful write must replace it cleanly.
-    #[test]
-    fn truncated_tmp_never_clobbers_previous_snapshot() {
-        let dir = std::env::temp_dir().join(format!("eddie-snapcrash-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("sessions.snap");
-
-        let gen_a = persisted(&[3]);
-        persist_sessions(&path, &gen_a).expect("write generation A");
-
-        // Simulate a crash mid-write of the next generation: half the
-        // file image lands in the sibling temp file, the rename never
-        // runs.
-        let gen_b = persisted(&[3, 5]);
-        let image = snapshot::image(&gen_b);
-        std::fs::write(path.with_extension("tmp"), &image[..image.len() / 2])
-            .expect("write truncated tmp");
-
-        let loaded = load_snapshot(&path).expect("previous generation intact");
-        assert_eq!(
-            loaded.sessions, gen_a,
-            "truncated tmp must not replace the snapshot"
-        );
-
-        // A later successful write replaces it cleanly, stale tmp and all.
-        persist_sessions(&path, &gen_b).expect("write generation B");
-        assert_eq!(load_snapshot(&path).expect("load B").sessions, gen_b);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The snapshot file must round-trip a live session's state
-    /// byte-for-byte through `persist_sessions`.
-    #[test]
-    fn spill_snapshot_round_trips() {
-        let dir = std::env::temp_dir().join(format!("eddie-spillsnap-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("sessions.snap");
-
-        let mut session = eddie_stream::MonitorSession::new(tiny_model(), 1000.0).unwrap();
-        let _ = session.push(&vec![0.25; 600]);
-        let snapshot = session.snapshot();
-        let sessions = vec![PersistedSession {
-            token: 3,
-            model_id: "bitcount".to_string(),
-            snapshot: snapshot.clone(),
-        }];
-
-        persist_sessions(&path, &sessions).expect("write snapshot");
-        let loaded = load_snapshot(&path).expect("load snapshot");
-        assert_eq!(loaded.sessions.len(), 1);
-        assert_eq!(loaded.sessions[0].token, 3);
-        assert_eq!(loaded.sessions[0].model_id, "bitcount");
-        assert_eq!(
-            loaded.sessions[0].snapshot.to_bytes(),
-            snapshot.to_bytes(),
-            "snapshot round trip must be byte-identical"
-        );
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The wire carries any f32 bit pattern, so a device can stream
-    /// NaN. Its session must persist and load like the rest — one such
-    /// device must not make the whole snapshot file unloadable.
-    #[test]
-    fn nan_fed_session_survives_snapshot_file() {
-        let dir = std::env::temp_dir().join(format!("eddie-nansnap-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("sessions.snap");
-
-        let mut sessions = persisted(&[1, 4]);
-        let mut session = eddie_stream::MonitorSession::new(tiny_model(), 1000.0).unwrap();
-        let mut samples = vec![0.25f32; 600];
-        samples[7] = f32::NAN;
-        samples[599] = f32::NAN;
-        let _ = session.push(&samples);
-        sessions.insert(
-            1,
-            PersistedSession {
-                token: 2,
-                model_id: "bitcount".to_string(),
-                snapshot: session.snapshot(),
-            },
-        );
-
-        persist_sessions(&path, &sessions).expect("write snapshot");
-        let loaded = load_snapshot(&path).expect("a NaN-fed session must not poison the file");
-        assert_eq!(loaded.sessions.len(), sessions.len());
-        for (got, want) in loaded.sessions.iter().zip(&sessions) {
-            assert_eq!(got.token, want.token);
-            assert_eq!(got.snapshot.to_bytes(), want.snapshot.to_bytes());
-        }
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,6 +22,11 @@
 //!
 //! No dependencies beyond `std`: the protocol must stay usable from
 //! capture-device firmware with no serialization library.
+//!
+//! Tag `0x03` and error code `6` are retired and must not be reused: an
+//! older client that still sends a `0x03` frame is then refused with
+//! [`ErrCode::BadFrame`], like any unknown tag, and never has it read
+//! as some other frame.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -42,7 +47,6 @@ pub const MAX_CHUNK_SAMPLES: usize = 1 << 18;
 
 const TAG_HELLO: u8 = 0x01;
 const TAG_CHUNK: u8 = 0x02;
-const TAG_SNAPSHOT: u8 = 0x03;
 const TAG_CLOSE: u8 = 0x04;
 const TAG_STATS: u8 = 0x05;
 const TAG_HELLO_RESUMABLE: u8 = 0x06;
@@ -75,8 +79,6 @@ pub enum ErrCode {
     BadHello = 4,
     /// The server is shutting down and no longer accepts work.
     Shutdown = 5,
-    /// The server failed to persist a requested snapshot.
-    SnapshotFailed = 6,
     /// A `Resume` asked for events older than the server's retained
     /// event tail; the client cannot recover the gap and must start a
     /// fresh session.
@@ -95,7 +97,6 @@ impl ErrCode {
             3 => Some(ErrCode::UnknownModel),
             4 => Some(ErrCode::BadHello),
             5 => Some(ErrCode::Shutdown),
-            6 => Some(ErrCode::SnapshotFailed),
             7 => Some(ErrCode::ResumeGap),
             8 => Some(ErrCode::UnknownToken),
             _ => None,
@@ -111,7 +112,6 @@ impl ErrCode {
             ErrCode::UnknownModel => eddie_core::ErrorKind::UnknownModel,
             ErrCode::BadHello => eddie_core::ErrorKind::InvalidConfig,
             ErrCode::Shutdown => eddie_core::ErrorKind::ProtocolViolation,
-            ErrCode::SnapshotFailed => eddie_core::ErrorKind::SnapshotFailed,
             ErrCode::ResumeGap => eddie_core::ErrorKind::ResumeGap,
             ErrCode::UnknownToken => eddie_core::ErrorKind::UnknownToken,
         }
@@ -126,7 +126,6 @@ impl fmt::Display for ErrCode {
             ErrCode::UnknownModel => "unknown model id",
             ErrCode::BadHello => "invalid hello parameters",
             ErrCode::Shutdown => "server shutting down",
-            ErrCode::SnapshotFailed => "snapshot persistence failed",
             ErrCode::ResumeGap => "resume asks for events beyond the retained tail",
             ErrCode::UnknownToken => "unknown resume token",
         };
@@ -150,7 +149,7 @@ pub enum EventKind {
 }
 
 /// One frame of the protocol, client→server (`Hello`,
-/// `HelloResumable`, `Resume`, `Chunk`, `Snapshot`, `Finish`, `Close`)
+/// `HelloResumable`, `Resume`, `Chunk`, `Finish`, `Close`)
 /// or server→client (`Ack`, `Busy`, `Event`, `Err`, `Session`,
 /// `Finished`).
 #[derive(Debug, Clone, PartialEq)]
@@ -172,8 +171,6 @@ pub enum Frame {
         /// Raw signal samples (bit-exact on the wire).
         samples: Vec<f32>,
     },
-    /// Asks the server to persist this session's snapshot now.
-    Snapshot,
     /// Graceful end of stream: the server finishes queued work, sends
     /// the remaining events, and closes.
     Close,
@@ -451,7 +448,6 @@ impl Frame {
                     buf.extend_from_slice(&s.to_bits().to_le_bytes());
                 }
             }
-            Frame::Snapshot => buf.push(TAG_SNAPSHOT),
             Frame::Close => buf.push(TAG_CLOSE),
             Frame::Stats => buf.push(TAG_STATS),
             Frame::HelloResumable {
@@ -585,7 +581,6 @@ impl Frame {
                 }
                 Frame::Chunk { seq, samples }
             }
-            TAG_SNAPSHOT => Frame::Snapshot,
             TAG_CLOSE => Frame::Close,
             TAG_STATS => Frame::Stats,
             TAG_ACK => Frame::Ack { seq: r.u64()? },
@@ -761,7 +756,6 @@ mod tests {
             seq: u64::MAX,
             samples: vec![1.0, -0.0, f32::MIN_POSITIVE, 3.25e7],
         });
-        round_trip(Frame::Snapshot);
         round_trip(Frame::Close);
         round_trip(Frame::Ack { seq: 7 });
         round_trip(Frame::Busy { seq: 9 });
@@ -862,13 +856,14 @@ mod tests {
             (ErrCode::UnknownModel, ErrorKind::UnknownModel),
             (ErrCode::BadHello, ErrorKind::InvalidConfig),
             (ErrCode::Shutdown, ErrorKind::ProtocolViolation),
-            (ErrCode::SnapshotFailed, ErrorKind::SnapshotFailed),
             (ErrCode::ResumeGap, ErrorKind::ResumeGap),
             (ErrCode::UnknownToken, ErrorKind::UnknownToken),
         ] {
             assert_eq!(ErrCode::from_u16(code as u16), Some(code));
             assert_eq!(code.kind(), kind);
         }
+        // Code 6 is retired: it decodes to no code at all.
+        assert_eq!(ErrCode::from_u16(6), None);
         assert_eq!(ErrCode::from_u16(9), None);
     }
 
@@ -959,7 +954,7 @@ mod tests {
         ));
     }
 
-    /// One instance of each of the 16 frame types, with every
+    /// One instance of each of the 15 frame types, with every
     /// variable-length field non-empty so its length can be mutated.
     fn one_of_each() -> Vec<Frame> {
         let frames = vec![
@@ -971,7 +966,6 @@ mod tests {
                 seq: 3,
                 samples: vec![1.0, -0.0, f32::MIN_POSITIVE, 3.25e7],
             },
-            Frame::Snapshot,
             Frame::Close,
             Frame::Stats,
             Frame::HelloResumable {
@@ -1011,7 +1005,7 @@ mod tests {
         let mut tags: Vec<u8> = frames.iter().map(|f| f.encode()[4]).collect();
         tags.sort_unstable();
         tags.dedup();
-        assert_eq!(tags.len(), 16, "one instance per frame type");
+        assert_eq!(tags.len(), 15, "one instance per frame type");
         frames
     }
 
@@ -1074,8 +1068,9 @@ mod tests {
 
     #[test]
     fn bad_payloads_are_rejected() {
-        // Unknown tag.
+        // Unknown tag, and the retired `Snapshot` tag.
         assert_eq!(Frame::decode(&[0x7f]), Err(WireError::BadTag(0x7f)));
+        assert_eq!(Frame::decode(&[0x03]), Err(WireError::BadTag(0x03)));
         // Empty body.
         assert_eq!(Frame::decode(&[]), Err(WireError::Truncated));
         // Trailing garbage after a Close.

@@ -11,13 +11,12 @@
 //! Nothing in the file names a session: the in-memory index holds each
 //! live key's offset and length, so a record is read back only by the
 //! process that wrote it, and [`SpillLog::open`] starts the file empty.
-//! Serve's snapshot files carry parked sessions too. Parks only ever
-//! *append*; a key's previous record, and the record a thaw or an
-//! eviction retires, become dead weight in place without a write. When
-//! a park takes the dead fraction across the configured ratio (and the
-//! file is big enough to care), the log compacts: live records are
-//! rewritten in key order to a temp file which atomically replaces the
-//! log.
+//! Parks only ever *append*; a key's previous record, and the record a
+//! thaw or an eviction retires, become dead weight in place without a
+//! write. When a park takes the dead fraction across the configured
+//! ratio (and the file is big enough to care), the log compacts: live
+//! records are rewritten in key order to a temp file which atomically
+//! replaces the log.
 //!
 //! Durability stance: the log is an overflow tier for *resident* state,
 //! not a write-ahead log — records are flushed but not fsynced.

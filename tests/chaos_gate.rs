@@ -6,7 +6,7 @@
 //! * the [`ResilientClient`] must deliver the complete event stream —
 //!   byte-identical to `Pipeline::monitor_result` on the same signal —
 //!   through dropped, duplicated, corrupted, reordered, and severed
-//!   frames, server-side busy storms, and snapshot write failures;
+//!   frames, server-side busy storms, and serving-thread stalls;
 //! * the server's books must balance like a ledger even under chaos:
 //!   `chunks_received == chunks_accepted + chunks_busy +
 //!   duplicate_acks`, and the serve and stream layers agree on what
@@ -14,7 +14,7 @@
 //! * each seed must actually *exercise* its faults (a proxy that
 //!   forwarded everything untouched would pass equivalence trivially),
 //!   so per-seed evidence — dropped-frame counts, reconnects, bad
-//!   frames, failed snapshots — is asserted non-zero.
+//!   frames, busy refusals — is asserted non-zero.
 //!
 //! CI runs this at `EDDIE_THREADS=1` and `4`: recovery must not
 //! depend on worker-pool scheduling.
@@ -40,13 +40,12 @@ fn chaos_matrix_recovers_byte_identical_streams() {
     // One fault class per seed, then everything at once. Probabilities
     // are low enough that go-back-N and resume converge, high enough
     // that every class demonstrably fires on this signal length.
-    let matrix: [(&str, &str); 7] = [
+    let matrix: [(&str, &str); 6] = [
         ("drops", "seed=11,drop=0.08"),
         ("dup_reorder", "seed=23,dup=0.06,reorder=0.08"),
         ("corrupt", "seed=37,corrupt=0.05"),
         ("sever", "seed=41,sever=17;53;131"),
         ("busy_storm", "seed=53,busy=6+24"),
-        ("snapshot_crash", "seed=67,snapfail=1;2,snaptrunc"),
         (
             "kitchen_sink",
             "seed=97,drop=0.04,dup=0.03,corrupt=0.03,reorder=0.04,sever=89,stall=40x30,drain=5x10",

@@ -17,6 +17,19 @@ use eddie::stream::StreamEvent;
 use eddie_experiments::diff::{metric, wait_for, Fixture, LocalServer, TempDir, MODEL_ID};
 use eddie_store::StoreConfig;
 
+/// Chunk size of the runs that move mid-stream.
+const CHUNK: usize = 999;
+
+/// `signal` in `CHUNK`-sample chunks, and how many of them go before a
+/// mid-stream move: half, which must end off the STFT hop grid so the
+/// moved state carries a partial window.
+fn halves(signal: &[f32], hop: usize) -> (Vec<&[f32]>, usize) {
+    let chunks: Vec<&[f32]> = signal.chunks(CHUNK).collect();
+    let half = chunks.len() / 2;
+    assert_ne!(half * CHUNK % hop, 0, "the move must land off the hop grid");
+    (chunks, half)
+}
+
 /// A raw lock-step client: one chunk in flight, every event kept.
 struct Client {
     stream: TcpStream,
@@ -196,8 +209,7 @@ fn hello_after_a_migration_in_draws_a_fresh_token() {
     let b = LocalServer::start(fx.model.clone(), ServerConfig::default()).unwrap();
 
     let mut moved = Client::open(a.addr(), run.rate);
-    let chunks: Vec<&[f32]> = run.signal.chunks(1000).collect();
-    let half = chunks.len() / 2;
+    let (chunks, half) = halves(&run.signal, fx.model.config.hop);
     moved.stream(0, &chunks[..half]);
     a.handle()
         .migrate(moved.token, b.handle(), &b.addr().to_string())
@@ -236,8 +248,7 @@ fn migrating_a_cold_parked_session_thaws_nothing() {
 
     // The second session's chunks make the first one, idle since, the
     // least recently active: the budget parks it.
-    let chunks: Vec<&[f32]> = run.signal.chunks(1000).collect();
-    let half = chunks.len() / 2;
+    let (chunks, half) = halves(&run.signal, fx.model.config.hop);
     let mut cold = Client::open(a.addr(), run.rate);
     cold.stream(0, &chunks[..half]);
     let mut warm = Client::open(a.addr(), run.rate);

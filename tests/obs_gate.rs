@@ -15,8 +15,7 @@
 //! * a scrape shows its own server's books: a second, idle server bound
 //!   after the audited one reads 0 accepted chunks, and the audited
 //!   server's scrape still balances;
-//! * journal sequence numbers are strictly increasing, and a snapshot
-//!   file carries the sequence forward (`resume_journal`);
+//! * journal sequence numbers are strictly increasing;
 //! * the journal keeps decisions: an anomaly record survives a ring's
 //!   worth of further monitored windows;
 //! * the journal names a server session by its token: every record
@@ -32,11 +31,9 @@ use std::time::Duration;
 
 use eddie::core::MonitorEvent;
 use eddie::obs::{JournalEvent, JournalRecord, Observer, JOURNAL_CAPACITY};
-use eddie::serve::{
-    fetch_stats, load_snapshot, read_frame, resume_journal, write_frame, Frame, ServerConfig,
-};
+use eddie::serve::{fetch_stats, read_frame, write_frame, Frame, ServerConfig};
 use eddie::stream::{Fleet, FleetConfig, MonitorSession, PushResult};
-use eddie_experiments::diff::{self, metric, wait_for, Fixture, LocalServer, TempDir, MODEL_ID};
+use eddie_experiments::diff::{self, metric, wait_for, Fixture, LocalServer, MODEL_ID};
 
 #[test]
 fn instrumented_loopback_counters_balance() {
@@ -50,8 +47,6 @@ fn instrumented_loopback_counters_balance() {
     assert!(eddie::obs::enabled(), "install() arms the gate");
     let obs = eddie::obs::global().expect("installed");
 
-    let dir = TempDir::new("obs-gate");
-    let snap_path = dir.path().join("snapshot.snap");
     let config = ServerConfig::builder()
         .with_fleet(
             // Tiny queue bounds so backpressure (Busy, shed, go-back-N
@@ -63,8 +58,6 @@ fn instrumented_loopback_counters_balance() {
                 .build()
                 .expect("fleet config"),
         )
-        .with_snapshot_path(snap_path.clone())
-        .with_snapshot_every(Duration::from_secs(3600))
         .build()
         .expect("server config");
     let server = LocalServer::start(fx.model.clone(), config).unwrap();
@@ -91,28 +84,6 @@ fn instrumented_loopback_counters_balance() {
     })
     .unwrap();
 
-    // Snapshot via the wire so the file carries the live journal seq.
-    {
-        let mut s = std::net::TcpStream::connect(addr).expect("connect");
-        write_frame(
-            &mut s,
-            &Frame::Hello {
-                model_id: MODEL_ID.to_string(),
-                sample_rate: runs[0].rate,
-            },
-        )
-        .unwrap();
-        write_frame(&mut s, &Frame::Snapshot).unwrap();
-        loop {
-            match read_frame(&mut s).expect("reply").expect("no EOF yet") {
-                Frame::Ack { .. } => break,
-                Frame::Event { .. } => {}
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }
-        write_frame(&mut s, &Frame::Close).unwrap();
-        while read_frame(&mut s).expect("read").is_some() {}
-    }
     wait_for(
         || server.handle().fleet_stats().active_sessions == 0,
         "sessions evicted after close",
@@ -208,26 +179,6 @@ fn instrumented_loopback_counters_balance() {
             "journal seqs must be strictly increasing"
         );
     }
-
-    // Snapshot file carries the journal sequence forward: a restored
-    // server continues numbering, never restarts it.
-    let file = load_snapshot(&snap_path).expect("snapshot file readable");
-    assert!(
-        file.journal_seq > 0,
-        "snapshot stamped with a live journal seq"
-    );
-    assert!(
-        file.journal_seq <= obs.journal().next_seq(),
-        "stamp cannot be from the future"
-    );
-    resume_journal(&file);
-    let seq_after = obs
-        .journal()
-        .record(JournalEvent::SnapshotPersisted { sessions: 0 });
-    assert!(
-        seq_after >= file.journal_seq,
-        "post-restore records continue past the persisted seq"
-    );
 
     journal_keeps_decisions(fx, obs);
     journal_names_sessions_by_token(fx, obs);
