@@ -12,7 +12,10 @@ is this checkout's working tree.
 
 Prints every run's result line, then one row per end-to-end metric and
 workload: each side's median and quartiles, and how much worse the
-change's median is than the base's. Exits 1 when a run is incorrect or
+change's median is than the base's. Under every row whose verdict is
+not ok, it also prints each side's per-run values in seed order, so a
+split of the runs into modes shows without reading the result lines.
+Exits 1 when a run is incorrect or
 fails to finish, when the change fails a larger share of its operations
 than the base, or when a metric's median is worse than the base's by
 more than the metric's bound. A metric whose base runs spread (quartile
@@ -136,6 +139,10 @@ def main() -> int:
             verdict, worse, spread = judge(m, values["base"], values["change"])
             print(f"{w:<8} {m['name']:<17} {cols['base']:<32} {cols['change']:<32} "
                   f"{worse:>+8.1%} {spread:>7.1%} {m['bound']:>6.0%}  {verdict}")
+            if verdict != "ok":
+                for side in trees:
+                    print(f"{'':<8} {side + ' runs:':<17} "
+                          + " ".join(f"{v:.4g}" for v in values[side]))
             if verdict.startswith("REGRESSED"):
                 failures.append(f"{w} {m['name']}: median {worse:+.1%} worse, bound {m['bound']:.0%}")
     for f in failures:

@@ -8,8 +8,6 @@
 //!
 //! * [`Poller`] — level-triggered readiness: `epoll(7)` on Linux,
 //!   portable `poll(2)` elsewhere.
-//! * [`Slab`]/[`Token`] — generation-tagged connection registry; slot
-//!   reuse without stale-token aliasing.
 //! * [`Waker`] — self-pipe cross-thread wakeup with coalescing.
 //! * [`BufferedConn`] — per-connection nonblocking read/write state
 //!   machine: length-prefixed frame extraction and partial-write
@@ -31,7 +29,6 @@ mod conn;
 mod metrics;
 mod poller;
 mod reactor;
-mod slab;
 pub mod sys;
 mod waker;
 
@@ -39,5 +36,4 @@ pub use conn::{BufferedConn, FlushPass, FrameDefect, ReadPass};
 pub use metrics::NetMetrics;
 pub use poller::{Event, Interest, Poller, MAX_EVENTS_PER_WAIT};
 pub use reactor::{Reactor, WAKE_DATA};
-pub use slab::{Slab, Token};
 pub use waker::{wake_pair, WakeReader, Waker};

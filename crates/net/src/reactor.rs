@@ -13,12 +13,11 @@
 //! }
 //! ```
 //!
-//! The reactor does not own connection state — callers keep their own
-//! [`Slab`](crate::Slab) keyed by [`Token`](crate::Token) and pass
-//! `token.as_u64()` as the registration data. The wakeup pipe uses the
-//! reserved data word [`WAKE_DATA`], which no slab token can collide
-//! with in practice (it would take 2^32 generations on slot
-//! `u32::MAX`).
+//! The reactor does not own connection state — callers key their
+//! connections by the `u64` they register as each descriptor's data
+//! word, and look the connection up by an event's `data`. The wakeup
+//! pipe uses the reserved data word [`WAKE_DATA`], which callers must
+//! not register.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -63,8 +62,8 @@ impl Reactor {
         self.waker.clone()
     }
 
-    /// Registers a connection descriptor under `data`
-    /// (`Token::as_u64()`). Bumps the registered-connections gauge.
+    /// Registers a connection descriptor under `data`, the caller's key
+    /// for the connection. Bumps the registered-connections gauge.
     pub fn register(&self, fd: RawFd, data: u64, interest: Interest) -> io::Result<()> {
         debug_assert_ne!(data, WAKE_DATA, "WAKE_DATA is reserved for the wakeup pipe");
         self.poller.register(fd, data, interest)?;
@@ -86,8 +85,8 @@ impl Reactor {
         self.poller.deregister(fd)
     }
 
-    /// Changes the interest set of a registered descriptor — the
-    /// backpressure primitive (`Full` ingress queue ⇒ drop readable).
+    /// Changes the interest set of a registered descriptor, e.g. adding
+    /// writable interest while bytes are owed.
     pub fn reregister(&self, fd: RawFd, data: u64, interest: Interest) -> io::Result<()> {
         self.poller.reregister(fd, data, interest)
     }

@@ -1,9 +1,9 @@
 //! End-to-end reactor tests: a miniature echo server built on the
-//! public `eddie-net` surface, exercised for token-slab reuse,
-//! wakeup-pipe self-events, partial-write resumption, and a
-//! high-fanout connect/churn soak.
+//! public `eddie-net` surface, exercised for connection retirement
+//! under churn, wakeup-pipe self-events, partial-write resumption, and
+//! a high-fanout connect/churn soak.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use eddie_net::{sys, BufferedConn, Event, FlushPass, Interest, Reactor, Slab, Token};
+use eddie_net::{sys, BufferedConn, Event, FlushPass, Interest, Reactor};
 
 const MAX_FRAME: usize = 1 << 20;
 
@@ -41,11 +41,14 @@ struct EchoConn {
 
 /// A single-threaded reactor echo server: every inbound frame is
 /// echoed back verbatim; EOF at a frame boundary closes the
-/// connection after the write buffer drains.
+/// connection after the write buffer drains. Each connection is keyed
+/// by an id from a counter that never repeats, which is also its
+/// poller data word.
 struct EchoServer {
     listener: TcpListener,
     reactor: Reactor,
-    conns: Slab<EchoConn>,
+    conns: BTreeMap<u64, EchoConn>,
+    next_id: u64,
     stop: Arc<AtomicBool>,
 }
 
@@ -66,7 +69,8 @@ impl EchoServer {
             EchoServer {
                 listener,
                 reactor,
-                conns: Slab::new(),
+                conns: BTreeMap::new(),
+                next_id: 0,
                 stop,
             },
             addr,
@@ -85,7 +89,7 @@ impl EchoServer {
                 if ev.data == LISTENER_DATA {
                     self.accept_ready();
                 } else {
-                    self.drive(Token::from_u64(ev.data), *ev);
+                    self.drive(ev.data, *ev);
                 }
             }
             events = batch;
@@ -98,13 +102,18 @@ impl EchoServer {
                 Ok((stream, _)) => {
                     let conn = BufferedConn::new(stream).expect("conn");
                     let fd = conn.raw_fd();
-                    let token = self.conns.insert(EchoConn {
-                        conn,
-                        interest: Interest::READABLE,
-                        closing: false,
-                    });
+                    let id = self.next_id;
+                    self.next_id += 1;
+                    self.conns.insert(
+                        id,
+                        EchoConn {
+                            conn,
+                            interest: Interest::READABLE,
+                            closing: false,
+                        },
+                    );
                     self.reactor
-                        .register(fd, token.as_u64(), Interest::READABLE)
+                        .register(fd, id, Interest::READABLE)
                         .expect("register conn");
                 }
                 Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
@@ -114,9 +123,9 @@ impl EchoServer {
         }
     }
 
-    fn drive(&mut self, token: Token, ev: Event) {
-        let Some(ec) = self.conns.get_mut(token) else {
-            return; // stale token from a closed connection
+    fn drive(&mut self, id: u64, ev: Event) {
+        let Some(ec) = self.conns.get_mut(&id) else {
+            return; // an event for a connection closed earlier
         };
         let mut dead = false;
         if ev.readable && !ec.closing {
@@ -153,12 +162,12 @@ impl EchoServer {
         if dead {
             let fd = ec.conn.raw_fd();
             self.reactor.deregister(fd).expect("deregister");
-            self.conns.remove(token);
+            self.conns.remove(&id);
             return;
         }
         // Interest follows buffer state: always readable (until
         // closing), writable only while bytes are pending.
-        let ec = self.conns.get_mut(token).expect("live conn");
+        let ec = self.conns.get_mut(&id).expect("live conn");
         let mut want = if ec.closing {
             Interest::NONE
         } else {
@@ -169,7 +178,7 @@ impl EchoServer {
         }
         if want != ec.interest {
             self.reactor
-                .reregister(ec.conn.raw_fd(), token.as_u64(), want)
+                .reregister(ec.conn.raw_fd(), id, want)
                 .expect("reregister");
             ec.interest = want;
         }
@@ -211,12 +220,11 @@ fn echo_server_round_trips_frames() {
     handle.join().expect("server");
 }
 
-/// Satellite test: a closed connection's slab slot is reused by the
-/// next connection, the slab never grows past the concurrency high
-/// water mark, and the registered-connections gauge returns to its
-/// baseline.
+/// Sequential connect/close churn retires every connection: the
+/// server's map is empty at the end and the registered-connections
+/// gauge is back at its baseline.
 #[test]
-fn token_slab_reuses_slots_across_connection_churn() {
+fn connection_churn_retires_every_connection() {
     let _serial = serial();
     let stop = Arc::new(AtomicBool::new(false));
     let (server, addr) = EchoServer::bind(stop.clone());
@@ -230,8 +238,8 @@ fn token_slab_reuses_slots_across_connection_churn() {
         std::thread::spawn(move || server.lock().expect("server").run())
     };
 
-    // Sequential connect/close churn: at most one live connection, so
-    // slot 0 must be reused every time.
+    // Sequential connect/close churn: at most one live connection at a
+    // time.
     for round in 0..50u32 {
         let body = round.to_le_bytes();
         assert_eq!(echo_round_trip(addr, &body), body);
@@ -255,12 +263,8 @@ fn token_slab_reuses_slots_across_connection_churn() {
         .expect("sole owner")
         .into_inner()
         .expect("lock");
-    assert_eq!(server.conns.len(), 0, "all connections retired");
-    assert!(
-        server.conns.capacity() <= 4,
-        "50 sequential connections must reuse slots, used {}",
-        server.conns.capacity()
-    );
+    assert!(server.conns.is_empty(), "all connections retired");
+    assert_eq!(server.next_id, 50, "one fresh id per connection");
     assert_eq!(
         gauge.value(),
         baseline,
@@ -365,7 +369,7 @@ fn five_thousand_connection_loopback_churn() {
             let mut got = vec![0u8; u32::from_le_bytes(len) as usize];
             s.read_exact(&mut got).expect("body");
             assert_eq!(got, body);
-            drop(s); // close → slot churns
+            drop(s); // close → the connection retires
             let fresh = TcpStream::connect(addr).expect("reconnect");
             socks.push_back(fresh);
         }

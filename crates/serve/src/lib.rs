@@ -22,8 +22,11 @@
 //!   nonblocking [`eddie_net`] event-loop thread owns the listener and
 //!   every socket, drains the fleet itself (sharding the devices with
 //!   queued chunks across the `eddie-exec` worker pool, taking a share
-//!   itself) and writes every reply and event, and fleet backpressure
-//!   becomes an epoll interest-set flip instead of a blocked reader.
+//!   itself) and writes every reply and event. Each connection has one
+//!   id, which routes its session's events and names it in the
+//!   journal. Fleet backpressure is a `Busy` reply, never a blocked
+//!   reader, and a bounded read buffer per connection lets TCP push
+//!   back on a flooding peer.
 //! * [`client`] — a blocking replay client with go-back-N
 //!   retransmission on `Busy`, used by the `replay-client` experiment
 //!   and the loopback CI gates; plus [`ResilientClient`], a

@@ -2,9 +2,14 @@
 //!
 //! Connection count is decoupled from thread count: the serving thread
 //! owns an [`eddie_net::Reactor`] (epoll on Linux, `poll(2)` fallback)
-//! plus a slab of connection state machines, each driving the protocol
+//! plus a map of connection state machines, each driving the protocol
 //! core in [`handle_frame`], and it runs the fleet drain itself. Every
 //! frame the server sends is written on this thread.
+//!
+//! Each connection has one id, drawn from a counter that never
+//! repeats: it is the connection's poller data word, its session's
+//! route and its journal id. A route or event naming a closed
+//! connection finds nothing.
 //!
 //! ## One pass
 //!
@@ -17,21 +22,19 @@
 //! 3. **Drain** — [`serve_fleet`] processes every queued chunk on the
 //!    worker pool (this thread takes a share) and writes each device's
 //!    events into its connection's outbound buffer: the route is the
-//!    connection's slab [`Token`].
-//! 4. **Tick** — per connection: idle timeouts, backpressure resumes,
-//!    `Finish`/`Close` completion and closing deadlines; then flush
-//!    what is owed, resuming partial writes on writable readiness.
+//!    connection's id.
+//! 4. **Tick** — per connection: idle timeouts, `Finish`/`Close`
+//!    completion and closing deadlines; then flush what is owed,
+//!    resuming partial writes on writable readiness.
 //!
-//! * **Backpressure** — a real `PushResult::Full` surfaces as
-//!   [`Step::BackpressurePause`]: the connection drops readable
-//!   interest (already-buffered frames stay buffered) until a tick
-//!   finds room in the device's queue, which the drain just before it
-//!   made. TCP then pushes back on the capture device without
-//!   freezing a thread.
+//! * **Backpressure** — a real `PushResult::Full` is a `Busy` reply
+//!   like every other refusal: the client resends from that chunk
+//!   (go-back-N). [`MAX_READ_BUFFER`] bounds the bytes buffered per
+//!   connection, so past it TCP pushes back on the capture device.
 //! * **Flush** — `Finish`/`Close` become a `Flushing` mode: stop
-//!   reading, wait for the device's queue to hit zero, then run
-//!   [`after_flush`]. A drain writes its events in the pass that
-//!   processes their chunks, so an empty queue means every event
+//!   consuming frames until the tick that follows the pass's drain,
+//!   then run [`after_flush`]. The drain empties every device's queue
+//!   and writes its events in the same pass, so by then every event
 //!   already sits in this connection's outbound buffer ahead of the
 //!   reply — none can be lost, and the stream a client sees stays
 //!   byte-identical to the batch pipeline's.
@@ -40,24 +43,25 @@
 //!   is a FIN rather than a RST destroying the final reply, then close
 //!   after a quiet period of one poll interval.
 
+use std::collections::BTreeMap;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use eddie_net::{BufferedConn, Event, FrameDefect, Interest, Reactor, Slab, Token};
+use eddie_net::{BufferedConn, Event, FrameDefect, Interest, Reactor};
 use eddie_obs::JournalEvent;
 
 use crate::server::{
-    after_flush, chunks_queued, finish_connection, handle_frame, pending_chunks, send, send_err,
-    serve_fleet, ConnState, ExitReason, ServerConfig, Shared, Step,
+    after_flush, chunks_queued, finish_connection, handle_frame, send, send_err, serve_fleet,
+    ConnState, ExitReason, ServerConfig, Shared, Step,
 };
 use crate::wire::{ErrCode, Frame, MAX_FRAME_LEN};
 
-/// Poller user-data word for the listener. Far above any practical
-/// slab token (slot `u32::MAX - 1` at generation `u32::MAX`), and
-/// distinct from [`eddie_net::WAKE_DATA`].
+/// Poller user-data word for the listener, distinct from
+/// [`eddie_net::WAKE_DATA`]. Connection ids count up from 0 and never
+/// reach it.
 const LISTENER_DATA: u64 = u64::MAX - 1;
 
 /// Per-connection inbound accumulator bound: one maximum frame plus
@@ -77,11 +81,8 @@ const POLL_INTERVAL: Duration = Duration::from_millis(2);
 enum ConnMode {
     /// Reading and handling frames.
     Open,
-    /// The fleet refused a chunk with a real `Full`: readable interest
-    /// is dropped until the device's queue has room (tick recheck).
-    PausedFull,
-    /// `Finish`/`Close` in progress: reading stopped until the
-    /// device's queue drains, then [`after_flush`] runs.
+    /// `Finish`/`Close` in progress: frames stay buffered until the
+    /// next tick, after the pass's drain, runs [`after_flush`].
     Flushing(crate::server::FlushThen),
     /// Exit bookkeeping done; flushing final frames and courteously
     /// draining inbound bytes, then close.
@@ -95,7 +96,6 @@ struct RConn {
     mode: ConnMode,
     /// Interest set currently installed in the poller.
     interest: Interest,
-    conn_id: u64,
     /// Last inbound progress, for the frame-boundary idle timeout.
     last_activity: Instant,
     saw_eof: bool,
@@ -107,6 +107,10 @@ struct RConn {
     /// Courtesy-drain byte budget consumed.
     drained: usize,
 }
+
+/// The serving thread's connections, by id. Ascending ids follow
+/// accept order, so a sweep over them is deterministic.
+type Conns = BTreeMap<u64, RConn>;
 
 /// Runs the server on the calling thread, one pass at a time (see the
 /// module docs) — until shutdown has been observed, every connection is
@@ -124,7 +128,8 @@ pub(crate) fn run_reactor(
     // ~1k connections. Best effort — the hard limit still rules.
     let _ = eddie_net::sys::raise_nofile_limit(16_384);
 
-    let mut slab: Slab<RConn> = Slab::new();
+    let mut conns = Conns::new();
+    let mut next_id: u64 = 0;
     let mut events: Vec<Event> = Vec::new();
     let mut shutdown_seen = false;
     let mut served: io::Result<()> = Ok(());
@@ -135,9 +140,9 @@ pub(crate) fn run_reactor(
     loop {
         if shared.shutdown.load(Ordering::SeqCst) && !shutdown_seen {
             shutdown_seen = true;
-            begin_shutdown(&mut slab, shared);
+            begin_shutdown(&mut conns, shared);
         }
-        if shutdown_seen && slab.is_empty() && !queued {
+        if shutdown_seen && conns.is_empty() && !queued {
             break;
         }
 
@@ -152,12 +157,12 @@ pub(crate) fn run_reactor(
             // A broken poller strands every connection: take the whole
             // server down and park what we can.
             shared.shutdown.store(true, Ordering::SeqCst);
-            abort_connections(&mut slab, &reactor, shared);
+            abort_connections(&mut conns, &reactor, shared);
             return Err(e);
         }
 
         if !shutdown_seen {
-            if let Some(e) = accept_burst(&listener, &mut slab, &reactor, shared) {
+            if let Some(e) = accept_burst(&listener, &mut conns, &mut next_id, &reactor, shared) {
                 // Fatal listener error: shut down, drain (the next
                 // iteration observes the flag), then report it.
                 served = Err(e);
@@ -171,25 +176,25 @@ pub(crate) fn run_reactor(
             if ev.data == LISTENER_DATA {
                 continue; // the accept burst above runs every pass
             }
-            let token = Token::from_u64(ev.data);
-            let keep = match slab.get_mut(token) {
+            let id = ev.data;
+            let keep = match conns.get_mut(&id) {
                 Some(rc) => drive_event(rc, *ev, shared, config),
-                None => continue, // stale: closed earlier this pass
+                None => continue, // closed earlier this pass
             };
-            finish_pass(&mut slab, &reactor, token, keep, shared);
+            finish_pass(&mut conns, &reactor, id, keep, shared);
         }
         events = batch;
 
         // The drain: every queued chunk, its events onto their routes.
         serve_fleet(shared, config, |route, frame| {
-            if let Some(rc) = slab.get_mut(route) {
+            if let Some(rc) = conns.get_mut(&route) {
                 send(&mut rc.conn, frame);
             }
         });
 
-        // Tick: flush completion, backpressure resumes, idle timeouts,
-        // closing deadlines, and the events just routed.
-        tick(&mut slab, &reactor, shared, config);
+        // Tick: flush completion, idle timeouts, closing deadlines, and
+        // the events just routed.
+        tick(&mut conns, &reactor, shared, config);
 
         queued = chunks_queued(shared);
     }
@@ -198,11 +203,12 @@ pub(crate) fn run_reactor(
     served
 }
 
-/// Accepts until the listener would block, registering each socket.
-/// Returns a fatal listener error, if any.
+/// Accepts until the listener would block, registering each socket
+/// under the next id. Returns a fatal listener error, if any.
 fn accept_burst(
     listener: &TcpListener,
-    slab: &mut Slab<RConn>,
+    conns: &mut Conns,
+    next_id: &mut u64,
     reactor: &Reactor,
     shared: &Shared,
 ) -> Option<io::Error> {
@@ -210,7 +216,9 @@ fn accept_burst(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 shared.counters.connections.inc();
-                add_conn(stream, slab, reactor, shared);
+                let id = *next_id;
+                *next_id += 1;
+                add_conn(stream, id, conns, reactor, shared);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return None,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -219,20 +227,18 @@ fn accept_burst(
     }
 }
 
-/// Registers one fresh socket in the reactor: lifecycle counters and
-/// journal, nonblocking conversion, slab slot, poller registration.
-fn add_conn(stream: TcpStream, slab: &mut Slab<RConn>, reactor: &Reactor, shared: &Shared) {
-    let conn_id = shared.counters.next_conn_id.fetch_add(1, Ordering::Relaxed);
+/// Registers one fresh socket in the reactor under `id`: lifecycle
+/// counters and journal, nonblocking conversion, map entry, poller
+/// registration.
+fn add_conn(stream: TcpStream, id: u64, conns: &mut Conns, reactor: &Reactor, shared: &Shared) {
     shared.counters.open_connections.add(1);
     if let Some(o) = eddie_obs::global() {
-        o.journal()
-            .record(JournalEvent::ConnectionOpened { id: conn_id });
+        o.journal().record(JournalEvent::ConnectionOpened { id });
     }
     let close_books = |shared: &Shared| {
         shared.counters.open_connections.sub(1);
         if let Some(o) = eddie_obs::global() {
-            o.journal()
-                .record(JournalEvent::ConnectionClosed { id: conn_id });
+            o.journal().record(JournalEvent::ConnectionClosed { id });
         }
     };
     let _ = stream.set_nodelay(true);
@@ -243,77 +249,52 @@ fn add_conn(stream: TcpStream, slab: &mut Slab<RConn>, reactor: &Reactor, shared
             return;
         }
     };
-    let fd = conn.raw_fd();
-    let token = slab.insert_with(|t| RConn {
-        conn,
-        state: ConnState::new(t),
-        mode: ConnMode::Open,
-        interest: Interest::READABLE,
-        conn_id,
-        last_activity: Instant::now(),
-        saw_eof: false,
-        finished: false,
-        close_deadline: None,
-        drained: 0,
-    });
     if reactor
-        .register(fd, token.as_u64(), Interest::READABLE)
+        .register(conn.raw_fd(), id, Interest::READABLE)
         .is_err()
     {
         // The poller refused the descriptor (fd exhaustion): balance
         // the books and drop the socket.
-        drop(slab.remove(token));
         close_books(shared);
-    }
-}
-
-/// Applies the outcome of driving a connection: re-sync the poller
-/// interest set, check the closing drop condition, and tear down when
-/// the connection is done.
-fn finish_pass(
-    slab: &mut Slab<RConn>,
-    reactor: &Reactor,
-    token: Token,
-    keep: bool,
-    shared: &Shared,
-) {
-    let keep = keep
-        && match slab.get_mut(token) {
-            Some(rc) => {
-                arm_close_deadline(rc);
-                !closing_complete(rc)
-            }
-            None => return,
-        };
-    if !keep {
-        teardown(slab, reactor, token, shared);
         return;
     }
-    if let Some(rc) = slab.get_mut(token) {
-        let want = desired_interest(rc);
-        if want != rc.interest
-            && reactor
-                .reregister(rc.conn.raw_fd(), token.as_u64(), want)
-                .is_ok()
-        {
-            rc.interest = want;
-        }
-    }
+    conns.insert(
+        id,
+        RConn {
+            conn,
+            state: ConnState::new(id),
+            mode: ConnMode::Open,
+            interest: Interest::READABLE,
+            last_activity: Instant::now(),
+            saw_eof: false,
+            finished: false,
+            close_deadline: None,
+            drained: 0,
+        },
+    );
 }
 
-/// The interest set a connection's current state calls for.
-fn desired_interest(rc: &RConn) -> Interest {
-    let write = if rc.conn.wants_write() {
-        Interest::WRITABLE
-    } else {
-        Interest::NONE
+/// Applies the outcome of driving a connection: check the closing drop
+/// condition, tear down when the connection is done, and otherwise
+/// keep writable interest exactly while bytes are owed.
+fn finish_pass(conns: &mut Conns, reactor: &Reactor, id: u64, keep: bool, shared: &Shared) {
+    let Some(rc) = conns.get_mut(&id) else {
+        return;
     };
-    match rc.mode {
-        // Closing stays readable for the courtesy drain.
-        ConnMode::Open | ConnMode::Closing => Interest::READABLE.or(write),
-        // Backpressure / flushing: reading is paused, errors still
-        // surface through the write side or the tick recheck.
-        ConnMode::PausedFull | ConnMode::Flushing(_) => write,
+    arm_close_deadline(rc);
+    if !keep || closing_complete(rc) {
+        teardown(conns, reactor, id, shared);
+        return;
+    }
+    // Always readable: `Open` consumes frames, `Closing` drains
+    // courtesy bytes, and the next tick releases a `Flushing` one.
+    let want = if rc.conn.wants_write() {
+        Interest::READABLE.or(Interest::WRITABLE)
+    } else {
+        Interest::READABLE
+    };
+    if want != rc.interest && reactor.reregister(rc.conn.raw_fd(), id, want).is_ok() {
+        rc.interest = want;
     }
 }
 
@@ -333,7 +314,7 @@ fn drive_event(rc: &mut RConn, ev: Event, shared: &Shared, config: &ServerConfig
                         rc.saw_eof = true;
                     }
                     pump_frames(rc, shared, config);
-                    if rc.saw_eof && matches!(rc.mode, ConnMode::Open | ConnMode::PausedFull) {
+                    if rc.saw_eof && rc.mode == ConnMode::Open {
                         if rc.conn.mid_frame() {
                             // EOF inside a frame: the peer died
                             // mid-send. Same books as a malformed
@@ -423,34 +404,8 @@ fn pump_frames(rc: &mut RConn, shared: &Shared, config: &ServerConfig) {
 fn apply_step(rc: &mut RConn, step: Step, shared: &Shared) {
     match step {
         Step::Continue => {}
-        Step::BackpressurePause => {
-            shared.counters.backpressure_pauses.inc();
-            rc.mode = ConnMode::PausedFull;
-        }
-        Step::Flush(then) => {
-            rc.mode = ConnMode::Flushing(then);
-            // The queue may already be empty — complete inline.
-            check_flushing(rc, shared);
-        }
+        Step::Flush(then) => rc.mode = ConnMode::Flushing(then),
         Step::End(reason) => begin_close(rc, reason, shared),
-    }
-}
-
-/// If a `Flushing` connection's device queue has drained, runs
-/// [`after_flush`] and applies the resulting step.
-fn check_flushing(rc: &mut RConn, shared: &Shared) {
-    let ConnMode::Flushing(then) = rc.mode else {
-        return;
-    };
-    if pending_chunks(&rc.state, shared) > 0 {
-        return;
-    }
-    match after_flush(then, &rc.state, &mut rc.conn, shared) {
-        Step::Continue => rc.mode = ConnMode::Open,
-        Step::End(reason) => begin_close(rc, reason, shared),
-        Step::BackpressurePause | Step::Flush(_) => {
-            unreachable!("after_flush returns Continue or End")
-        }
     }
 }
 
@@ -516,58 +471,48 @@ fn closing_complete(rc: &RConn) -> bool {
 }
 
 /// Once-per-pass maintenance across all connections, ending with a
-/// flush of what each owes.
-fn tick(slab: &mut Slab<RConn>, reactor: &Reactor, shared: &Shared, config: &ServerConfig) {
+/// flush of what each owes. It runs after the pass's drain, which left
+/// no chunk queued, so a `Flushing` connection completes here.
+fn tick(conns: &mut Conns, reactor: &Reactor, shared: &Shared, config: &ServerConfig) {
     let now = Instant::now();
-    for token in slab.tokens() {
-        let keep = match slab.get_mut(token) {
-            Some(rc) => {
-                match rc.mode {
-                    ConnMode::Open => {
-                        // Idle budget applies only at a frame boundary:
-                        // a mid-frame stall is a slow sender.
-                        if let Some(limit) = config.idle_timeout {
-                            if !rc.conn.mid_frame() && now.duration_since(rc.last_activity) >= limit
-                            {
-                                shared.counters.idle_disconnects.inc();
-                                begin_close(rc, ExitReason::Abrupt, shared);
-                            }
-                        }
-                    }
-                    ConnMode::PausedFull => {
-                        if pending_chunks(&rc.state, shared) < config.fleet.max_pending_chunks {
-                            rc.mode = ConnMode::Open;
-                            // Frames buffered while paused are live.
-                            pump_frames(rc, shared, config);
-                            if rc.saw_eof
-                                && matches!(rc.mode, ConnMode::Open | ConnMode::PausedFull)
-                            {
-                                begin_close(rc, ExitReason::Abrupt, shared);
-                            }
-                        }
-                    }
-                    ConnMode::Flushing(_) => {
-                        check_flushing(rc, shared);
-                        if rc.mode == ConnMode::Open {
-                            pump_frames(rc, shared, config);
-                        }
-                    }
-                    ConnMode::Closing => {}
-                }
-                flush_owed(rc, shared, config)
-            }
-            None => continue,
+    let ids: Vec<u64> = conns.keys().copied().collect();
+    for id in ids {
+        let Some(rc) = conns.get_mut(&id) else {
+            continue;
         };
-        finish_pass(slab, reactor, token, keep, shared);
+        match rc.mode {
+            ConnMode::Open => {
+                // Idle budget applies only at a frame boundary: a
+                // mid-frame stall is a slow sender.
+                if let Some(limit) = config.idle_timeout {
+                    if !rc.conn.mid_frame() && now.duration_since(rc.last_activity) >= limit {
+                        shared.counters.idle_disconnects.inc();
+                        begin_close(rc, ExitReason::Abrupt, shared);
+                    }
+                }
+            }
+            ConnMode::Flushing(then) => {
+                // Back to `Open` unless the flush ends the connection.
+                rc.mode = ConnMode::Open;
+                let step = after_flush(then, &rc.state, &mut rc.conn, shared);
+                apply_step(rc, step, shared);
+                // Frames buffered behind the flush are live again; a
+                // flush they begin completes in the next pass's tick.
+                pump_frames(rc, shared, config);
+            }
+            ConnMode::Closing => {}
+        }
+        let keep = flush_owed(rc, shared, config);
+        finish_pass(conns, reactor, id, keep, shared);
     }
 }
 
-/// Removes a connection: its token goes stale (a route still naming it
-/// drops frames), the descriptor leaves the poller, lifecycle books
+/// Removes a connection: its id leaves the map (a route still naming
+/// it drops frames), the descriptor leaves the poller, lifecycle books
 /// balance, and — if the protocol never concluded — the session is
 /// parked or evicted as an abrupt disconnect.
-fn teardown(slab: &mut Slab<RConn>, reactor: &Reactor, token: Token, shared: &Shared) {
-    let Some(rc) = slab.remove(token) else {
+fn teardown(conns: &mut Conns, reactor: &Reactor, id: u64, shared: &Shared) {
+    let Some(rc) = conns.remove(&id) else {
         return;
     };
     let _ = reactor.deregister(rc.conn.raw_fd());
@@ -576,8 +521,7 @@ fn teardown(slab: &mut Slab<RConn>, reactor: &Reactor, token: Token, shared: &Sh
     }
     shared.counters.open_connections.sub(1);
     if let Some(o) = eddie_obs::global() {
-        o.journal()
-            .record(JournalEvent::ConnectionClosed { id: rc.conn_id });
+        o.journal().record(JournalEvent::ConnectionClosed { id });
     }
     // Dropping `rc` closes the socket (FIN — the courtesy drain and
     // flush already happened for graceful exits).
@@ -585,21 +529,20 @@ fn teardown(slab: &mut Slab<RConn>, reactor: &Reactor, token: Token, shared: &Sh
 
 /// Shutdown sweep: every connection still running gets the shutdown
 /// error and a graceful close.
-fn begin_shutdown(slab: &mut Slab<RConn>, shared: &Shared) {
-    for token in slab.tokens() {
-        if let Some(rc) = slab.get_mut(token) {
-            if rc.mode != ConnMode::Closing {
-                send_err(&mut rc.conn, ErrCode::Shutdown);
-                begin_close(rc, ExitReason::Shutdown, shared);
-            }
+fn begin_shutdown(conns: &mut Conns, shared: &Shared) {
+    for rc in conns.values_mut() {
+        if rc.mode != ConnMode::Closing {
+            send_err(&mut rc.conn, ErrCode::Shutdown);
+            begin_close(rc, ExitReason::Clean, shared);
         }
     }
 }
 
 /// Fatal-poller bailout: run exit bookkeeping for every connection so
 /// sessions are parked/evicted rather than leaked, then drop sockets.
-fn abort_connections(slab: &mut Slab<RConn>, reactor: &Reactor, shared: &Shared) {
-    for token in slab.tokens() {
-        teardown(slab, reactor, token, shared);
+fn abort_connections(conns: &mut Conns, reactor: &Reactor, shared: &Shared) {
+    let ids: Vec<u64> = conns.keys().copied().collect();
+    for id in ids {
+        teardown(conns, reactor, id, shared);
     }
 }

@@ -9,18 +9,19 @@
 //! protocol state machine (`handle_frame`): `Hello` registers a
 //! [`MonitorSession`] in the fleet, and `Chunk` frames are pushed
 //! through [`Fleet::push_chunk`](eddie_stream::Fleet::push_chunk). A
-//! `Full` result becomes an explicit [`Frame::Busy`] on the wire plus a
-//! pause of the connection's read interest, which is how fleet
-//! backpressure reaches the capture device.
+//! `Full` result becomes an explicit [`Frame::Busy`] on the wire, which
+//! is how fleet backpressure reaches the capture device: it resends
+//! from the refused chunk (go-back-N).
 //!
 //! After each pass's frames are handled and their replies flushed, the
 //! same thread drains the fleet ([`Fleet::drain`]: the devices with
 //! queued chunks, sharded across the `eddie-exec` worker pool with the
 //! serving thread taking a share) and writes each device's events into
 //! the outbound buffer of the connection carrying its session; the
-//! route is that connection's slab token. It also expires parked
-//! sessions and forwarding stubs. Slow clients never stall it: unsent
-//! bytes wait in their connection's buffer.
+//! route is that connection's id, drawn from a counter that never
+//! repeats. It also expires parked sessions and forwarding stubs. Slow
+//! clients never stall it: unsent bytes wait in their connection's
+//! buffer.
 //!
 //! # Sessions
 //!
@@ -40,11 +41,11 @@
 //! With one thread producing frames, the two invariants that matter
 //! hold by construction:
 //!
-//! 1. a drain writes its events in the pass that processes their
-//!    chunks, so when a connection sees an empty queue for its device
-//!    (during `Finish` or a graceful `Close`) every event for its
-//!    accepted chunks is already queued ahead of the reply — none are
-//!    lost;
+//! 1. a drain empties every device's queue and writes its events in
+//!    the pass that processes their chunks, so when a connection
+//!    completes a `Finish` or a graceful `Close` after the drain, every
+//!    event for its accepted chunks is already queued ahead of the
+//!    reply — none are lost;
 //! 2. eviction (record removal + [`Fleet::remove_session`]) never
 //!    interleaves with a drain, so an abrupt disconnect can never leak
 //!    a session or route events to a dead connection.
@@ -60,13 +61,13 @@
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use eddie_chaos::ServerFaults;
 use eddie_core::{Error as CoreError, ErrorKind, TrainedModel};
-use eddie_net::{BufferedConn, NetMetrics, Reactor, Token, Waker};
+use eddie_net::{BufferedConn, NetMetrics, Reactor, Waker};
 use eddie_obs::{Counter, Gauge, Histogram, JournalEvent, Registry, Timer};
 use eddie_store::{SessionStore, StoreConfig};
 use eddie_stream::{DeviceId, Fleet, FleetConfig, FleetStats, MonitorSession, PushResult};
@@ -266,7 +267,6 @@ pub(crate) struct Counters {
     sessions_migrated_out: Arc<Counter>,
     sessions_migrated_in: Arc<Counter>,
     pub(crate) idle_disconnects: Arc<Counter>,
-    pub(crate) backpressure_pauses: Arc<Counter>,
     pub(crate) open_connections: Arc<Gauge>,
     /// `eddie_serve_ingest_lag_ns`: a chunk frame's wait for the core
     /// lock plus its sequence check and push. Every chunk frame is
@@ -275,7 +275,6 @@ pub(crate) struct Counters {
     /// drain itself, so only a [`ServerHandle`] call (stats, migrate)
     /// can hold the lock then.
     pub(crate) ingest_lag_ns: Arc<Histogram>,
-    pub(crate) next_conn_id: AtomicU64,
 }
 
 impl Counters {
@@ -296,10 +295,8 @@ impl Counters {
             sessions_migrated_out: registry.counter("eddie_serve_sessions_migrated_out_total"),
             sessions_migrated_in: registry.counter("eddie_serve_sessions_migrated_in_total"),
             idle_disconnects: registry.counter("eddie_serve_idle_disconnects_total"),
-            backpressure_pauses: registry.counter("eddie_serve_backpressure_pauses_total"),
             open_connections: registry.gauge("eddie_serve_open_connections"),
             ingest_lag_ns: registry.histogram("eddie_serve_ingest_lag_ns"),
-            next_conn_id: AtomicU64::new(0),
             registry,
         }
     }
@@ -341,9 +338,6 @@ pub struct ServerReport {
     pub sessions_migrated_in: u64,
     /// Connections dropped by the idle timeout.
     pub idle_disconnects: u64,
-    /// Times a connection dropped read interest after a real `Full`
-    /// refusal (backpressure as an interest-set flip).
-    pub backpressure_pauses: u64,
     /// Fleet statistics at shutdown (shed totals survive eviction).
     pub final_stats: FleetStats,
 }
@@ -399,8 +393,8 @@ struct Session {
 /// Who carries a session.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Link {
-    /// The connection on this slab token: the route its events take.
-    Attached(Token),
+    /// The connection with this id: the route its events take.
+    Attached(u64),
     /// No connection since this instant. A resumable session waits for
     /// a `Resume` until the linger runs out.
     Parked(Instant),
@@ -698,7 +692,6 @@ fn build_report(shared: &Shared) -> ServerReport {
         sessions_migrated_out: c.sessions_migrated_out.value(),
         sessions_migrated_in: c.sessions_migrated_in.value(),
         idle_disconnects: c.idle_disconnects.value(),
-        backpressure_pauses: c.backpressure_pauses.value(),
         final_stats,
     }
 }
@@ -713,7 +706,7 @@ fn build_report(shared: &Shared) -> ServerReport {
 pub(crate) fn serve_fleet(
     shared: &Shared,
     config: &ServerConfig,
-    mut deliver: impl FnMut(Token, &Frame),
+    mut deliver: impl FnMut(u64, &Frame),
 ) {
     let drained = {
         let mut core = shared.core.lock().expect("core lock");
@@ -725,6 +718,9 @@ pub(crate) fn serve_fleet(
         } else {
             Vec::new()
         };
+        // The pass's flushes complete after this without checking a
+        // queue: they rely on the drain leaving none.
+        debug_assert_eq!(core.fleet.total_pending_chunks(), 0);
         for (key, evs) in &drained {
             let Some(s) = core.sessions.get_mut(&key.0) else {
                 continue;
@@ -798,17 +794,16 @@ pub(crate) fn send_err(out: &mut BufferedConn, code: ErrCode) {
 
 /// Per-connection protocol state.
 pub(crate) struct ConnState {
-    /// The connection's slab token: the route its session's events
-    /// take.
-    pub(crate) route: Token,
+    /// The connection's id: the route its session's events take.
+    pub(crate) route: u64,
     /// The token of the session this connection opened (`Hello`,
     /// `HelloResumable`) or reclaimed (`Resume`).
     pub(crate) token: Option<u64>,
 }
 
 impl ConnState {
-    /// A fresh connection on slab slot `route`: no session yet.
-    pub(crate) fn new(route: Token) -> ConnState {
+    /// A fresh connection with id `route`: no session yet.
+    pub(crate) fn new(route: u64) -> ConnState {
         ConnState { route, token: None }
     }
 
@@ -828,19 +823,18 @@ impl ConnState {
 /// How a connection ended — decides eviction vs parking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ExitReason {
-    /// The client said goodbye (`Close`) or never had a session;
-    /// evict.
+    /// The client said goodbye (`Close`), never had a session, or the
+    /// server is shutting down; evict.
     Clean,
     /// EOF, transport error, malformed frame, idle timeout, or a
     /// protocol error the client may recover from by reconnecting: a
     /// resumable session is parked, anything else is evicted.
     Abrupt,
-    /// Server shutdown; evict.
-    Shutdown,
 }
 
-/// What to run once a [`Step::Flush`] completes (the device's queue
-/// has fully drained and every event is queued on the connection).
+/// What to run once a [`Step::Flush`] completes (the pass's drain has
+/// emptied the device's queue and every event is queued on the
+/// connection).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FlushThen {
     /// Report the total window count (`Finish`); the connection
@@ -852,36 +846,21 @@ pub(crate) enum FlushThen {
 
 /// What [`handle_frame`] asks the reactor to do next. The protocol
 /// state machine never blocks: the reactor maps `Flush` to a
-/// `Flushing` connection mode and `BackpressurePause` to dropping
-/// readable interest until the device's queue has room.
+/// `Flushing` connection mode.
 pub(crate) enum Step {
     /// Keep reading frames.
     Continue,
-    /// Keep the connection, but the fleet refused a chunk with a real
-    /// `Full` (not an injected storm): stop reading until the device's
-    /// queue has room again, converting go-back-N retry storms into
-    /// TCP backpressure.
-    BackpressurePause,
-    /// Wait until the device's pending chunks hit zero, then apply
-    /// [`after_flush`].
+    /// Stop consuming frames until the pass's drain has emptied the
+    /// device's queue, then apply [`after_flush`].
     Flush(FlushThen),
     /// The connection is over; run exit bookkeeping with this reason.
     End(ExitReason),
 }
 
-/// Chunks queued for the session the connection carries; 0 once the
-/// session no longer lives here attached to it.
-pub(crate) fn pending_chunks(state: &ConnState, shared: &Shared) -> usize {
-    let mut core = shared.core.lock().expect("core lock");
-    let core = &mut *core;
-    state
-        .session(&mut core.sessions)
-        .map_or(0, |(key, _)| core.fleet.pending_chunks(key))
-}
-
-/// Completes a [`Step::Flush`]: the queue is empty, so every event for
-/// accepted chunks is already queued on the connection (a drain writes
-/// its events in the pass that processes their chunks).
+/// Completes a [`Step::Flush`] after the pass's drain: the queue is
+/// empty, so every event for accepted chunks is already queued on the
+/// connection (a drain writes its events in the pass that processes
+/// their chunks).
 pub(crate) fn after_flush(
     then: FlushThen,
     state: &ConnState,
@@ -934,8 +913,8 @@ pub(crate) fn finish_connection(state: &ConnState, reason: ExitReason, shared: &
 }
 
 /// Drives the protocol state machine one frame forward, queueing reply
-/// frames on `out`. Everything that would wait (flushes, backpressure)
-/// is delegated back to the reactor via [`Step`].
+/// frames on `out`. A flush, the one thing that waits, is delegated
+/// back to the reactor via [`Step`].
 pub(crate) fn handle_frame(
     frame: Frame,
     out: &mut BufferedConn,
@@ -1094,9 +1073,7 @@ pub(crate) fn handle_frame(
                 send(out, &Frame::Busy { seq });
             } else if config.faults.as_ref().is_some_and(|f| f.busy_storm()) {
                 // Injected busy storm: refuse a chunk the fleet
-                // would have taken; go-back-N absorbs it. Not real
-                // fleet pressure, so no backpressure pause: the
-                // storm must not freeze the connection's reads.
+                // would have taken; go-back-N absorbs it.
                 shared.counters.chunks_busy.inc();
                 send(out, &Frame::Busy { seq });
             } else {
@@ -1107,12 +1084,10 @@ pub(crate) fn handle_frame(
                         send(out, &Frame::Ack { seq });
                     }
                     PushResult::Full => {
-                        // Real fleet backpressure: refuse the chunk
-                        // and ask the reactor to stop reading until
-                        // the queue has room.
+                        // Real fleet backpressure: refuse the chunk;
+                        // the client resends from it (go-back-N).
                         shared.counters.chunks_busy.inc();
                         send(out, &Frame::Busy { seq });
-                        return Step::BackpressurePause;
                     }
                 }
             }
@@ -1141,10 +1116,10 @@ pub(crate) fn handle_frame(
             if state.token.is_none() {
                 return Step::End(ExitReason::Clean);
             }
-            // Flush: wait until a drain has consumed the device's
-            // queue. A drain writes its events in the pass that
-            // processes their chunks, so an empty queue means every
-            // event is already queued on this connection.
+            // Flush: complete after the pass's drain has consumed the
+            // device's queue. A drain writes its events in the pass
+            // that processes their chunks, so every event is then
+            // already queued on this connection.
             Step::Flush(FlushThen::Close)
         }
         Frame::Stats => {

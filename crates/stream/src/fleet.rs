@@ -3,7 +3,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use eddie_core::{Error, ErrorKind, MonitorEvent, TrainedModel};
-use eddie_isa::RegionId;
 use eddie_obs::{Counter, Histogram, JournalEvent, Registry, Timer};
 use eddie_store::SessionStore;
 
@@ -171,7 +170,6 @@ pub struct FleetStats {
 struct ParkedMeta {
     model: Arc<TrainedModel>,
     windows_observed: usize,
-    current_region: RegionId,
     alarm: bool,
 }
 
@@ -538,11 +536,10 @@ impl Fleet {
             .map(|(&id, d)| (id, d))
             .collect();
         let drained = eddie_exec::par_map_mut(&mut ready, |_, (id, d)| {
-            let session = match &mut d.state {
-                SessionState::Resident(s) => s,
-                // Parking requires an empty queue and pushes thaw
-                // first, so a parked device has nothing to process.
-                SessionState::Parked(m) => return (*id, m.current_region, Vec::new()),
+            // Parking needs an empty queue and a push thaws first, so
+            // the ready filter never admits a parked device.
+            let SessionState::Resident(session) = &mut d.state else {
+                unreachable!("a parked device has no queued chunk")
             };
             let pre_region = session.current_region();
             let mut events = Vec::new();
@@ -672,7 +669,6 @@ impl Fleet {
         let meta = ParkedMeta {
             model: session.model().clone(),
             windows_observed: session.windows_observed(),
-            current_region: session.current_region(),
             alarm: session.alarm(),
         };
         d.state = SessionState::Parked(meta);

@@ -11,6 +11,7 @@
 
 use std::io::Write as _;
 use std::net::{Shutdown, TcpStream};
+use std::time::Duration;
 
 use eddie::core::MonitorEvent;
 use eddie::serve::{fetch_stats, read_frame, write_frame, ErrCode, Frame, ServerConfig};
@@ -61,11 +62,8 @@ fn loopback_replay_is_byte_identical_to_batch() {
     assert_eq!(report.events_sent, total_events as u64);
 }
 
-/// A one-slot fleet queue forces `Busy` replies. Each real `Full`
-/// refusal must flip the connection's interest set (drop readable)
-/// rather than block a thread — the `backpressure_pauses` counter
-/// proves the flip happened — and go-back-N retransmission must still
-/// deliver a byte-identical event stream.
+/// A one-slot fleet queue forces `Busy` replies, and go-back-N
+/// retransmission must still deliver a byte-identical event stream.
 #[test]
 fn busy_backpressure_preserves_equivalence() {
     let fx = Fixture::gate();
@@ -98,17 +96,80 @@ fn busy_backpressure_preserves_equivalence() {
     // come from a Full, so the shed ledger must be non-empty here.
     assert!(report.final_stats.shed_chunks >= 1);
     assert!(report.final_stats.shed_chunks <= report.chunks_busy);
-    assert!(
-        report.backpressure_pauses >= 1,
-        "every real Full must pause reads via an interest-set flip \
-         (busy={}, pauses={})",
-        report.chunks_busy,
-        report.backpressure_pauses
-    );
-    // Pauses come only from real Full refusals, each of which also
-    // counted a Busy reply.
-    assert!(report.backpressure_pauses <= report.chunks_busy);
     assert_eq!(report.final_stats.active_sessions, 0);
+}
+
+/// A whole session in one write: `Hello`, every chunk, `Finish` and
+/// `Close` reach the server together. The `Close` is read only once
+/// the `Finish` flush completes, so its own flush begins inside a tick
+/// and completes in the next pass. Every chunk is acked, every event
+/// arrives before `Finished`, which counts them all, and the server
+/// then closes and evicts the session.
+#[test]
+fn whole_session_in_one_write() {
+    const CHUNK: usize = 1000;
+    let fx = Fixture::gate();
+    let server = LocalServer::start(fx.model.clone(), ServerConfig::default()).unwrap();
+    let handle = server.handle();
+    let run = &fx.runs[1];
+
+    let mut session = Vec::new();
+    write_frame(
+        &mut session,
+        &Frame::Hello {
+            model_id: MODEL_ID.to_string(),
+            sample_rate: run.rate,
+        },
+    )
+    .expect("encode hello");
+    let mut chunks = 0u64;
+    for samples in run.signal.chunks(CHUNK) {
+        let chunk = Frame::Chunk {
+            seq: chunks,
+            samples: samples.to_vec(),
+        };
+        write_frame(&mut session, &chunk).expect("encode chunk");
+        chunks += 1;
+    }
+    write_frame(&mut session, &Frame::Finish).expect("encode finish");
+    write_frame(&mut session, &Frame::Close).expect("encode close");
+    let mut s = TcpStream::connect(handle.addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    s.write_all(&session).expect("write the session");
+
+    let (mut acked, mut events, mut finished) = (0u64, Vec::new(), None);
+    while let Some(frame) = read_frame(&mut s).expect("reply") {
+        match frame {
+            Frame::Ack { seq } => {
+                assert_eq!(seq, acked, "acks arrive in order");
+                acked += 1;
+            }
+            Frame::Event { .. } => {
+                assert_eq!(finished, None, "an event arrived after Finished");
+                events.push(frame.to_stream_event().expect("an event frame"));
+            }
+            Frame::Finished { windows } => {
+                assert_eq!(finished, None, "a second Finished");
+                finished = Some(windows);
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert_eq!(acked, chunks, "every chunk is acked");
+    assert_eq!(
+        finished,
+        Some(events.len() as u64),
+        "Finished counts every event"
+    );
+    run.check("one-write", &events).unwrap();
+    wait_for(
+        || handle.fleet_stats().active_sessions == 0,
+        "session evicted after Close",
+    );
+    let report = server.stop().unwrap();
+    assert_eq!(report.chunks_accepted, chunks);
+    assert_eq!(report.chunks_busy, 0);
 }
 
 /// Random garbage, zero/oversized length prefixes, bad tags, truncated
